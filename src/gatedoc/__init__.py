@@ -56,7 +56,6 @@ from .textpipe import (
     build_vocab,
     load_dataset,
     segment_sentences,
-    split_and_batch,
     tokenize,
 )
 from .training import ablation_run, evaluate, train

@@ -1,10 +1,10 @@
 """Binary checkpoint persistence.
 
 Layout: magic ``GDOC``, version u32, header-length u32, a UTF-8 JSON
-header (config snapshot, parameter names and shapes, vocab offset),
-the parameter arrays as little-endian float32 in header order, a CRC32
-of the array bytes, then the vocabulary (one non-reserved token per
-line).  A checksum or shape mismatch refuses to load.
+header (config snapshot, parameter names and shapes), the parameter
+arrays as little-endian ``config.dtype`` in header order, the
+vocabulary (one non-reserved token per line), then a CRC32 of every
+byte before it.  A checksum, name or shape mismatch refuses to load.
 """
 
 from __future__ import annotations
@@ -22,110 +22,85 @@ from .model import build_model
 from .textpipe import RESERVED_TOKENS, vocab_from_tokens
 
 MAGIC = b"GDOC"
-VERSION = 1
-_ARRAY_DTYPE = np.dtype("<f4")
+VERSION = 2
+_PREAMBLE = struct.Struct("<4sII")  # magic, version, header length
+_CRC = struct.Struct("<I")
+
+
+def _array_dtype(config):
+    return np.dtype(config.dtype).newbyteorder("<")
 
 
 def save_checkpoint(params, config, vocab, path):
     """Write model + config + vocab; atomic via temp file and rename."""
     named = params.named_parameters()
-    arrays = [np.ascontiguousarray(t.data, dtype=_ARRAY_DTYPE) for _, t in named]
-    array_blob = b"".join(a.tobytes() for a in arrays)
-    crc = zlib.crc32(array_blob) & 0xFFFFFFFF
-    vocab_blob = "\n".join(vocab.id_to_token[len(RESERVED_TOKENS) :]).encode("utf-8")
-
-    def header_bytes(vocab_offset):
-        header = {
-            "config": config.to_dict(),
-            "params": [
-                {"name": name, "shape": list(t.data.shape)} for name, t in named
-            ],
-            "vocab_offset": vocab_offset,
-            "vocab_bytes": len(vocab_blob),
-        }
-        return json.dumps(header, sort_keys=True).encode("utf-8")
-
-    # the offset appears inside the header, so iterate until its width settles
-    offset = 0
-    for _ in range(10):
-        hb = header_bytes(offset)
-        new_offset = 4 + 4 + 4 + len(hb) + len(array_blob) + 4
-        if new_offset == offset:
-            break
-        offset = new_offset
-    hb = header_bytes(offset)
+    dtype = _array_dtype(config)
+    header = {
+        "config": config.to_dict(),
+        "params": [{"name": name, "shape": list(t.data.shape)} for name, t in named],
+    }
+    hb = json.dumps(header, sort_keys=True).encode("utf-8")
+    pieces = [_PREAMBLE.pack(MAGIC, VERSION, len(hb)), hb]
+    pieces += [np.ascontiguousarray(t.data, dtype=dtype) for _, t in named]
+    pieces.append("\n".join(vocab.id_to_token[len(RESERVED_TOKENS) :]).encode("utf-8"))
 
     tmp = f"{path}.tmp"
+    crc = 0
     with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(hb)))
-        fh.write(hb)
-        fh.write(array_blob)
-        fh.write(struct.pack("<I", crc))
-        fh.write(vocab_blob)
+        for piece in pieces:
+            fh.write(piece)
+            crc = zlib.crc32(piece, crc)
+        fh.write(_CRC.pack(crc))
     os.replace(tmp, path)
-
-
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: expected {n} bytes of {what}")
-    return data
 
 
 def load_checkpoint(path):
     """Load (ModelParams, TrainConfig, Vocab); refuse corrupt files."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
-    with fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != MAGIC:
-            raise CheckpointError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4, "header length"))
-        try:
-            header = json.loads(_read_exact(fh, header_len, "header"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-        for key in ("config", "params", "vocab_offset", "vocab_bytes"):
-            if key not in header:
-                raise CheckpointError(f"checkpoint header missing {key!r}")
+    if len(blob) < _PREAMBLE.size + _CRC.size:
+        raise CheckpointError(f"truncated checkpoint: only {len(blob)} bytes")
+    magic, version, header_len = _PREAMBLE.unpack_from(blob)
+    if magic != MAGIC:
+        raise CheckpointError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    body = memoryview(blob)[: -_CRC.size]
+    (crc_stored,) = _CRC.unpack_from(blob, len(body))
+    if zlib.crc32(body) != crc_stored:
+        raise CheckpointError("checksum mismatch: checkpoint is truncated or corrupt")
+    offset = _PREAMBLE.size + header_len
+    try:
+        header = json.loads(bytes(body[_PREAMBLE.size : offset]))
         config = TrainConfig.from_dict(header["config"])
         specs = header["params"]
-        n_array_bytes = sum(
-            int(np.prod(spec["shape"], dtype=np.int64)) * _ARRAY_DTYPE.itemsize
-            for spec in specs
-        )
-        array_blob = _read_exact(fh, n_array_bytes, "parameter arrays")
-        (crc_stored,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
-        if zlib.crc32(array_blob) & 0xFFFFFFFF != crc_stored:
-            raise CheckpointError("checksum mismatch: parameter bytes are corrupt")
-        vocab_blob = _read_exact(fh, header["vocab_bytes"], "vocabulary")
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
 
-    tokens = vocab_blob.decode("utf-8").split("\n") if vocab_blob else []
+    dtype = _array_dtype(config)
+    arrays = []
+    for spec in specs:
+        count = int(np.prod(spec["shape"], dtype=np.int64))
+        if offset + count * dtype.itemsize > len(body):
+            raise CheckpointError(f"parameter {spec['name']!r} runs past the end of the file")
+        arrays.append(np.frombuffer(body, dtype=dtype, count=count, offset=offset))
+        offset += count * dtype.itemsize
+    tokens = bytes(body[offset:]).decode("utf-8").split("\n")
     vocab = vocab_from_tokens([t for t in tokens if t])
 
     params = build_model(config, vocab_size=len(vocab))
     named = params.named_parameters()
     if [name for name, _ in named] != [spec["name"] for spec in specs]:
         raise CheckpointError("checkpoint parameter names do not match the config")
-    offset = 0
-    for (name, tensor), spec in zip(named, specs):
+    for (name, tensor), spec, arr in zip(named, specs, arrays):
         shape = tuple(spec["shape"])
         if shape != tensor.data.shape:
             raise CheckpointError(
                 f"parameter {name!r}: stored shape {shape} != expected {tensor.data.shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64))
-        arr = np.frombuffer(
-            array_blob, dtype=_ARRAY_DTYPE, count=count, offset=offset
-        ).reshape(shape)
-        offset += count * _ARRAY_DTYPE.itemsize
         # frombuffer views are read-only; force a writable copy
-        tensor.data = np.array(arr, dtype=np.dtype(config.dtype))
+        tensor.data = np.array(arr.reshape(shape), dtype=np.dtype(config.dtype))
     return params, config, vocab

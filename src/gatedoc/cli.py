@@ -24,6 +24,7 @@ from .errors import DataError, GatedocError, UsageError
 from .heatmap import render_heatmap
 from .model import build_model, forward, one_hot, predict
 from .textpipe import (
+    assemble_document,
     build_vocab,
     load_dataset,
     prepare_document,
@@ -226,41 +227,28 @@ def cmd_analyze(args):
     return 0
 
 
-def _gradcheck_model():
-    """A tiny 64-bit model and a 2-sentence document for the end-to-end check."""
+def cmd_gradcheck(args):
+    """End-to-end check of a tiny 64-bit model on a 2-sentence document."""
     config = TrainConfig(
         scheme="three_way",
         d_tok=4, d_h=4, n_heads=1, n_layers=1,
         d_class=3, d_class_hidden=3, d_g=4, d_out_hidden=4,
         max_sentences=8, max_stream_len=32, dtype="float64",
     ).validate()
-    return config
-
-
-def cmd_gradcheck(args):
-    from .textpipe import CLS_ID, SEP_ID, TokenizedDocument
-
-    config = _gradcheck_model()
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     vocab_size = 16
     params = build_model(config, vocab_size=vocab_size, rng=rng, dtype="float64")
     body = [int(t) for t in rng.integers(5, vocab_size, size=4)]
-    doc = TokenizedDocument(
-        id="gradcheck",
-        sentences=[body[:2], body[2:]],
-        token_stream=[CLS_ID] + body[:2] + [SEP_ID] + body[2:] + [SEP_ID],
-        sep_positions=[3, 6],
-        sentence_spans=[(0, 1), (1, 2)],
-        label=2,
-        n_classes=config.n_classes,
+    doc = assemble_document(
+        [body[:2], body[2:]], [(0, 1), (1, 2)], config.limits(),
+        doc_id="gradcheck", label=2, n_classes=config.n_classes,
     )
-    named = params.named_parameters()
     target = one_hot(doc.label, config.n_classes, np.float64)
 
     def f():
         return ad.bce_loss(forward(doc, params).probs, target)
 
-    worst = ad.grad_check(f, [t for _, t in named])
+    worst = ad.grad_check(f, [t for _, t in params.named_parameters()])
     payload = {"max_relative_error": worst, "threshold": GRADCHECK_THRESHOLD}
     if args.out:
         _write_json(payload, args.out)

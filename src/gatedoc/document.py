@@ -38,9 +38,6 @@ class GruCellParams:
     u_h: Tensor
     b_h: Tensor
 
-    def tensors(self):
-        return list(self.__dict__.items())
-
 
 @dataclass
 class DocEncoderParams:
@@ -136,9 +133,7 @@ def gate(e_prime, gp, clamp=None):
     else:
         gated = ad.mul(g, e_prime)
     # report in float64 from the pre-activations so scores stay inside (0, 1)
-    z64 = z.data.astype(np.float64)
-    scores = 1.0 / (1.0 + np.exp(-np.abs(z64)))
-    scores = np.where(z64 >= 0, scores, 1.0 - scores)
+    scores = ad.sigmoid(Tensor(z.data.astype(np.float64))).data
     scores = scores.mean(axis=1) if gp.mode == "vector" else scores[:, 0]
     if clamp:
         for idx, value in clamp.items():
@@ -174,7 +169,7 @@ def encode_sequence(e_dprime, cell):
         x = ad.slice_axis(e_dprime, 0, i, i + 1)
         h = gru_cell(x, h, cell)
         states.append(h)
-    return ad.concat_all(states, axis=0)
+    return ad.concat(states, axis=0)
 
 
 def attend(encs, query):
@@ -202,6 +197,6 @@ def decode_document(encs, dp):
     enc_n = ad.slice_axis(encs, 0, n - 1, n)
     dec0 = ad.tanh(ad.add(ad.matmul(enc_n, dp.bridge_w), dp.bridge_b))
     a, cnt = attend(encs, dec0)
-    x = ad.concat(dp.start_emb, cnt, axis=1)
+    x = ad.concat((dp.start_emb, cnt), axis=1)
     e_d = gru_cell(x, dec0, dp.dec_cell)
     return e_d, a

@@ -36,7 +36,6 @@ class EncoderParams:
     wq: Tensor
     bq: Tensor
     wk: Tensor
-    bk: Tensor
     wv: Tensor
     bv: Tensor
     wo: Tensor
@@ -47,10 +46,6 @@ class EncoderParams:
     b_ff1: Tensor
     w_ff2: Tensor
     b_ff2: Tensor
-
-    def tensors(self):
-        skip = ("n_layers", "n_heads")
-        return [(k, v) for k, v in self.__dict__.items() if k not in skip]
 
 
 @dataclass
@@ -66,9 +61,6 @@ class ClassSimilarity:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    def fnn_tensors(self):
-        return [(k, v) for k, v in self.__dict__.items() if k != "w_c"]
 
 
 def init_encoder(rng, vocab_size, d_tok, d_h, n_heads, n_layers, max_len, dtype):
@@ -96,7 +88,6 @@ def init_encoder(rng, vocab_size, d_tok, d_h, n_heads, n_layers, max_len, dtype)
         wq=ad.parameter("encoder.wq", xu(d_h, d_h)),
         bq=zrow("encoder.bq", d_h),
         wk=ad.parameter("encoder.wk", xu(d_h, d_h)),
-        bk=zrow("encoder.bk", d_h),
         wv=ad.parameter("encoder.wv", xu(d_h, d_h)),
         bv=zrow("encoder.bv", d_h),
         wo=ad.parameter("encoder.wo", xu(d_h, d_h)),
@@ -149,7 +140,7 @@ def _self_attention(x, p, mask):
     n, d_h = x.shape
     dk = d_h // p.n_heads
     q = ad.add(ad.matmul(x, p.wq), p.bq)
-    k = ad.add(ad.matmul(x, p.wk), p.bk)
+    k = ad.matmul(x, p.wk)  # a key bias would add a per-row constant: softmax ignores it
     v = ad.add(ad.matmul(x, p.wv), p.bv)
     heads = []
     inv = 1.0 / math.sqrt(dk)
@@ -163,7 +154,7 @@ def _self_attention(x, p, mask):
             scores = ad.add(scores, mask)
         attn = ad.softmax(scores, axis=1)
         heads.append(ad.matmul(attn, vh))
-    merged = ad.concat_all(heads, axis=1)
+    merged = ad.concat(heads, axis=1)
     return ad.add(ad.matmul(merged, p.wo), p.bo)
 
 
@@ -228,4 +219,4 @@ def enrich(e, c):
     """Row-wise concatenation [E_i ; C_i] (width d_h + n_classes)."""
     if e.shape[0] != c.shape[0]:
         raise DimensionError(f"enrich: row counts differ ({e.shape[0]} vs {c.shape[0]})")
-    return ad.concat(e, c, axis=1)
+    return ad.concat((e, c), axis=1)

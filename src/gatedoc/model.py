@@ -34,7 +34,6 @@ class ForwardResult:
 
     probs: Tensor
     gate_scores: np.ndarray
-    attention: np.ndarray
     gate_enabled: bool
 
 
@@ -56,40 +55,8 @@ class ModelParams:
     out_b2: Tensor
 
     def named_parameters(self):
-        """All trainable tensors in a fixed order; W_c appears exactly once."""
-        out = list(self.encoder.tensors())
-        if self.sent_sim is not None:
-            out.append(("classsim.w_c", self.sent_sim.w_c))
-            out.extend((f"classsim.sent.{k}", t) for k, t in self.sent_sim.fnn_tensors())
-        elif self.doc_sim is not None:
-            out.append(("classsim.w_c", self.doc_sim.w_c))
-        if self.doc_sim is not None:
-            out.extend((f"classsim.doc.{k}", t) for k, t in self.doc_sim.fnn_tensors())
-        if self.gate is not None:
-            out.append(("gate.w_g", self.gate.w_g))
-        out.extend((f"docenc.enc.{k}", t) for k, t in self.doc_encoder.enc_cell.tensors())
-        out.append(("docenc.bridge_w", self.doc_encoder.bridge_w))
-        out.append(("docenc.bridge_b", self.doc_encoder.bridge_b))
-        out.append(("docenc.start_emb", self.doc_encoder.start_emb))
-        out.extend((f"docenc.dec.{k}", t) for k, t in self.doc_encoder.dec_cell.tensors())
-        out.extend(
-            [
-                ("head.w1", self.out_w1),
-                ("head.b1", self.out_b1),
-                ("head.w2", self.out_w2),
-                ("head.b2", self.out_b2),
-            ]
-        )
-        names = [n for n, _ in out]
-        if len(names) != len(set(names)):
-            raise DimensionError("duplicate parameter names in model")
-        return out
-
-    def param_dict(self):
-        return dict(self.named_parameters())
-
-    def n_parameters(self):
-        return sum(int(t.data.size) for _, t in self.named_parameters())
+        """All trainable tensors in field order, keyed by `Tensor.name`; W_c once."""
+        return ad.named_parameters(self)
 
     def dtype(self):
         return self.encoder.tok_emb.data.dtype
@@ -161,7 +128,7 @@ def classify_head(e_d, mp):
     """Per-class sigmoid scores from the document embedding (1 x n_classes)."""
     if mp.use_document_class_sim:
         c_d = encmod.class_similarity(e_d, mp.doc_sim)
-        head_in = ad.concat(e_d, c_d, axis=1)
+        head_in = ad.concat((e_d, c_d), axis=1)
     else:
         head_in = e_d
     if head_in.shape[1] != mp.out_w1.shape[0]:
@@ -190,14 +157,9 @@ def forward(doc, mp, gate_clamp=None):
         scores = np.full(e_prime.shape[0], 0.5)
         e_dprime = e_prime
     encs = docmod.encode_sequence(e_dprime, mp.doc_encoder.enc_cell)
-    e_d, a = docmod.decode_document(encs, mp.doc_encoder)
+    e_d, _ = docmod.decode_document(encs, mp.doc_encoder)
     probs = classify_head(e_d, mp)
-    return ForwardResult(
-        probs=probs,
-        gate_scores=scores,
-        attention=a.data.reshape(-1).astype(np.float64),
-        gate_enabled=mp.use_gate,
-    )
+    return ForwardResult(probs=probs, gate_scores=scores, gate_enabled=mp.use_gate)
 
 
 def predict(doc, mp):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,19 +216,6 @@ def build_vocab(corpus, min_freq=2, max_size=20000):
     return Vocab(token_to_id=token_to_id, id_to_token=id_to_token)
 
 
-def save_vocab(vocab, path):
-    """One non-reserved token per line; line number = id - 5."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in vocab.id_to_token[len(RESERVED_TOKENS) :]:
-            fh.write(tok + "\n")
-
-
-def load_vocab(path):
-    with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    return vocab_from_tokens(tokens)
-
-
 def vocab_from_tokens(tokens):
     id_to_token = list(RESERVED_TOKENS) + list(tokens)
     return Vocab(
@@ -366,13 +353,3 @@ def make_batches(items, batch_size):
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     return [items[i : i + batch_size] for i in range(0, len(items), batch_size)]
-
-
-def split_and_batch(documents, seed, batch_size, ratios=(0.8, 0.1, 0.1)):
-    """Shuffle by seed, split train/dev/test, and batch each stream."""
-    train, dev, test = shuffle_split(documents, seed, ratios)
-    return (
-        make_batches(train, batch_size),
-        make_batches(dev, batch_size),
-        make_batches(test, batch_size),
-    )

@@ -38,11 +38,11 @@ def _segments(stream_len, sep_positions):
     return np.asarray(seg)
 
 
-def _attention_block(x, a, n_heads, arr):
+def _attention_block(a, n_heads, arr):
     n, d_h = a.shape
     dk = d_h // n_heads
     q = a @ arr["encoder.wq"] + arr["encoder.bq"]
-    k = a @ arr["encoder.wk"] + arr["encoder.bk"]
+    k = a @ arr["encoder.wk"]
     v = a @ arr["encoder.wv"] + arr["encoder.bv"]
     heads = []
     for h in range(n_heads):
@@ -95,7 +95,7 @@ def oracle_forward(
         arr["__mask__"] = None
     for _ in range(n_layers):
         a = _layer_norm(h, arr["encoder.ln1_g"], arr["encoder.ln1_b"])
-        h = h + _attention_block(x, a, n_heads, arr)
+        h = h + _attention_block(a, n_heads, arr)
         f = _layer_norm(h, arr["encoder.ln2_g"], arr["encoder.ln2_b"])
         ff = np.maximum(f @ arr["encoder.w_ff1"] + arr["encoder.b_ff1"], 0.0)
         h = h + (ff @ arr["encoder.w_ff2"] + arr["encoder.b_ff2"])

@@ -101,25 +101,24 @@ class TestActivations:
 
 class TestConcatSplit:
     def test_concat_1d(self):
-        out = ad.concat(t([1.0, 2.0]), t([3.0]), axis=0)
+        out = ad.concat((t([1.0, 2.0]), t([3.0])), axis=0)
         assert out.data.tolist() == [1.0, 2.0, 3.0]
 
     def test_widths_add_up(self, rng):
         e = t(rng.standard_normal((2, 5)))
         c = t(rng.standard_normal((2, 3)))
-        assert ad.concat(e, c, axis=1).shape == (2, 8)
+        assert ad.concat((e, c), axis=1).shape == (2, 8)
 
-    def test_split_round_trip_exact(self, rng):
-        a = rng.standard_normal((3, 2))
-        b = rng.standard_normal((3, 4))
-        merged = ad.concat(t(a), t(b), axis=1)
-        left, right = ad.split(merged, axis=1, k=2)
-        np.testing.assert_array_equal(left.data, a)
-        np.testing.assert_array_equal(right.data, b)
+    def test_slice_round_trip_exact(self, rng):
+        parts = [rng.standard_normal((3, w)) for w in (2, 4, 1)]
+        merged = ad.concat([t(p) for p in parts], axis=1)
+        np.testing.assert_array_equal(ad.slice_axis(merged, 1, 0, 2).data, parts[0])
+        np.testing.assert_array_equal(ad.slice_axis(merged, 1, 2, 6).data, parts[1])
+        np.testing.assert_array_equal(ad.slice_axis(merged, 1, 6, 7).data, parts[2])
 
     def test_axis_out_of_range(self):
         with pytest.raises(DimensionError):
-            ad.concat(t(np.ones((2, 2))), t(np.ones((2, 2))), axis=2)
+            ad.concat((t(np.ones((2, 2))), t(np.ones((2, 2)))), axis=2)
 
 
 class TestSoftmax:
@@ -203,8 +202,8 @@ class TestScaleRowsAndGatherAndNorm:
 class TestBackward:
     def test_sum_gives_all_ones(self, rng):
         x = t(rng.standard_normal((3, 4)), name="x")
-        grads = ad.backward(ad.sum_all(x))
-        np.testing.assert_array_equal(grads["x"], np.ones((3, 4)))
+        ad.backward(ad.sum_all(x))
+        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_sigmoid_dot_at_zero_weight(self, rng):
         x_val = rng.standard_normal((3, 1))
@@ -229,11 +228,13 @@ class TestBackward:
         ad.backward(ad.mul(x, t([[2.0]], grad=False)))
         assert x.grad[0, 0] == 4.0
 
-    def test_backward_returns_named_map(self, rng):
+    def test_backward_fills_only_trainable_leaves(self, rng):
         a = t(rng.standard_normal((2, 2)), name="a")
         b = t(rng.standard_normal((2, 2)), name="b")
-        grads = ad.backward(ad.sum_all(ad.matmul(a, b)))
-        assert set(grads) == {"a", "b"}
+        c = t(rng.standard_normal((2, 2)), grad=False)
+        ad.backward(ad.sum_all(ad.matmul(ad.matmul(a, b), c)))
+        assert a.grad is not None and b.grad is not None
+        assert c.grad is None
 
     def test_graph_trace_is_topologically_ordered(self, rng):
         x = t(rng.standard_normal((2, 2)))
@@ -302,9 +303,9 @@ class TestGradCheckPerOp:
         b = t(rng.uniform(-1, 1, (2, 2)))
 
         def f():
-            merged = ad.concat(a, b, axis=1)
-            left, right = ad.split(merged, axis=1, k=3)
-            return ad.sum_all(ad.tanh(ad.concat(left, right, axis=1)))
+            merged = ad.concat((a, b, a), axis=1)
+            left, right = ad.slice_axis(merged, 1, 0, 3), ad.slice_axis(merged, 1, 3, 8)
+            return ad.sum_all(ad.tanh(ad.concat((right, left), axis=1)))
 
         _check(f, [a, b])
 
@@ -332,10 +333,6 @@ class TestGradCheckPerOp:
         g = t(rng.uniform(0.5, 1.5, (1, 5)))
         b = t(rng.uniform(-0.5, 0.5, (1, 5)))
         _check(lambda: ad.sum_all(ad.tanh(ad.layer_norm(x, g, b))), [x, g, b])
-
-    def test_mean_all(self, rng):
-        x = t(rng.uniform(-1, 1, (3, 4)))
-        _check(lambda: ad.mean_all(ad.tanh(x)), [x])
 
     def test_bce_loss(self, rng):
         x = t(rng.uniform(-1, 1, (1, 5)))

@@ -16,16 +16,15 @@ def _gate(rng, width, mode="scalar", randomize=True):
 
 def _cell(rng, d_in, d_g, prefix="cell"):
     cell = doc.init_gru_cell(rng, d_in, d_g, np.float64, prefix)
-    for _, tensor in cell.tensors():
+    for _, tensor in ad.named_parameters(cell):
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     return cell
 
 
 def _doc_encoder(rng, d_in, d_g):
     dp = doc.init_doc_encoder(rng, d_in, d_g, np.float64)
-    for group in (dp.enc_cell.tensors(), dp.dec_cell.tensors()):
-        for _, tensor in group:
-            tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
+    for _, tensor in ad.named_parameters(dp.enc_cell) + ad.named_parameters(dp.dec_cell):
+        tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     for tensor in (dp.bridge_w, dp.bridge_b, dp.start_emb):
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     return dp
@@ -86,7 +85,7 @@ class TestGate:
 class TestGruCell:
     def test_all_zero_weights_zero_state(self, rng):
         cell = doc.init_gru_cell(rng, 3, 4, np.float64, "c")
-        for _, tensor in cell.tensors():
+        for _, tensor in ad.named_parameters(cell):
             tensor.data = np.zeros_like(tensor.data)
         h = doc.gru_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), cell)
         np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
@@ -130,7 +129,7 @@ class TestGruCell:
         cell = _cell(rng, 3, 4)
         x = Tensor(rng.uniform(-1, 1, (1, 3)))
         h0 = Tensor(rng.uniform(-1, 1, (1, 4)))
-        params = [tensor for _, tensor in cell.tensors()]
+        params = [tensor for _, tensor in ad.named_parameters(cell)]
         worst = ad.grad_check(
             lambda: ad.sum_all(doc.gru_cell(x, h0, cell)), params
         )
@@ -278,8 +277,9 @@ class TestGateInfluenceInvariant:
         perturbed[1] = rng.standard_normal(width) * 10
         assert np.abs(run(perturbed) - base).max() < 1e-9
 
-    @pytest.mark.parametrize("n_sentences", [1, 2, 4])
-    def test_whole_module_gradcheck(self, rng, n_sentences):
+    @staticmethod
+    def _whole_module(rng, n_sentences):
+        """Gate -> GRU encoder -> decoder under a batch loss, and its parameters."""
         width, d_g = 4, 3
         gp = _gate(rng, width)
         dp = _doc_encoder(rng, width, d_g)
@@ -288,9 +288,7 @@ class TestGateInfluenceInvariant:
         inputs = [Tensor(rng.uniform(-1, 1, (n_sentences, width))) for _ in range(3)]
         w_out = Tensor(rng.uniform(-1, 1, (d_g, 2)), requires_grad=False)
         target = Tensor(np.array([[1.0, 0.0]]), requires_grad=False)
-        params = [gp.w_g, dp.bridge_w, dp.bridge_b, dp.start_emb]
-        params += [tensor for _, tensor in dp.enc_cell.tensors()]
-        params += [tensor for _, tensor in dp.dec_cell.tensors()]
+        params = [gp.w_g] + [tensor for _, tensor in ad.named_parameters(dp)]
 
         def f():
             total = None
@@ -302,5 +300,23 @@ class TestGateInfluenceInvariant:
                 total = loss if total is None else ad.add(total, loss)
             return total
 
-        worst = ad.grad_check(f, params)
+        return f, params
+
+    @pytest.mark.parametrize("n_sentences", [1, 2, 4])
+    def test_whole_module_gradcheck(self, rng, n_sentences):
+        worst = ad.grad_check(*self._whole_module(rng, n_sentences))
         assert worst < 1e-4
+
+    def test_gradcheck_catches_one_percent_tanh_error(self, rng, monkeypatch):
+        exact = ad.activation
+
+        def skewed(kind, x):
+            out = exact(kind, x)
+            if kind == "tanh" and out.node is not None:
+                bw = out.node.backward_fn
+                out.node.backward_fn = lambda g: tuple(1.01 * gi for gi in bw(g))
+            return out
+
+        monkeypatch.setattr(ad, "activation", skewed)
+        worst = ad.grad_check(*self._whole_module(rng, 4))
+        assert worst >= 1e-4

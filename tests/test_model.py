@@ -1,0 +1,104 @@
+import itertools
+
+import numpy as np
+import pytest
+
+from gatedoc import autodiff as ad
+from gatedoc.model import build_model, forward, one_hot
+
+from conftest import make_doc, randomize_params, tiny_config
+from forward_oracle import oracle_forward
+
+VOCAB_SIZE = 20
+
+# three ablation switches x gate mode x attention scope
+VARIANTS = [
+    dict(
+        use_sentence_class_sim=sent,
+        use_gate=gate,
+        use_document_class_sim=docsim,
+        gate_mode=mode,
+        attention_scope=scope,
+    )
+    for sent, gate, docsim, mode, scope in itertools.product(
+        (True, False), (True, False), (True, False), ("scalar", "vector"),
+        ("sentence", "document"),
+    )
+]
+
+
+def _variant_id(v):
+    return "-".join(
+        [
+            "sent" if v["use_sentence_class_sim"] else "nosent",
+            "gate" if v["use_gate"] else "nogate",
+            "doc" if v["use_document_class_sim"] else "nodoc",
+            v["gate_mode"],
+            v["attention_scope"],
+        ]
+    )
+
+
+def _model(variant, seed=0):
+    config = tiny_config(**variant)
+    rng = np.random.default_rng(seed)
+    params = build_model(config, VOCAB_SIZE, rng=rng)
+    randomize_params(params, rng)
+    return config, params, rng
+
+
+@pytest.fixture(params=VARIANTS, ids=_variant_id)
+def variant(request):
+    return request.param
+
+
+def test_engine_matches_numpy_oracle(variant):
+    config, params, rng = _model(variant)
+    arrays = {name: t.data for name, t in params.named_parameters()}
+    for n_sentences in (1, 3):
+        doc = make_doc(rng, n_sentences, VOCAB_SIZE)
+        result = forward(doc, params)
+        probs, scores = oracle_forward(
+            arrays, doc, n_layers=config.n_layers, n_heads=config.n_heads, **variant
+        )
+        np.testing.assert_allclose(result.probs.data.reshape(-1), probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.gate_scores, scores, rtol=0, atol=1e-12)
+
+
+def test_parameter_keys_are_tensor_names(variant):
+    _, params, _ = _model(variant)
+    named = params.named_parameters()
+    assert all(name == t.name for name, t in named)
+    names = [name for name, _ in named]
+    assert len(names) == len(set(names))
+
+
+def test_switched_off_variant_has_none_of_its_parameters(variant):
+    _, params, _ = _model(variant)
+    names = [name for name, _ in params.named_parameters()]
+
+    def has(prefix):
+        return any(n.startswith(prefix) for n in names)
+
+    assert has("classsim.sent.") == variant["use_sentence_class_sim"]
+    assert has("classsim.doc.") == variant["use_document_class_sim"]
+    assert has("classsim.w_c") == (
+        variant["use_sentence_class_sim"] or variant["use_document_class_sim"]
+    )
+    assert has("gate.") == variant["use_gate"]
+
+
+def test_every_parameter_gets_a_gradient(variant):
+    # a parameter whose gradient is identically zero (such as a key bias
+    # under row-wise softmax) never learns and should not exist
+    config, params, rng = _model(variant)
+    named = params.named_parameters()
+    ad.zero_grad([t for _, t in named])
+    for label in range(config.n_classes):
+        doc = make_doc(rng, 3, VOCAB_SIZE, label=label)
+        target = one_hot(label, config.n_classes, np.float64)
+        ad.backward(ad.bce_loss(forward(doc, params).probs, target))
+    peaks = {name: float(np.abs(t.grad).max()) for name, t in named}
+    largest = max(peaks.values())
+    weak = {name: p / largest for name, p in peaks.items() if p < 1e-10 * largest}
+    assert not weak, f"parameters with vanishing gradients: {weak}"

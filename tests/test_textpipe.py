@@ -5,11 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedoc import textpipe as tp
+from gatedoc.checkpoint import load_checkpoint, save_checkpoint
 from gatedoc.errors import DataError, UsageError
+from gatedoc.model import build_model
+
+from conftest import tiny_config
 
 
 def rd(i, text, score=1):
     return tp.RawDocument(id=str(i), text=text, score=score)
+
+
+def _checkpoint_with(vocab, path):
+    """Vocabularies are persisted inside checkpoints; write one around `vocab`."""
+    config = tiny_config()
+    save_checkpoint(build_model(config, len(vocab)), config, vocab, path)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +108,11 @@ class TestVocab:
 
     def test_deterministic_serialization(self, tmp_path):
         corpus = [rd(i, "the cat sat on the mat. again!") for i in range(3)]
-        paths = []
+        blobs = []
         for run in range(2):
             vocab = tp.build_vocab(corpus, min_freq=1)
-            path = tmp_path / f"vocab{run}.txt"
-            tp.save_vocab(vocab, path)
-            paths.append(path.read_bytes())
-        assert paths[0] == paths[1]
+            blobs.append(_checkpoint_with(vocab, tmp_path / f"run{run}.gdoc").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_tie_break_is_lexicographic(self):
         vocab = tp.build_vocab([rd(0, "b a b a c c z z")], min_freq=1, max_size=3)
@@ -116,9 +125,7 @@ class TestVocab:
 
     def test_save_load_round_trip(self, tmp_path):
         vocab = tp.build_vocab([rd(0, "alpha beta alpha gamma.")], min_freq=1)
-        path = tmp_path / "vocab.txt"
-        tp.save_vocab(vocab, path)
-        loaded = tp.load_vocab(path)
+        _, _, loaded = load_checkpoint(_checkpoint_with(vocab, tmp_path / "model.gdoc"))
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.token_to_id == vocab.token_to_id
 
@@ -303,8 +310,8 @@ class TestSplitAndBatch:
 
     def test_same_seed_same_order(self):
         docs = list(range(30))
-        a = tp.split_and_batch(docs, seed=9, batch_size=4)
-        b = tp.split_and_batch(docs, seed=9, batch_size=4)
+        a = [tp.make_batches(part, 4) for part in tp.shuffle_split(docs, seed=9)]
+        b = [tp.make_batches(part, 4) for part in tp.shuffle_split(docs, seed=9)]
         assert a == b
 
     def test_different_seed_different_order_same_multiset(self):
