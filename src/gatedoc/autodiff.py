@@ -3,10 +3,11 @@
 Covers exactly what the gated document classifier needs: 2-D matrix
 products, elementwise arithmetic with scalar and one-row broadcasting,
 sigmoid/tanh/relu, row gather, axis slicing, n-ary concat, transpose,
-softmax, row-wise layer normalisation, per-row scaling (the gate
-application), a full sum, binary cross-entropy, the parameter walk over
-parameter dataclasses, a fourth-order central-difference gradient
-checker and an Adam optimizer.
+softmax, block-scoped multi-head attention (one node per layer, with a
+hand-written backward), row-wise layer normalisation, per-row scaling
+(the gate application), a full sum, binary cross-entropy, the parameter
+walk over parameter dataclasses, a fourth-order central-difference
+gradient checker and an Adam optimizer.
 
 Graphs are built eagerly: every operation whose inputs require
 gradients records a `Node` holding the op kind, its input tensors and a
@@ -410,6 +411,113 @@ def softmax(x, axis):
         return (y * (g - (g * y).sum(axis=ax, keepdims=True)),)
 
     return _make("softmax", out, (x,), bw)
+
+
+def _group_blocks(blocks):
+    """Batch layout of row blocks: one (rows, valid) pair per group of blocks.
+
+    Each group is padded to its longest block.  `rows` (n_group x L)
+    holds each block's row indices, padding repeating its first row;
+    `valid` marks the real entries, or is None when nothing is padded.
+    Every group costs a fixed run of numpy calls, so all blocks share
+    one group when that keeps the padded score entries, sum of
+    n_group * L^2, within 4 * sum(L_i^2).  Otherwise blocks whose
+    lengths share a power-of-two ceiling form a group; a group's longest
+    block is then under twice its shortest, which keeps the same bound.
+    """
+    lengths = [stop - start for start, stop in blocks]
+    if len(blocks) * max(lengths) ** 2 <= 4 * sum(L * L for L in lengths):
+        grouped = [blocks]
+    else:
+        by_ceiling = {}
+        for block, length in zip(blocks, lengths):
+            by_ceiling.setdefault((length - 1).bit_length(), []).append(block)
+        grouped = by_ceiling.values()
+    groups = []
+    for members in grouped:
+        starts, stops = np.array(members, dtype=np.intp).T
+        sizes = stops - starts
+        offsets = np.arange(sizes.max())
+        valid = offsets[None, :] < sizes[:, None]
+        rows = starts[:, None] + np.where(valid, offsets[None, :], 0)
+        groups.append((rows, None if valid.all() else valid))
+    return groups
+
+
+def attention(q, k, v, n_heads, blocks):
+    """Multi-head scaled dot-product attention scoped to row blocks.
+
+    q, k and v are (n x d); head h uses columns [h*d_k, (h+1)*d_k) with
+    d_k = d / n_heads.  `blocks` lists (start, stop) row ranges covering
+    [0, n) in order, and each row attends only to the rows of its own
+    block: per block and head, softmax(Q K^T / sqrt(d_k)) V.  Blocks are
+    batched by length group (`_group_blocks`) into contiguous head-major
+    (n_group x heads x L x d_k) copies, and padded keys score -inf.  The
+    backward pass keeps the attention weights P and applies
+    dV = P^T G, dS = P * (dP - rowsum(dP * P)), dQ = dS K, dK = dS^T Q.
+    """
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise DimensionError(
+            f"attention: q, k, v must share a 2-D shape, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    n, d = q.shape
+    if n_heads <= 0 or d % n_heads:
+        raise DimensionError(f"attention: width {d} not divisible by {n_heads} heads")
+    if not blocks:
+        raise DimensionError("attention: no blocks")
+    pos = 0
+    for start, stop in blocks:
+        if start != pos or stop <= start:
+            raise DimensionError(f"attention: block ({start}, {stop}) does not follow row {pos}")
+        pos = stop
+    if pos != n:
+        raise DimensionError(f"attention: blocks cover {pos} of {n} rows")
+    d_k = d // n_heads
+    inv = 1.0 / math.sqrt(d_k)
+
+    def heads(x, rows):
+        g, L = rows.shape
+        return np.ascontiguousarray(x[rows].reshape(g, L, n_heads, d_k).transpose(0, 2, 1, 3))
+
+    def put_rows(dest, xh, rows, valid):
+        g, _, L, _ = xh.shape
+        flat = xh.transpose(0, 2, 1, 3).reshape(g * L, d)
+        if valid is None:
+            dest[rows.reshape(-1)] = flat
+        else:
+            dest[rows[valid]] = flat[valid.reshape(-1)]
+
+    out = np.empty_like(q.data)
+    saved = []
+    for rows, valid in _group_blocks(blocks):
+        qh, kh, vh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows)
+        s = (qh @ kh.transpose(0, 1, 3, 2)) * inv
+        if valid is not None:
+            np.copyto(s, -np.inf, where=~valid[:, None, None, :])
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        p = s / s.sum(axis=-1, keepdims=True)
+        put_rows(out, p @ vh, rows, valid)
+        saved.append((rows, valid, qh, kh, vh, p))
+
+    def bw(g):
+        grads = [np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v)]
+        dq, dk, dv = grads
+        for rows, valid, qh, kh, vh, p in saved:
+            gh = heads(g, rows)
+            if valid is not None:
+                gh *= valid[:, None, :, None]  # padded query rows carry no gradient
+            dp = gh @ vh.transpose(0, 1, 3, 2)
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv
+            if dq is not None:
+                put_rows(dq, ds @ kh, rows, valid)
+            if dk is not None:
+                put_rows(dk, ds.transpose(0, 1, 3, 2) @ qh, rows, valid)
+            if dv is not None:
+                put_rows(dv, p.transpose(0, 1, 3, 2) @ gh, rows, valid)
+        return tuple(grads)
+
+    return _make("attention", out, (q, k, v), bw)
 
 
 def scale_rows(x, s):

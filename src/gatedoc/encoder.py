@@ -5,11 +5,17 @@ class-similarity enrichment of each sentence embedding.
 One transformer layer's weights are applied at every depth, so the
 parameter count is independent of the layer count.  Blocks are
 pre-norm residual: x + Attn(LN(x)), then x + FFN(LN(x)).
+
+Self-attention is block scoped.  The stream is cut into contiguous row
+blocks, one per segment ([CLS], then each sentence with its [SEP]) under
+sentence scope, or a single block under document scope.  Every layer
+runs one `autodiff.attention` node that scores each block only against
+itself, so a document costs at most 4 * sum(L_i^2) scores per head
+(padding included) rather than n^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,9 +117,6 @@ def init_class_similarity(rng, w_c, d_in, d_hidden, d_class, dtype, prefix):
     )
 
 
-_MASKED_SCORE = -1e9
-
-
 def segments_from_seps(stream_len, sep_positions):
     """Segment id per stream position: 0 for [CLS], i+1 for sentence i.
 
@@ -130,37 +133,29 @@ def segments_from_seps(stream_len, sep_positions):
     return segments
 
 
-def _attention_mask(segments, dtype):
+def _segment_blocks(segments):
+    """(start, stop) of each run of equal segment ids; an id may form one run only."""
     seg = np.asarray(segments)
-    mask = np.where(seg[:, None] == seg[None, :], 0.0, _MASKED_SCORE)
-    return Tensor(mask.astype(dtype))
+    bounds = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
+    runs, ids = len(bounds) - 1, len(np.unique(seg))
+    if runs != ids:
+        raise DimensionError(
+            f"segment ids must form one contiguous run each: {ids} ids in {runs} runs"
+        )
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _self_attention(x, p, mask):
-    n, d_h = x.shape
-    dk = d_h // p.n_heads
+def _self_attention(x, p, blocks):
     q = ad.add(ad.matmul(x, p.wq), p.bq)
     k = ad.matmul(x, p.wk)  # a key bias would add a per-row constant: softmax ignores it
     v = ad.add(ad.matmul(x, p.wv), p.bv)
-    heads = []
-    inv = 1.0 / math.sqrt(dk)
-    for h in range(p.n_heads):
-        lo, hi = h * dk, (h + 1) * dk
-        qh = ad.slice_axis(q, 1, lo, hi)
-        kh = ad.slice_axis(k, 1, lo, hi)
-        vh = ad.slice_axis(v, 1, lo, hi)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv)
-        if mask is not None:
-            scores = ad.add(scores, mask)
-        attn = ad.softmax(scores, axis=1)
-        heads.append(ad.matmul(attn, vh))
-    merged = ad.concat(heads, axis=1)
+    merged = ad.attention(q, k, v, p.n_heads, blocks)
     return ad.add(ad.matmul(merged, p.wo), p.bo)
 
 
-def _shared_layer(x, p, mask):
+def _shared_layer(x, p, blocks):
     a = ad.layer_norm(x, p.ln1_g, p.ln1_b, eps=LAYER_NORM_EPS)
-    x = ad.add(x, _self_attention(a, p, mask))
+    x = ad.add(x, _self_attention(a, p, blocks))
     f = ad.layer_norm(x, p.ln2_g, p.ln2_b, eps=LAYER_NORM_EPS)
     ff = ad.add(
         ad.matmul(ad.relu(ad.add(ad.matmul(f, p.w_ff1), p.b_ff1)), p.w_ff2), p.b_ff2
@@ -172,9 +167,12 @@ def transformer_encode(stream, params, segments=None):
     """Contextual embeddings for every stream position (stream_len x d_h).
 
     With n_layers = 0 the result is just the projected token+position
-    embeddings.  When `segments` is given, self-attention is restricted
-    to positions sharing a segment id (sentence-scoped attention); with
-    None every position attends to the whole stream.
+    embeddings.  When `segments` is given (one id per position), each
+    id must occupy one contiguous run of positions, as
+    `segments_from_seps` produces, and self-attention is restricted to
+    the run (sentence-scoped attention); ids that recur after a gap
+    raise DimensionError.  With None every position attends to the
+    whole stream.
     """
     n = len(stream)
     max_len = params.pos_emb.shape[0]
@@ -184,12 +182,12 @@ def transformer_encode(stream, params, segments=None):
         raise DimensionError(
             f"segments length {len(segments)} does not match stream length {n}"
         )
+    blocks = [(0, n)] if segments is None else _segment_blocks(segments)
     tok = ad.gather_rows(params.tok_emb, stream)
     pos = ad.gather_rows(params.pos_emb, list(range(n)))
     x = ad.add(ad.matmul(ad.add(tok, pos), params.w_in), params.b_in)
-    mask = None if segments is None else _attention_mask(segments, x.data.dtype)
     for _ in range(params.n_layers):
-        x = _shared_layer(x, params, mask)
+        x = _shared_layer(x, params, blocks)
     return x
 
 

@@ -143,6 +143,109 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data.sum(axis=axis), 1.0, atol=1e-12)
 
 
+def _blocks(lengths):
+    stops = np.cumsum(lengths).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+def _dense_attention(q, k, v, n_heads, blocks):
+    """Per-head loop over the full n x n scores with a -1e9 cross-block mask."""
+    dk = q.shape[1] // n_heads
+    seg = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
+    mask = np.where(seg[:, None] == seg[None, :], 0.0, -1e9)
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        s = q[:, cols] @ k[:, cols].T / math.sqrt(dk) + mask
+        e = np.exp(s - s.max(axis=1, keepdims=True))
+        heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+    return np.concatenate(heads, axis=1)
+
+
+# (n_heads, block lengths): one block; similar lengths padded into one
+# group, with a length-1 block; lengths too skewed for one group, split
+# into two power-of-two groups, one of them padded
+ATTENTION_CASES = [
+    (1, [5]),
+    (3, [5]),
+    (1, [1, 3, 2, 4]),
+    (3, [1, 3, 2, 4]),
+    (1, [1, 1, 1, 1, 1, 1, 7, 5]),
+    (3, [1, 1, 1, 1, 1, 1, 7, 5]),
+]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("n_heads, lengths", ATTENTION_CASES)
+    def test_matches_dense_masked_reference(self, rng, n_heads, lengths):
+        n, blocks = sum(lengths), _blocks(lengths)
+        q, k, v = (rng.uniform(-2, 2, (n, 4 * n_heads)) for _ in range(3))
+        out = ad.attention(t(q), t(k), t(v), n_heads, blocks)
+        np.testing.assert_allclose(
+            out.data, _dense_attention(q, k, v, n_heads, blocks), rtol=0, atol=1e-12
+        )
+
+    def test_float32_in_float32_out(self, rng):
+        q, k, v = (Tensor(rng.uniform(-1, 1, (6, 4)).astype(np.float32)) for _ in range(3))
+        assert ad.attention(q, k, v, 2, _blocks([1, 2, 3])).data.dtype == np.float32
+
+    def test_other_blocks_bit_identical(self, rng):
+        lengths = [1, 3, 2, 4, 3]
+        n, blocks = sum(lengths), _blocks(lengths)
+        q, k, v = (rng.uniform(-1, 1, (n, 6)) for _ in range(3))
+        base = ad.attention(t(q), t(k), t(v), 3, blocks).data
+        start, stop = blocks[3]  # the length-4 block, batched with the others
+        for x in (q, k, v):
+            x[start:stop] = rng.uniform(-1, 1, (stop - start, 6))
+        changed = ad.attention(t(q), t(k), t(v), 3, blocks).data
+        np.testing.assert_array_equal(base[:start], changed[:start])
+        np.testing.assert_array_equal(base[stop:], changed[stop:])
+        assert np.abs(base[start:stop] - changed[start:stop]).max() > 1e-6
+
+    @pytest.mark.parametrize(
+        "blocks", [[], [(0, 3), (4, 6)], [(0, 3), (2, 6)], [(0, 4)], [(0, 3), (3, 3), (3, 6)]]
+    )
+    def test_blocks_must_tile_the_rows(self, blocks):
+        x = t(np.ones((6, 2)))
+        with pytest.raises(DimensionError):
+            ad.attention(x, x, x, 1, blocks)
+
+    def test_heads_must_divide_width(self):
+        x = t(np.ones((3, 4)))
+        with pytest.raises(DimensionError):
+            ad.attention(x, x, x, 3, [(0, 3)])
+
+
+def _padded_scores(blocks):
+    return sum(rows.size * rows.shape[1] for rows, _ in ad._group_blocks(blocks))
+
+
+class TestBlockGrouping:
+    @pytest.mark.parametrize(
+        "lengths, n_groups", [([1, 3, 2, 4], 1), ([1, 1, 1, 1, 1, 1, 7, 5], 2)]
+    )
+    def test_one_group_only_within_the_bound(self, lengths, n_groups):
+        assert len(ad._group_blocks(_blocks(lengths))) == n_groups
+
+    def test_skewed_document_padding_bound(self):
+        # one 400-row block and 49 one-row blocks: padding every block to
+        # the longest would score 50 * 400^2 entries, 12x the bound
+        lengths = [400] + [1] * 49
+        assert _padded_scores(_blocks(lengths)) <= 4 * sum(L * L for L in lengths)
+
+    @given(st.lists(st.integers(1, 512), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_every_row_once_within_the_bound(self, lengths):
+        blocks = _blocks(lengths)
+        groups = ad._group_blocks(blocks)
+        assert len(groups) <= 10  # at most log2(512) + 1 length groups
+        real = np.concatenate(
+            [rows.reshape(-1) if valid is None else rows[valid] for rows, valid in groups]
+        )
+        np.testing.assert_array_equal(np.sort(real), np.arange(sum(lengths)))
+        assert _padded_scores(blocks) <= 4 * sum(L * L for L in lengths)
+
+
 class TestBceLoss:
     def test_perfect_prediction_is_tiny(self):
         probs = t([[1.0, 0.0, 0.0]])
@@ -322,6 +425,13 @@ class TestGradCheckPerOp:
         x = t(rng.uniform(-1, 1, (3, 4)))
         w = t(rng.uniform(-1, 1, (3, 4)), grad=False)
         _check(lambda: ad.sum_all(ad.mul(ad.softmax(x, axis=axis), w)), [x])
+
+    @pytest.mark.parametrize("n_heads, lengths", ATTENTION_CASES)
+    def test_attention(self, rng, n_heads, lengths):
+        n, blocks = sum(lengths), _blocks(lengths)
+        q, k, v = (t(rng.uniform(-1, 1, (n, 2 * n_heads))) for _ in range(3))
+        w = t(rng.uniform(-1, 1, (n, 2 * n_heads)), grad=False)
+        _check(lambda: ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, blocks), w)), [q, k, v])
 
     def test_scale_rows(self, rng):
         x = t(rng.uniform(-1, 1, (4, 3)))

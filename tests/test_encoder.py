@@ -70,6 +70,12 @@ class TestTransformerEncode:
         np.testing.assert_array_equal(base[:4], changed[:4])  # sentence 1 untouched
         assert np.abs(base[4:] - changed[4:]).max() > 1e-10
 
+    def test_segment_ids_must_be_contiguous_runs(self, rng):
+        p = _params(rng)
+        # blocks cannot let positions 0 and 3 attend to each other across the 1s
+        with pytest.raises(DimensionError, match="contiguous"):
+            enc.transformer_encode([2, 5, 6, 3], p, segments=[0, 1, 1, 0])
+
     def test_stream_too_long_rejected(self, rng):
         p = _params(rng, max_len=8)
         with pytest.raises(DimensionError):
