@@ -24,7 +24,6 @@ from .document import (
     decode_document,
     encode_sequence,
     gate,
-    gru_cell,
 )
 from .encoder import (
     ClassSimilarity,

@@ -4,7 +4,9 @@ Covers exactly what the gated document classifier needs: 2-D matrix
 products, elementwise arithmetic with scalar and one-row broadcasting,
 sigmoid/tanh/relu, row gather, axis slicing, n-ary concat, transpose,
 softmax, block-scoped multi-head attention (one node per layer, with a
-hand-written backward), row-wise layer normalisation, per-row scaling
+hand-written backward), a GRU run over all rows of its input (one node,
+input projections hoisted out of the step loop, and a hand-written
+backward through time), row-wise layer normalisation, per-row scaling
 (the gate application), a full sum, binary cross-entropy, the parameter
 walk over parameter dataclasses, a fourth-order central-difference
 gradient checker and an Adam optimizer.
@@ -284,9 +286,9 @@ def scale(x, c):
 
 
 def _sigmoid(x):
-    # branch on sign: never exponentiates a positive argument
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(min(x, 0)) / (1 + exp(-|x|)) never exponentiates a positive
+    # argument; it equals 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def activation(kind, x):
@@ -518,6 +520,89 @@ def attention(q, k, v, n_heads, blocks):
         return tuple(grads)
 
     return _make("attention", out, (q, k, v), bw)
+
+
+def gru(x, h0, w, u, b):
+    """A GRU run over the n rows of x from the state h0, as one node.
+
+    `w`, `u` and `b` are the (z, r, h) triples of input weights
+    (d_in x d), recurrent weights (d x d) and biases (1 x d); h0 is
+    (1 x d).  Row i of the (n x d) output is the state after step i:
+        z = sigmoid(x_i W_z + h U_z + b_z)
+        r = sigmoid(x_i W_r + h U_r + b_r)
+        c = tanh(x_i W_h + (r * h) U_h + b_h)
+        h' = (1 - z) * h + z * c
+    The input projections X W + b are three GEMMs before the step loop
+    (Appleyard et al. 2016, arXiv:1604.01946).  The backward pass
+    carries dh back through the steps and keeps the gradients dA of the
+    three pre-activations; after the loop dW = X^T dA, dU_z = H_prev^T dA_z,
+    dU_r = H_prev^T dA_r, dU_h = (R * H_prev)^T dA_h and
+    dX = sum of dA W^T, one GEMM each over all steps.
+    """
+    if x.data.ndim != 2 or x.shape[0] < 1:
+        raise DimensionError(f"gru: input must be 2-D with at least one row, got {x.shape}")
+    d_in, d = x.shape[1], h0.shape[-1]
+    expected = [(1, d)] + [(d_in, d)] * 3 + [(d, d)] * 3 + [(1, d)] * 3
+    inputs = (x, h0, *w, *u, *b)
+    if [t.shape for t in inputs[1:]] != expected:
+        raise DimensionError(
+            f"gru: input {x.shape} / state {h0.shape} do not match "
+            f"weights {[t.shape for t in w]}, {[t.shape for t in u]}, {[t.shape for t in b]}"
+        )
+    xd = x.data
+    u_z, u_r, u_h = (t.data for t in u)
+    p_z, p_r, p_h = (xd @ wt.data + bt.data for wt, bt in zip(w, b))
+    n = xd.shape[0]
+    hs = np.empty((n + 1, d), dtype=xd.dtype)  # hs[i] is the state before step i
+    hs[0] = h0.data
+    zs, rs, cs = (np.empty((n, d), dtype=xd.dtype) for _ in range(3))
+    for i in range(n):
+        h = hs[i]
+        z = zs[i] = _sigmoid(p_z[i] + h @ u_z)
+        r = rs[i] = _sigmoid(p_r[i] + h @ u_r)
+        c = cs[i] = np.tanh(p_h[i] + (r * h) @ u_h)
+        hs[i + 1] = (1.0 - z) * h + z * c
+
+    def bw(g):
+        h_prev = hs[:-1]
+        # the per-step factors that do not depend on the carried gradient
+        k_z = zs * (1.0 - zs) * (cs - h_prev)  # dA_z = dh * k_z
+        k_h = zs * (1.0 - cs * cs)  # dA_h = dh * k_h
+        rh = rs * h_prev
+        k_r = (1.0 - rs) * rh  # dA_r = (dA_h U_h^T) * k_r
+        keep = 1.0 - zs
+        da_z, da_r, da_h = (np.empty_like(zs) for _ in range(3))
+        dh = np.zeros(d, dtype=g.dtype)
+        for i in range(n - 1, -1, -1):
+            dh = dh + g[i]
+            a_z = da_z[i] = dh * k_z[i]
+            a_h = da_h[i] = dh * k_h[i]
+            d_rh = a_h @ u_h.T
+            a_r = da_r[i] = d_rh * k_r[i]
+            dh = dh * keep[i] + d_rh * rs[i] + a_z @ u_z.T + a_r @ u_r.T
+        das = (da_z, da_r, da_h)
+
+        def t_dot(a, da):
+            # a^T dA; for one row the broadcast product gives the same values
+            # and runs about 3x faster than a rank-1 BLAS GEMM at d = 768
+            return a.T * da if n == 1 else a.T @ da
+
+        dx = None
+        if x.requires_grad:
+            dx = sum(da @ wt.data.T for da, wt in zip(das, w))
+        grads = [dx, dh.reshape(1, d) if h0.requires_grad else None]
+        grads += [t_dot(xd, da) if wt.requires_grad else None for da, wt in zip(das, w)]
+        grads += [
+            t_dot(hp, da) if ut.requires_grad else None
+            for hp, da, ut in zip((h_prev, h_prev, rh), das, u)
+        ]
+        grads += [
+            da.sum(axis=0, keepdims=True) if bt.requires_grad else None
+            for da, bt in zip(das, b)
+        ]
+        return tuple(grads)
+
+    return _make("gru", hs[1:], inputs, bw)
 
 
 def scale_rows(x, s):

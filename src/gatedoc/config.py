@@ -96,19 +96,27 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        kinds = {f.name: f.type for f in fields(cls)}
+        unknown = set(d) - set(kinds)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        # round-trip through JSON may widen ints; coerce per-field types
-        for f in fields(cls):
-            v = getattr(cfg, f.name)
-            if f.type == "int" and v is not None:
-                setattr(cfg, f.name, int(v))
-            elif f.type == "float" and v is not None:
-                setattr(cfg, f.name, float(v))
-        return cfg.validate()
+        return cls(**{k: _typed(k, kinds[k], v) for k, v in d.items()}).validate()
+
+
+def _typed(name, kind, value):
+    """`value` checked against its field's declared type; an int widens to float."""
+    if kind == "bool":
+        if not isinstance(value, bool):
+            raise UsageError(f"{name} must be true or false, got {value!r}")
+    elif kind in ("int", "float"):
+        fractional = isinstance(value, float) and not value.is_integer()
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            kind == "int" and fractional
+        ):
+            wanted = "an integer" if kind == "int" else "a number"
+            raise UsageError(f"{name} must be {wanted}, got {value!r}")
+        return int(value) if kind == "int" else float(value)
+    return value
 
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}

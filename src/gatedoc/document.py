@@ -7,6 +7,12 @@ GRU orientation, fixed throughout (and matched by the test oracles):
     r = sigmoid(W_r x + U_r h + b_r)
     h~ = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * h~
+
+Both the encoder's recurrence over all sentence rows and the decoder's
+single step run as one fused `autodiff.gru` node: the input projections
+are computed for every row before the step loop, and the hand-written
+backward through time forms each weight gradient with one GEMM over all
+steps.
 """
 
 from __future__ import annotations
@@ -141,35 +147,17 @@ def gate(e_prime, gp, clamp=None):
     return scores, gated
 
 
-def gru_cell(x, h_prev, cell):
-    """One GRU step for a row vector input and row vector state."""
-    if x.shape[1] != cell.w_z.shape[0] or h_prev.shape[1] != cell.u_z.shape[0]:
-        raise DimensionError(
-            f"gru_cell: input {x.shape} / state {h_prev.shape} do not match "
-            f"weights {cell.w_z.shape} / {cell.u_z.shape}"
-        )
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_z), ad.matmul(h_prev, cell.u_z)), cell.b_z))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, cell.w_r), ad.matmul(h_prev, cell.u_r)), cell.b_r))
-    h_cand = ad.tanh(
-        ad.add(ad.add(ad.matmul(x, cell.w_h), ad.matmul(ad.mul(r, h_prev), cell.u_h)), cell.b_h)
+def _run_gru(x, h0, cell):
+    return ad.gru(
+        x, h0, (cell.w_z, cell.w_r, cell.w_h), (cell.u_z, cell.u_r, cell.u_h),
+        (cell.b_z, cell.b_r, cell.b_h),
     )
-    one = Tensor(np.ones((1, 1), dtype=x.data.dtype))
-    return ad.add(ad.mul(ad.sub(one, z), h_prev), ad.mul(z, h_cand))
 
 
 def encode_sequence(e_dprime, cell):
     """Forward GRU states over the gated sentence rows, from a zero state."""
-    n = e_dprime.shape[0]
-    if n < 1:
-        raise DimensionError("encode_sequence needs at least one sentence row")
-    d_g = cell.u_z.shape[0]
-    h = Tensor(np.zeros((1, d_g), dtype=e_dprime.data.dtype))
-    states = []
-    for i in range(n):
-        x = ad.slice_axis(e_dprime, 0, i, i + 1)
-        h = gru_cell(x, h, cell)
-        states.append(h)
-    return ad.concat(states, axis=0)
+    h0 = Tensor(np.zeros((1, cell.u_z.shape[0]), dtype=e_dprime.data.dtype))
+    return _run_gru(e_dprime, h0, cell)
 
 
 def attend(encs, query):
@@ -198,5 +186,5 @@ def decode_document(encs, dp):
     dec0 = ad.tanh(ad.add(ad.matmul(enc_n, dp.bridge_w), dp.bridge_b))
     a, cnt = attend(encs, dec0)
     x = ad.concat((dp.start_emb, cnt), axis=1)
-    e_d = gru_cell(x, dec0, dp.dec_cell)
+    e_d = _run_gru(x, dec0, dp.dec_cell)
     return e_d, a

@@ -1,0 +1,79 @@
+import numpy as np
+import pytest
+
+from gatedoc.analysis import error_histogram, minmax_normalize
+from gatedoc.document import ImportanceProfile
+from gatedoc.errors import UsageError
+from gatedoc.heatmap import render_heatmap
+from gatedoc.model import Prediction
+
+
+class TestMinmaxNormalize:
+    @pytest.mark.parametrize("scores", [[0.3, 0.3, 0.3], [0.7]])
+    def test_all_equal_and_single_score_map_to_zeros(self, scores):
+        np.testing.assert_array_equal(minmax_normalize(scores), np.zeros(len(scores)))
+
+    def test_spans_unit_interval(self):
+        np.testing.assert_allclose(minmax_normalize([0.2, 0.6, 0.4]), [0.0, 1.0, 0.5])
+
+
+def _profile(texts, doc_id="doc-1"):
+    return ImportanceProfile(
+        gate_scores=[0.25, 0.75],
+        sentence_spans=[(0, 1), (2, 3)],
+        doc_id=doc_id,
+        predicted=1,
+        gold=0,
+        sentence_texts=texts,
+    )
+
+
+class TestRenderHeatmap:
+    def test_escapes_sentence_text_and_doc_id(self):
+        page = render_heatmap(
+            _profile(["<script>alert(1)</script>", "fine & dandy"], doc_id="<script>id")
+        )
+        assert "<script>" not in page
+        assert "&lt;script&gt;alert(1)&lt;/script&gt;" in page
+        assert "document &lt;script&gt;id" in page
+        assert "fine &amp; dandy" in page
+
+    def test_lowest_score_white_highest_blue(self):
+        page = render_heatmap(_profile(["low", "high"]))
+        assert "rgb(255,255,255)\" data-score=\"0.250000\"" in page
+        assert "rgb(0,0,255)\" data-score=\"0.750000\"" in page
+
+    @pytest.mark.parametrize("texts", [None, ["only one"]])
+    def test_refuses_profile_without_texts(self, texts):
+        profile = _profile(["a", "b"])
+        profile.sentence_texts = texts
+        with pytest.raises(UsageError, match="sentence texts"):
+            render_heatmap(profile)
+
+
+def _pred(predicted, gold):
+    return Prediction(probs=[], predicted=predicted, gold=gold, importance=None)
+
+
+class TestErrorHistogram:
+    def test_counts_and_cumulative_fractions(self):
+        # ten_scale: wrong by 1 (x3), 2 (x1), 4 (x1) and 9 (x1); two correct
+        preds = [
+            _pred(3, 4), _pred(5, 4), _pred(0, 1), _pred(2, 4), _pred(7, 3),
+            _pred(9, 0), _pred(6, 6), _pred(0, 0),
+        ]
+        hist = error_histogram(preds, "ten_scale")
+        assert hist.counts == {1: 3, 2: 1, 4: 1, 9: 1}
+        assert hist.n_wrong == 6
+        assert hist.cumulative_at_1 == pytest.approx(3 / 6)
+        assert hist.cumulative_at_2 == pytest.approx(4 / 6)
+        assert hist.to_dict()["counts"] == {"1": 3, "2": 1, "4": 1, "9": 1}
+
+    def test_no_wrong_predictions(self):
+        hist = error_histogram([_pred(1, 1), _pred(2, 2)], "three_way")
+        assert (hist.counts, hist.n_wrong) == ({}, 0)
+        assert hist.cumulative_at_1 is None and hist.cumulative_at_2 is None
+
+    def test_unlabeled_prediction_is_rejected(self):
+        with pytest.raises(UsageError):
+            error_histogram([_pred(1, None)], "three_way")

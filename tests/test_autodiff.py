@@ -216,6 +216,92 @@ class TestAttention:
             ad.attention(x, x, x, 3, [(0, 3)])
 
 
+def _gru_inputs(rng, n, d_in, d, h0_grad=True, dtype=np.float64):
+    """x, h0 and the (z, r, h) triples of W, U and b for `ad.gru`."""
+    def draw(shape, grad=True):
+        return Tensor(rng.uniform(-0.8, 0.8, shape).astype(dtype), requires_grad=grad)
+
+    x = draw((n, d_in))
+    h0 = draw((1, d)) if h0_grad else Tensor(np.zeros((1, d), dtype=dtype))
+    w = tuple(draw((d_in, d)) for _ in range(3))
+    u = tuple(draw((d, d)) for _ in range(3))
+    b = tuple(draw((1, d)) for _ in range(3))
+    return x, h0, w, u, b
+
+
+def _composed_gru(x, h0, w, u, b):
+    """The same recurrence built step by step from elementary ops."""
+    one = Tensor(np.ones((1, 1)))
+    h, states = h0, []
+    for i in range(x.shape[0]):
+        xi = ad.slice_axis(x, 0, i, i + 1)
+        z = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[0]), ad.matmul(h, u[0])), b[0]))
+        r = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[1]), ad.matmul(h, u[1])), b[1]))
+        c = ad.tanh(ad.add(ad.add(ad.matmul(xi, w[2]), ad.matmul(ad.mul(r, h), u[2])), b[2]))
+        h = ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, c))
+        states.append(h)
+    return ad.concat(states, axis=0)
+
+
+# (rows, d_in, d): one step; several steps; a long run; a narrow state
+GRU_SHAPES = [(1, 3, 4), (5, 4, 4), (30, 6, 4), (3, 5, 2)]
+
+
+class TestGru:
+    @pytest.mark.parametrize("n, d_in, d", GRU_SHAPES)
+    def test_output_and_gradients_match_composition(self, rng, n, d_in, d):
+        x, h0, w, u, b = _gru_inputs(rng, n, d_in, d)
+        inputs = [x, h0, *w, *u, *b]
+        weight = Tensor(rng.uniform(-1, 1, (n, d)))
+        results = []
+        for run in (ad.gru, _composed_gru):
+            ad.zero_grad(inputs)
+            out = run(x, h0, w, u, b)
+            ad.backward(ad.sum_all(ad.mul(out, weight)))
+            results.append((out.data, [p.grad for p in inputs]))
+        (fused, fused_grads), (composed, composed_grads) = results
+        np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        assert len(fused_grads) == 11
+        for got, want in zip(fused_grads, composed_grads):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_float32_in_float32_out(self, rng):
+        x, h0, w, u, b = _gru_inputs(rng, 4, 3, 5, dtype=np.float32)
+        out = ad.gru(x, h0, w, u, b)
+        assert out.data.dtype == np.float32
+        ad.backward(ad.sum_all(out))
+        assert all(p.grad.dtype == np.float32 for p in [x, h0, *w, *u, *b])
+
+    @pytest.mark.parametrize(
+        "field, index, shape",
+        [
+            ("x", None, (3,)),
+            ("x", None, (0, 3)),
+            ("h0", None, (1, 5)),
+            ("h0", None, (2, 4)),
+            ("w", 1, (2, 4)),
+            ("u", 2, (4, 5)),
+            ("b", 0, (4,)),
+        ],
+    )
+    def test_shape_mismatch(self, rng, field, index, shape):
+        x, h0, w, u, b = _gru_inputs(rng, 2, 3, 4)
+        args = {"x": x, "h0": h0, "w": list(w), "u": list(u), "b": list(b)}
+        bad = t(np.zeros(shape))
+        if index is None:
+            args[field] = bad
+        else:
+            args[field][index] = bad
+        with pytest.raises(DimensionError):
+            ad.gru(**args)
+
+    def test_triples_must_have_three_entries(self, rng):
+        x, h0, w, u, b = _gru_inputs(rng, 2, 3, 4)
+        with pytest.raises(DimensionError):
+            ad.gru(x, h0, w[:2], u, b)
+
+
 def _padded_scores(blocks):
     return sum(rows.size * rows.shape[1] for rows, _ in ad._group_blocks(blocks))
 
@@ -432,6 +518,17 @@ class TestGradCheckPerOp:
         q, k, v = (t(rng.uniform(-1, 1, (n, 2 * n_heads))) for _ in range(3))
         w = t(rng.uniform(-1, 1, (n, 2 * n_heads)), grad=False)
         _check(lambda: ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, blocks), w)), [q, k, v])
+
+    # (rows, d_in, d, h0 carries a gradient): one step from a trained
+    # state; five steps from a constant zero state; d_in != d
+    @pytest.mark.parametrize(
+        "n, d_in, d, h0_grad", [(1, 3, 4, True), (5, 3, 3, False), (3, 5, 2, True)]
+    )
+    def test_gru(self, rng, n, d_in, d, h0_grad):
+        x, h0, w, u, b = _gru_inputs(rng, n, d_in, d, h0_grad=h0_grad)
+        weight = t(rng.uniform(-1, 1, (n, d)), grad=False)
+        params = [x, *([h0] if h0_grad else []), *w, *u, *b]
+        _check(lambda: ad.sum_all(ad.mul(ad.gru(x, h0, w, u, b), weight)), params)
 
     def test_scale_rows(self, rng):
         x = t(rng.uniform(-1, 1, (4, 3)))

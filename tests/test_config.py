@@ -1,0 +1,61 @@
+import json
+
+import pytest
+
+from gatedoc.cli import main
+from gatedoc.config import TrainConfig, parse_config_text
+from gatedoc.errors import UsageError
+
+
+def _from_text(text):
+    return TrainConfig.from_dict(parse_config_text(text))
+
+
+def test_unknown_key_is_rejected():
+    with pytest.raises(UsageError, match="unknown config keys"):
+        _from_text("batch_sise = 8\n")
+
+
+def test_line_without_equals_is_rejected():
+    with pytest.raises(UsageError, match="line 2"):
+        _from_text("# comment\nbatch_size 8\n")
+
+
+def test_to_dict_from_dict_round_trip():
+    config = TrainConfig(
+        scheme="ten_scale", data="corpus.jsonl", learning_rate=2e-5, batch_size=64,
+        use_gate=False, gate_mode="vector", dtype="float64",
+    )
+    assert TrainConfig.from_dict(config.to_dict()) == config
+    # checkpoints store the config as JSON
+    assert TrainConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def test_int_widens_to_float_and_integral_float_narrows_to_int():
+    config = _from_text("learning_rate = 1\nbatch_size = 8.0\n")
+    assert config.learning_rate == 1.0 and isinstance(config.learning_rate, float)
+    assert config.batch_size == 8 and isinstance(config.batch_size, int)
+
+
+BAD_VALUES = [
+    "batch_size = 2.5",  # non-integral number in an int field
+    "max_epochs = yes",  # boolean in an int field
+    "seed = false",
+    "d_h = abc",
+    "use_gate = 0",  # non-boolean in a bool field
+    "use_sentence_class_sim = on",
+    "learning_rate = yes",  # boolean in a float field
+]
+
+
+@pytest.mark.parametrize("line", BAD_VALUES)
+def test_bad_value_type_is_rejected(line):
+    with pytest.raises(UsageError, match=line.split(" =")[0]):
+        _from_text(line + "\n")
+
+
+@pytest.mark.parametrize("line", BAD_VALUES)
+def test_cli_exits_1_on_bad_value_type(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"data = corpus.jsonl\n{line}\n", encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1

@@ -87,21 +87,21 @@ class TestGruCell:
         cell = doc.init_gru_cell(rng, 3, 4, np.float64, "c")
         for _, tensor in ad.named_parameters(cell):
             tensor.data = np.zeros_like(tensor.data)
-        h = doc.gru_cell(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), cell)
+        h = doc._run_gru(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), cell)
         np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_update_gate_forced_closed_copies_state(self, rng):
         cell = _cell(rng, 3, 4)
         cell.b_z.data = np.full((1, 4), -100.0)  # z ~ 0 -> h' ~ h_prev
         h_prev = rng.standard_normal((1, 4))
-        h = doc.gru_cell(Tensor(rng.standard_normal((1, 3))), Tensor(h_prev), cell)
+        h = doc._run_gru(Tensor(rng.standard_normal((1, 3))), Tensor(h_prev), cell)
         np.testing.assert_allclose(h.data, h_prev, atol=1e-12)
 
     def test_against_scalar_loop_oracle(self, rng):
         cell = _cell(rng, 3, 4)
         x = rng.standard_normal(3)
         h_prev = rng.standard_normal(4)
-        out = doc.gru_cell(Tensor(x.reshape(1, 3)), Tensor(h_prev.reshape(1, 4)), cell)
+        out = doc._run_gru(Tensor(x.reshape(1, 3)), Tensor(h_prev.reshape(1, 4)), cell)
 
         def sig(v):
             return 1 / (1 + np.exp(-v))
@@ -123,7 +123,7 @@ class TestGruCell:
     def test_width_mismatch(self, rng):
         cell = _cell(rng, 3, 4)
         with pytest.raises(DimensionError):
-            doc.gru_cell(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 4))), cell)
+            doc._run_gru(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 4))), cell)
 
     def test_gradcheck_all_parameters(self, rng):
         cell = _cell(rng, 3, 4)
@@ -131,20 +131,20 @@ class TestGruCell:
         h0 = Tensor(rng.uniform(-1, 1, (1, 4)))
         params = [tensor for _, tensor in ad.named_parameters(cell)]
         worst = ad.grad_check(
-            lambda: ad.sum_all(doc.gru_cell(x, h0, cell)), params
+            lambda: ad.sum_all(doc._run_gru(x, h0, cell)), params
         )
         assert worst < 1e-5
 
 
 class TestEncodeSequence:
-    def test_single_row_is_single_step(self, rng):
+    def test_chained_single_steps_equal_one_run(self, rng):
         cell = _cell(rng, 3, 4)
-        e = Tensor(rng.standard_normal((1, 3)))
-        encs = doc.encode_sequence(e, cell)
-        single = doc.gru_cell(
-            ad.slice_axis(e, 0, 0, 1), Tensor(np.zeros((1, 4))), cell
-        )
-        np.testing.assert_array_equal(encs.data, single.data)
+        e = rng.standard_normal((5, 3))
+        encs = doc.encode_sequence(Tensor(e), cell)
+        h = Tensor(np.zeros((1, 4)))
+        for i in range(5):
+            h = doc._run_gru(Tensor(e[i : i + 1]), h, cell)
+            np.testing.assert_allclose(h.data[0], encs.data[i], rtol=0, atol=1e-14)
 
     def test_prefix_property(self, rng):
         cell = _cell(rng, 3, 4)
