@@ -1,15 +1,17 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 Covers exactly what the gated document classifier needs: 2-D matrix
-products, elementwise arithmetic with scalar and one-row broadcasting,
-sigmoid/tanh/relu, row gather, axis slicing, n-ary concat, transpose,
-softmax, block-scoped multi-head attention (one node per layer, with a
-hand-written backward), a GRU run over all rows of its input (one node,
-input projections hoisted out of the step loop, and a hand-written
-backward through time), row-wise layer normalisation, per-row scaling
-(the gate application), a full sum, binary cross-entropy, the parameter
-walk over parameter dataclasses, a fourth-order central-difference
-gradient checker and an Adam optimizer.
+products, the affine map x W + b as one node, pointwise add and mul of
+equal shapes, multiplication by a python float, sigmoid/tanh/relu, row
+gather, axis slicing, n-ary concat, transpose, softmax, block-scoped
+multi-head attention (one node per layer, with a hand-written backward),
+a GRU run over all rows of its input (one node, input projections
+hoisted out of the step loop, and a hand-written backward through time),
+row-wise layer normalisation, per-row scaling (the gate application),
+binary cross-entropy, the parameter walk over parameter dataclasses, a
+fourth-order central-difference gradient checker and an Adam optimizer.
+No op broadcasts: a bias row enters only through `linear`, a scalar only
+through `scale` or `scale_rows`.
 
 Graphs are built eagerly: every operation whose inputs require
 gradients records a `Node` holding the op kind, its input tensors and a
@@ -38,13 +40,12 @@ _PROB_CLAMP = 1e-7  # bce_loss clamps probabilities into [1e-7, 1 - 1e-7]
 class Node:
     """One recorded operation: op kind, inputs, and the backward rule."""
 
-    __slots__ = ("op", "inputs", "backward_fn", "out_id")
+    __slots__ = ("op", "inputs", "backward_fn")
 
     def __init__(self, op, inputs, backward_fn):
         self.op = op
         self.inputs = inputs
         self.backward_fn = backward_fn
-        self.out_id = None
 
 
 class Tensor:
@@ -68,16 +69,10 @@ class Tensor:
         self.name = name
         self.node = _node
         self.node_id = next(_node_ids)
-        if _node is not None:
-            _node.out_id = self.node_id
 
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self):
         if self.data.size != 1:
@@ -116,10 +111,6 @@ def named_parameters(params):
 
     walk(params)
     return out
-
-
-def _const_like(t, value):
-    return Tensor(np.full((1, 1), value, dtype=t.data.dtype))
 
 
 def _make(op, out_data, inputs, backward_fn):
@@ -187,6 +178,12 @@ def zero_grad(params):
 # ---------------------------------------------------------------------------
 
 
+def _t_dot(a, g):
+    """a^T g.  For one row the broadcast product gives the same values and
+    runs about 3x faster than a rank-1 BLAS GEMM at d = 768."""
+    return a.T * g if a.shape[0] == 1 else a.T @ g
+
+
 def matmul(a, b):
     """Standard 2-D matrix product."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -196,93 +193,65 @@ def matmul(a, b):
     def bw(g):
         return (
             g @ b.data.T if a.requires_grad else None,
-            a.data.T @ g if b.requires_grad else None,
+            _t_dot(a.data, g) if b.requires_grad else None,
         )
 
     return _make("matmul", out, (a, b), bw)
 
 
-def _broadcast_ok(sa, sb):
-    if sa == sb:
-        return True
-    if _is_scalar_shape(sa) or _is_scalar_shape(sb):
-        return True
-    return _is_row_broadcast(sa, sb) or _is_row_broadcast(sb, sa)
+def linear(x, w, b):
+    """The affine map x W + b, with b a (1 x d_out) row, as one node."""
+    fits = x.data.ndim == w.data.ndim == 2 and x.shape[1] == w.shape[0]
+    if not fits or b.shape != (1, w.shape[1]):
+        raise DimensionError(
+            f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit"
+        )
+    out = x.data @ w.data + b.data
+
+    def bw(g):
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            _t_dot(x.data, g) if w.requires_grad else None,
+            g.sum(axis=0, keepdims=True) if b.requires_grad else None,
+        )
+
+    return _make("linear", out, (x, w, b), bw)
 
 
-def _is_scalar_shape(s):
-    return int(np.prod(s, dtype=np.int64)) == 1
-
-
-def _is_row_broadcast(row, full):
-    # (d,) or (1, d) against (n, d): trailing-dimension alignment
-    if len(full) != 2:
-        return False
-    d = full[1]
-    return row == (d,) or row == (1, d)
-
-
-def _reduce_to(g, shape):
-    """Sum gradient over the axes an operand was broadcast along."""
-    if g.shape == shape:
-        return g
-    if _is_scalar_shape(shape):
-        return g.sum().reshape(shape)
-    return g.sum(axis=0).reshape(shape)
-
-
-def elementwise(kind, a, b):
-    """Pointwise add/sub/mul with scalar or one-row broadcasting."""
-    if kind not in ("add", "sub", "mul"):
-        raise UsageError(f"unknown elementwise kind {kind!r}")
-    if not _broadcast_ok(a.shape, b.shape):
-        raise DimensionError(f"{kind}: incompatible shapes {a.shape} and {b.shape}")
-    if kind == "add":
-        out = a.data + b.data
-
-        def bw(g):
-            return (
-                _reduce_to(g, a.shape) if a.requires_grad else None,
-                _reduce_to(g, b.shape) if b.requires_grad else None,
-            )
-
-    elif kind == "sub":
-        out = a.data - b.data
-
-        def bw(g):
-            return (
-                _reduce_to(g, a.shape) if a.requires_grad else None,
-                _reduce_to(-g, b.shape) if b.requires_grad else None,
-            )
-
-    else:
-        out = a.data * b.data
-        ad, bd = a.data, b.data
-
-        def bw(g):
-            return (
-                _reduce_to(g * bd, a.shape) if a.requires_grad else None,
-                _reduce_to(g * ad, b.shape) if b.requires_grad else None,
-            )
-
-    return _make(kind, out, (a, b), bw)
+def _same_shape(kind, a, b):
+    if a.shape != b.shape:
+        raise DimensionError(f"{kind}: shapes {a.shape} and {b.shape} differ")
 
 
 def add(a, b):
-    return elementwise("add", a, b)
+    """Pointwise sum of two tensors of one shape."""
+    _same_shape("add", a, b)
 
+    def bw(g):
+        return (g if a.requires_grad else None, g if b.requires_grad else None)
 
-def sub(a, b):
-    return elementwise("sub", a, b)
+    return _make("add", a.data + b.data, (a, b), bw)
 
 
 def mul(a, b):
-    return elementwise("mul", a, b)
+    """Pointwise product of two tensors of one shape."""
+    _same_shape("mul", a, b)
+    ad, bd = a.data, b.data
+
+    def bw(g):
+        return (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None)
+
+    return _make("mul", ad * bd, (a, b), bw)
 
 
 def scale(x, c):
     """Multiply by a python float, preserving dtype."""
-    return mul(x, _const_like(x, c))
+    factor = x.data.dtype.type(c)
+
+    def bw(g):
+        return (g * factor,)
+
+    return _make("scale", x.data * factor, (x,), bw)
 
 
 def _sigmoid(x):
@@ -291,42 +260,31 @@ def _sigmoid(x):
     return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
-def activation(kind, x):
-    """Pointwise sigmoid / tanh / relu."""
-    if kind == "sigmoid":
-        out = _sigmoid(x.data)
-
-        def bw(g, y=out):
-            return (g * y * (1.0 - y),)
-
-    elif kind == "tanh":
-        out = np.tanh(x.data)
-
-        def bw(g, y=out):
-            return (g * (1.0 - y * y),)
-
-    elif kind == "relu":
-        out = np.maximum(x.data, 0)
-        mask = x.data > 0
-
-        def bw(g):
-            return (g * mask,)
-
-    else:
-        raise UsageError(f"unknown activation kind {kind!r}")
-    return _make(kind, out, (x,), bw)
-
-
 def sigmoid(x):
-    return activation("sigmoid", x)
+    y = _sigmoid(x.data)
+
+    def bw(g):
+        return (g * y * (1.0 - y),)
+
+    return _make("sigmoid", y, (x,), bw)
 
 
 def tanh(x):
-    return activation("tanh", x)
+    y = np.tanh(x.data)
+
+    def bw(g):
+        return (g * (1.0 - y * y),)
+
+    return _make("tanh", y, (x,), bw)
 
 
 def relu(x):
-    return activation("relu", x)
+    mask = x.data > 0
+
+    def bw(g):
+        return (g * mask,)
+
+    return _make("relu", np.maximum(x.data, 0), (x,), bw)
 
 
 def concat(tensors, axis=0):
@@ -581,19 +539,13 @@ def gru(x, h0, w, u, b):
             a_r = da_r[i] = d_rh * k_r[i]
             dh = dh * keep[i] + d_rh * rs[i] + a_z @ u_z.T + a_r @ u_r.T
         das = (da_z, da_r, da_h)
-
-        def t_dot(a, da):
-            # a^T dA; for one row the broadcast product gives the same values
-            # and runs about 3x faster than a rank-1 BLAS GEMM at d = 768
-            return a.T * da if n == 1 else a.T @ da
-
         dx = None
         if x.requires_grad:
             dx = sum(da @ wt.data.T for da, wt in zip(das, w))
         grads = [dx, dh.reshape(1, d) if h0.requires_grad else None]
-        grads += [t_dot(xd, da) if wt.requires_grad else None for da, wt in zip(das, w)]
+        grads += [_t_dot(xd, da) if wt.requires_grad else None for da, wt in zip(das, w)]
         grads += [
-            t_dot(hp, da) if ut.requires_grad else None
+            _t_dot(hp, da) if ut.requires_grad else None
             for hp, da, ut in zip((h_prev, h_prev, rh), das, u)
         ]
         grads += [
@@ -628,19 +580,18 @@ def layer_norm(x, gain, bias, eps=1e-5):
     if x.data.ndim != 2:
         raise DimensionError(f"layer_norm needs a 2-D tensor, got shape {x.shape}")
     d = x.shape[1]
-    if not _is_row_broadcast(gain.shape, x.shape) or not _is_row_broadcast(bias.shape, x.shape):
+    if gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} do not fit width {d}"
+            f"layer_norm: gain {gain.shape} / bias {bias.shape} are not (1, {d}) rows"
         )
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    gflat = gain.data.reshape(1, d)
-    out = xhat * gflat + bias.data.reshape(1, d)
+    out = xhat * gain.data + bias.data
 
     def bw(g):
-        dxhat = g * gflat
+        dxhat = g * gain.data
         dx = None
         if x.requires_grad:
             dx = inv * (
@@ -648,21 +599,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
                 - dxhat.mean(axis=1, keepdims=True)
                 - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
             )
-        dgain = (g * xhat).sum(axis=0).reshape(gain.shape) if gain.requires_grad else None
-        dbias = g.sum(axis=0).reshape(bias.shape) if bias.requires_grad else None
+        dgain = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
+        dbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
         return (dx, dgain, dbias)
 
     return _make("layer_norm", out, (x, gain, bias), bw)
-
-
-def sum_all(x):
-    """Sum of all entries, as a 1x1 tensor."""
-    out = np.full((1, 1), x.data.sum(), dtype=x.data.dtype)
-
-    def bw(g):
-        return (np.full_like(x.data, g.reshape(())),)
-
-    return _make("sum", out, (x,), bw)
 
 
 def bce_loss(probs, target):

@@ -96,16 +96,21 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        kinds = {f.name: f.type for f in fields(cls)}
-        unknown = set(d) - set(kinds)
+        unknown = set(d) - set(_KINDS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{k: _typed(k, kinds[k], v) for k, v in d.items()}).validate()
+        return cls(**{k: _typed(k, _KINDS[k], v) for k, v in d.items()}).validate()
+
+
+_KINDS = {f.name: f.type for f in fields(TrainConfig)}  # declared type of each field
 
 
 def _typed(name, kind, value):
     """`value` checked against its field's declared type; an int widens to float."""
-    if kind == "bool":
+    if kind.startswith("str"):
+        if not (isinstance(value, str) or (value is None and kind == "str | None")):
+            raise UsageError(f"{name} must be a string, got {value!r}")
+    elif kind == "bool":
         if not isinstance(value, bool):
             raise UsageError(f"{name} must be true or false, got {value!r}")
     elif kind in ("int", "float"):
@@ -122,17 +127,17 @@ def _typed(name, kind, value):
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
 
 
-def _parse_value(raw):
-    if raw.lower() in _BOOL_WORDS:
-        return _BOOL_WORDS[raw.lower()]
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+def _parse_value(kind, raw):
+    """A config-file value converted by its field's type; a value that does
+    not convert stays a string, for `_typed` to reject."""
+    if kind == "bool":
+        return _BOOL_WORDS.get(raw.lower(), raw)
+    if kind in ("int", "float"):
+        for convert in (int, float):
+            try:
+                return convert(raw)
+            except ValueError:
+                pass
     return raw
 
 
@@ -147,7 +152,7 @@ def parse_config_text(text):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if not key or not raw:
             raise UsageError(f"config line {lineno}: empty key or value")
-        values[key] = _parse_value(raw)
+        values[key] = _parse_value(_KINDS.get(key), raw)
     return values
 
 

@@ -71,14 +71,13 @@ class ImportanceProfile:
     sentence_texts: list | None = None
 
 
-def init_gate(rng, width, mode, dtype):
+def init_gate(width, mode, dtype):
     # W_g starts at zero (every gate exactly 0.5): a random projection here,
     # under Adam's scale-free steps, saturates all gates within the first
     # epoch and permanently freezes the importance mechanism at desk scale.
     # Gradients flow fine from zero since the gate multiplies its input.
     if mode not in ("scalar", "vector"):
         raise UsageError(f"unknown gate mode {mode!r}")
-    del rng  # kept for signature symmetry with the other init helpers
     rows = 1 if mode == "scalar" else width
     return GateParams(
         mode=mode, w_g=ad.parameter("gate.w_g", np.zeros((rows, width), dtype=dtype))
@@ -109,16 +108,13 @@ def init_doc_encoder(rng, d_in, d_g, dtype):
     )
 
 
-def gate(e_prime, gp, clamp=None):
+def gate(e_prime, gp):
     """Importance scores and the gated sentence matrix.
 
     Scalar mode: g_i = sigmoid(w_g . E'_i), row i scaled by g_i.
     Vector mode: per-coordinate sigmoid gates, elementwise product; the
-    reported score is the mean gate of the row.
-
-    `clamp` maps sentence index -> fixed gate score, bypassing the
-    sigmoid for that row (diagnostics only; no gradient flows through a
-    clamped gate).  Returns (scores as float64 per sentence, E'').
+    reported score is the mean gate of the row.  Returns (scores as
+    float64 per sentence, E'').
     """
     n, width = e_prime.shape
     if gp.w_g.shape[1] != width:
@@ -127,13 +123,6 @@ def gate(e_prime, gp, clamp=None):
         )
     z = ad.matmul(e_prime, ad.transpose(gp.w_g))  # (n, 1) or (n, width)
     g = ad.sigmoid(z)
-    if clamp:
-        keep = np.ones(g.shape, dtype=g.data.dtype)
-        fixed = np.zeros(g.shape, dtype=g.data.dtype)
-        for idx, value in clamp.items():
-            keep[idx] = 0.0
-            fixed[idx] = value
-        g = ad.add(ad.mul(g, Tensor(keep)), Tensor(fixed))
     if gp.mode == "scalar":
         gated = ad.scale_rows(e_prime, g)
     else:
@@ -141,9 +130,6 @@ def gate(e_prime, gp, clamp=None):
     # report in float64 from the pre-activations so scores stay inside (0, 1)
     scores = ad.sigmoid(Tensor(z.data.astype(np.float64))).data
     scores = scores.mean(axis=1) if gp.mode == "vector" else scores[:, 0]
-    if clamp:
-        for idx, value in clamp.items():
-            scores[idx] = value
     return scores, gated
 
 
@@ -183,7 +169,7 @@ def decode_document(encs, dp):
     if n < 1:
         raise DimensionError("decode_document needs at least one encoder state")
     enc_n = ad.slice_axis(encs, 0, n - 1, n)
-    dec0 = ad.tanh(ad.add(ad.matmul(enc_n, dp.bridge_w), dp.bridge_b))
+    dec0 = ad.tanh(ad.linear(enc_n, dp.bridge_w, dp.bridge_b))
     a, cnt = attend(encs, dec0)
     x = ad.concat((dp.start_emb, cnt), axis=1)
     e_d = _run_gru(x, dec0, dp.dec_cell)

@@ -146,20 +146,18 @@ def _segment_blocks(segments):
 
 
 def _self_attention(x, p, blocks):
-    q = ad.add(ad.matmul(x, p.wq), p.bq)
+    q = ad.linear(x, p.wq, p.bq)
     k = ad.matmul(x, p.wk)  # a key bias would add a per-row constant: softmax ignores it
-    v = ad.add(ad.matmul(x, p.wv), p.bv)
+    v = ad.linear(x, p.wv, p.bv)
     merged = ad.attention(q, k, v, p.n_heads, blocks)
-    return ad.add(ad.matmul(merged, p.wo), p.bo)
+    return ad.linear(merged, p.wo, p.bo)
 
 
 def _shared_layer(x, p, blocks):
     a = ad.layer_norm(x, p.ln1_g, p.ln1_b, eps=LAYER_NORM_EPS)
     x = ad.add(x, _self_attention(a, p, blocks))
     f = ad.layer_norm(x, p.ln2_g, p.ln2_b, eps=LAYER_NORM_EPS)
-    ff = ad.add(
-        ad.matmul(ad.relu(ad.add(ad.matmul(f, p.w_ff1), p.b_ff1)), p.w_ff2), p.b_ff2
-    )
+    ff = ad.linear(ad.relu(ad.linear(f, p.w_ff1, p.b_ff1)), p.w_ff2, p.b_ff2)
     return ad.add(x, ff)
 
 
@@ -185,7 +183,7 @@ def transformer_encode(stream, params, segments=None):
     blocks = [(0, n)] if segments is None else _segment_blocks(segments)
     tok = ad.gather_rows(params.tok_emb, stream)
     pos = ad.gather_rows(params.pos_emb, list(range(n)))
-    x = ad.add(ad.matmul(ad.add(tok, pos), params.w_in), params.b_in)
+    x = ad.linear(ad.add(tok, pos), params.w_in, params.b_in)
     for _ in range(params.n_layers):
         x = _shared_layer(x, params, blocks)
     return x
@@ -208,8 +206,8 @@ def class_similarity(e_in, cs):
         raise DimensionError(
             f"class similarity expects width {cs.w1.shape[0]}, got {e_in.shape[1]}"
         )
-    h = ad.relu(ad.add(ad.matmul(e_in, cs.w1), cs.b1))
-    f = ad.relu(ad.add(ad.matmul(h, cs.w2), cs.b2))
+    h = ad.relu(ad.linear(e_in, cs.w1, cs.b1))
+    f = ad.relu(ad.linear(h, cs.w2, cs.b2))
     return ad.matmul(f, ad.transpose(cs.w_c))
 
 

@@ -102,7 +102,7 @@ def build_model(config, vocab_size, rng=None, dtype=None):
     e_prime_width = config.d_h + (n_classes if config.use_sentence_class_sim else 0)
     gate = None
     if config.use_gate:
-        gate = docmod.init_gate(rng, e_prime_width, config.gate_mode, dtype)
+        gate = docmod.init_gate(e_prime_width, config.gate_mode, dtype)
     doc_encoder = docmod.init_doc_encoder(rng, e_prime_width, config.d_g, dtype)
     head_in = config.d_g + (n_classes if config.use_document_class_sim else 0)
     d_hidden = config.resolved_d_out_hidden()
@@ -135,11 +135,11 @@ def classify_head(e_d, mp):
         raise DimensionError(
             f"classifier head expects width {mp.out_w1.shape[0]}, got {head_in.shape[1]}"
         )
-    h = ad.relu(ad.add(ad.matmul(head_in, mp.out_w1), mp.out_b1))
-    return ad.sigmoid(ad.add(ad.matmul(h, mp.out_w2), mp.out_b2))
+    h = ad.relu(ad.linear(head_in, mp.out_w1, mp.out_b1))
+    return ad.sigmoid(ad.linear(h, mp.out_w2, mp.out_b2))
 
 
-def forward(doc, mp, gate_clamp=None):
+def forward(doc, mp):
     """Sentence encoder -> gated document encoder -> classifier head."""
     segments = None
     if mp.attention_scope == "sentence":
@@ -152,7 +152,7 @@ def forward(doc, mp, gate_clamp=None):
     else:
         e_prime = e
     if mp.use_gate:
-        scores, e_dprime = docmod.gate(e_prime, mp.gate, clamp=gate_clamp)
+        scores, e_dprime = docmod.gate(e_prime, mp.gate)
     else:
         scores = np.full(e_prime.shape[0], 0.5)
         e_dprime = e_prime

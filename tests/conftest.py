@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gatedoc import autodiff as ad
+from gatedoc.autodiff import Tensor
 from gatedoc.config import TrainConfig
 from gatedoc.textpipe import CLS_ID, SEP_ID, TokenizedDocument
 
@@ -50,6 +52,14 @@ def make_doc(rng, n_sentences, vocab_size, n_classes=3, label=0, doc_id="doc"):
         label=label,
         n_classes=n_classes,
     )
+
+
+def total(x):
+    """Sum of all entries of a 2-D tensor, as the (1, 1) product 1^T X 1."""
+    rows, cols = x.shape
+    dtype = x.data.dtype
+    left = ad.matmul(Tensor(np.ones((1, rows), dtype=dtype)), x)
+    return ad.matmul(left, Tensor(np.ones((cols, 1), dtype=dtype)))
 
 
 def randomize_params(params, rng, scale=0.5):

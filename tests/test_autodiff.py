@@ -9,6 +9,8 @@ from gatedoc import autodiff as ad
 from gatedoc.autodiff import Graph, Tensor
 from gatedoc.errors import DimensionError, GradCheckError, TrainingError, UsageError
 
+from conftest import total
+
 
 def t(data, grad=True, name=None):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=grad, name=name)
@@ -44,10 +46,36 @@ class TestMatmul:
             ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
 
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_bit_equal_to_numpy(self, rng, dtype, rows):
+        shapes = ((rows, 5), (5, 3), (1, 3))
+        x, w, b = (rng.standard_normal(shape).astype(dtype) for shape in shapes)
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, x @ w + b)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, b_shape",
+        [((2, 4), (5, 3), (1, 3)), ((2, 4), (4, 3), (3,)), ((2, 4), (4, 3), (2, 3)),
+         ((2, 4), (4, 3), (1, 4)), ((4,), (4, 3), (1, 3))],
+    )
+    def test_shape_mismatch(self, x_shape, w_shape, b_shape):
+        with pytest.raises(DimensionError):
+            ad.linear(t(np.ones(x_shape)), t(np.ones(w_shape)), t(np.ones(b_shape)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_row_transposed_product_equals_gemm(self, rng, dtype):
+        a = rng.standard_normal((1, 768)).astype(dtype)
+        g = rng.standard_normal((1, 96)).astype(dtype)
+        assert np.array_equal(ad._t_dot(a, g), a.T @ g)
+
+
 class TestElementwise:
     def test_scalar_identity(self):
         x = t([[2.0, 4.0, 6.0]])
-        out = ad.mul(t([[1.0]]), x)
+        out = ad.scale(x, 1.0)
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_add_vectors(self):
@@ -55,23 +83,32 @@ class TestElementwise:
         assert out.data.tolist() == [4.0, 6.0]
 
     def test_scalar_gate_halves(self):
-        out = ad.mul(t(0.5), t([2.0, 4.0, 6.0]))
+        out = ad.scale(t([2.0, 4.0, 6.0]), 0.5)
         assert out.data.tolist() == [1.0, 2.0, 3.0]
 
+    def test_scale_keeps_float32(self):
+        x = Tensor(np.array([[1.0, 3.0]], dtype=np.float32))
+        assert ad.scale(x, 0.1).data.dtype == np.float32
+
     def test_row_broadcast(self, rng):
-        x = rng.standard_normal((4, 3))
-        row = rng.standard_normal((1, 3))
-        out = ad.add(t(x), t(row))
-        np.testing.assert_allclose(out.data, x + row, atol=0)
+        # a bias row enters through `linear`; add and mul refuse to broadcast it
+        x = t(rng.standard_normal((4, 3)))
+        row = t(rng.standard_normal((1, 3)))
+        for op in (ad.add, ad.mul):
+            with pytest.raises(DimensionError):
+                op(x, row)
 
     def test_incompatible_shapes(self):
-        with pytest.raises(DimensionError):
-            ad.add(t(np.ones((2, 3))), t(np.ones((3, 2))))
+        x = t(np.ones((2, 3)))
+        for shape in ((3, 2), (1, 1)):
+            for op in (ad.add, ad.mul):
+                with pytest.raises(DimensionError):
+                    op(x, t(np.ones(shape)))
 
     @given(
         st.integers(1, 5),
         st.integers(1, 5),
-        st.sampled_from(["add", "sub", "mul"]),
+        st.sampled_from(["add", "mul"]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
@@ -79,8 +116,8 @@ class TestElementwise:
         r = np.random.default_rng(seed)
         a = r.uniform(-1, 1, (n, d))
         b = r.uniform(-1, 1, (n, d))
-        expected = {"add": a + b, "sub": a - b, "mul": a * b}[kind]
-        out = ad.elementwise(kind, t(a), t(b))
+        expected = {"add": a + b, "mul": a * b}[kind]
+        out = getattr(ad, kind)(t(a), t(b))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -231,14 +268,14 @@ def _gru_inputs(rng, n, d_in, d, h0_grad=True, dtype=np.float64):
 
 def _composed_gru(x, h0, w, u, b):
     """The same recurrence built step by step from elementary ops."""
-    one = Tensor(np.ones((1, 1)))
+    ones = Tensor(np.ones(h0.shape))
     h, states = h0, []
     for i in range(x.shape[0]):
         xi = ad.slice_axis(x, 0, i, i + 1)
         z = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[0]), ad.matmul(h, u[0])), b[0]))
         r = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[1]), ad.matmul(h, u[1])), b[1]))
         c = ad.tanh(ad.add(ad.add(ad.matmul(xi, w[2]), ad.matmul(ad.mul(r, h), u[2])), b[2]))
-        h = ad.add(ad.mul(ad.sub(one, z), h), ad.mul(z, c))
+        h = ad.add(ad.mul(ad.add(ones, ad.scale(z, -1.0)), h), ad.mul(z, c))
         states.append(h)
     return ad.concat(states, axis=0)
 
@@ -257,7 +294,7 @@ class TestGru:
         for run in (ad.gru, _composed_gru):
             ad.zero_grad(inputs)
             out = run(x, h0, w, u, b)
-            ad.backward(ad.sum_all(ad.mul(out, weight)))
+            ad.backward(total(ad.mul(out, weight)))
             results.append((out.data, [p.grad for p in inputs]))
         (fused, fused_grads), (composed, composed_grads) = results
         np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
@@ -270,7 +307,7 @@ class TestGru:
         x, h0, w, u, b = _gru_inputs(rng, 4, 3, 5, dtype=np.float32)
         out = ad.gru(x, h0, w, u, b)
         assert out.data.dtype == np.float32
-        ad.backward(ad.sum_all(out))
+        ad.backward(total(out))
         assert all(p.grad.dtype == np.float32 for p in [x, h0, *w, *u, *b])
 
     @pytest.mark.parametrize(
@@ -382,6 +419,13 @@ class TestScaleRowsAndGatherAndNorm:
         expected = (x - mu) / np.sqrt(var + 1e-5) * g + b
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
+    def test_layer_norm_needs_row_gain_and_bias(self, rng):
+        x = t(rng.standard_normal((3, 5)))
+        with pytest.raises(DimensionError):
+            ad.layer_norm(x, t(np.ones(5)), t(np.zeros((1, 5))))
+        with pytest.raises(DimensionError):
+            ad.layer_norm(x, t(np.ones((1, 5))), t(np.zeros((3, 5))))
+
 
 # ---------------------------------------------------------------------------
 # backward pass
@@ -389,11 +433,6 @@ class TestScaleRowsAndGatherAndNorm:
 
 
 class TestBackward:
-    def test_sum_gives_all_ones(self, rng):
-        x = t(rng.standard_normal((3, 4)), name="x")
-        ad.backward(ad.sum_all(x))
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
-
     def test_sigmoid_dot_at_zero_weight(self, rng):
         x_val = rng.standard_normal((3, 1))
         w = t(np.zeros((1, 3)), name="w")
@@ -421,14 +460,14 @@ class TestBackward:
         a = t(rng.standard_normal((2, 2)), name="a")
         b = t(rng.standard_normal((2, 2)), name="b")
         c = t(rng.standard_normal((2, 2)), grad=False)
-        ad.backward(ad.sum_all(ad.matmul(ad.matmul(a, b), c)))
+        ad.backward(total(ad.matmul(ad.matmul(a, b), c)))
         assert a.grad is not None and b.grad is not None
         assert c.grad is None
 
     def test_graph_trace_is_topologically_ordered(self, rng):
         x = t(rng.standard_normal((2, 2)))
         y = ad.mul(ad.add(x, x), ad.tanh(x))
-        loss = ad.sum_all(y)
+        loss = total(y)
         nodes = Graph.trace(loss).nodes
         position = {id(n): i for i, n in enumerate(nodes)}
         for n in nodes:
@@ -456,36 +495,36 @@ class TestGradCheckPerOp:
     def test_matmul(self, rng):
         a = t(rng.uniform(-1, 1, (3, 4)))
         b = t(rng.uniform(-1, 1, (4, 2)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.matmul(a, b))), [a, b])
+        _check(lambda: total(ad.tanh(ad.matmul(a, b))), [a, b])
 
-    @pytest.mark.parametrize("kind", ["add", "sub", "mul"])
+    # one row (the bridge and the head) and many rows (the encoder)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_linear(self, rng, rows):
+        x = t(rng.uniform(-1, 1, (rows, 4)))
+        w = t(rng.uniform(-1, 1, (4, 2)))
+        b = t(rng.uniform(-1, 1, (1, 2)))
+        _check(lambda: total(ad.tanh(ad.linear(x, w, b))), [x, w, b])
+
+    @pytest.mark.parametrize("kind", ["add", "mul"])
     def test_elementwise_same_shape(self, rng, kind):
         a = t(rng.uniform(-1, 1, (3, 4)))
         b = t(rng.uniform(-1, 1, (3, 4)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.elementwise(kind, a, b))), [a, b])
+        _check(lambda: total(ad.tanh(getattr(ad, kind)(a, b))), [a, b])
 
-    @pytest.mark.parametrize("kind", ["add", "sub", "mul"])
-    def test_elementwise_row_broadcast(self, rng, kind):
-        a = t(rng.uniform(-1, 1, (3, 4)))
-        b = t(rng.uniform(-1, 1, (1, 4)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.elementwise(kind, a, b))), [a, b])
-
-    @pytest.mark.parametrize("kind", ["add", "sub", "mul"])
-    def test_elementwise_scalar_broadcast(self, rng, kind):
-        a = t(rng.uniform(-1, 1, (3, 4)))
-        b = t(rng.uniform(-1, 1, (1, 1)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.elementwise(kind, a, b))), [a, b])
+    def test_scale(self, rng):
+        x = t(rng.uniform(-1, 1, (3, 4)))
+        _check(lambda: total(ad.tanh(ad.scale(x, -1.5))), [x])
 
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
     def test_smooth_activations(self, rng, kind):
         x = t(rng.uniform(-1, 1, (3, 4)))
-        _check(lambda: ad.sum_all(ad.activation(kind, x)), [x])
+        _check(lambda: total(getattr(ad, kind)(x)), [x])
 
     def test_relu_away_from_kink(self, rng):
         vals = rng.uniform(-1, 1, (3, 4))
         vals[np.abs(vals) < 0.05] = 0.5  # keep the finite difference off the kink
         x = t(vals)
-        _check(lambda: ad.sum_all(ad.relu(x)), [x])
+        _check(lambda: total(ad.relu(x)), [x])
 
     def test_concat_and_slice(self, rng):
         a = t(rng.uniform(-1, 1, (2, 3)))
@@ -494,30 +533,30 @@ class TestGradCheckPerOp:
         def f():
             merged = ad.concat((a, b, a), axis=1)
             left, right = ad.slice_axis(merged, 1, 0, 3), ad.slice_axis(merged, 1, 3, 8)
-            return ad.sum_all(ad.tanh(ad.concat((right, left), axis=1)))
+            return total(ad.tanh(ad.concat((right, left), axis=1)))
 
         _check(f, [a, b])
 
     def test_gather_rows_with_repeats(self, rng):
         table = t(rng.uniform(-1, 1, (5, 3)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.gather_rows(table, [0, 2, 2, 4]))), [table])
+        _check(lambda: total(ad.tanh(ad.gather_rows(table, [0, 2, 2, 4]))), [table])
 
     def test_transpose(self, rng):
         x = t(rng.uniform(-1, 1, (3, 4)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.transpose(x))), [x])
+        _check(lambda: total(ad.tanh(ad.transpose(x))), [x])
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_softmax(self, rng, axis):
         x = t(rng.uniform(-1, 1, (3, 4)))
         w = t(rng.uniform(-1, 1, (3, 4)), grad=False)
-        _check(lambda: ad.sum_all(ad.mul(ad.softmax(x, axis=axis), w)), [x])
+        _check(lambda: total(ad.mul(ad.softmax(x, axis=axis), w)), [x])
 
     @pytest.mark.parametrize("n_heads, lengths", ATTENTION_CASES)
     def test_attention(self, rng, n_heads, lengths):
         n, blocks = sum(lengths), _blocks(lengths)
         q, k, v = (t(rng.uniform(-1, 1, (n, 2 * n_heads))) for _ in range(3))
         w = t(rng.uniform(-1, 1, (n, 2 * n_heads)), grad=False)
-        _check(lambda: ad.sum_all(ad.mul(ad.attention(q, k, v, n_heads, blocks), w)), [q, k, v])
+        _check(lambda: total(ad.mul(ad.attention(q, k, v, n_heads, blocks), w)), [q, k, v])
 
     # (rows, d_in, d, h0 carries a gradient): one step from a trained
     # state; five steps from a constant zero state; d_in != d
@@ -528,18 +567,18 @@ class TestGradCheckPerOp:
         x, h0, w, u, b = _gru_inputs(rng, n, d_in, d, h0_grad=h0_grad)
         weight = t(rng.uniform(-1, 1, (n, d)), grad=False)
         params = [x, *([h0] if h0_grad else []), *w, *u, *b]
-        _check(lambda: ad.sum_all(ad.mul(ad.gru(x, h0, w, u, b), weight)), params)
+        _check(lambda: total(ad.mul(ad.gru(x, h0, w, u, b), weight)), params)
 
     def test_scale_rows(self, rng):
         x = t(rng.uniform(-1, 1, (4, 3)))
         s = t(rng.uniform(0.2, 0.8, (4, 1)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.scale_rows(x, s))), [x, s])
+        _check(lambda: total(ad.tanh(ad.scale_rows(x, s))), [x, s])
 
     def test_layer_norm(self, rng):
         x = t(rng.uniform(-1, 1, (3, 5)))
         g = t(rng.uniform(0.5, 1.5, (1, 5)))
         b = t(rng.uniform(-0.5, 0.5, (1, 5)))
-        _check(lambda: ad.sum_all(ad.tanh(ad.layer_norm(x, g, b))), [x, g, b])
+        _check(lambda: total(ad.tanh(ad.layer_norm(x, g, b))), [x, g, b])
 
     def test_bce_loss(self, rng):
         x = t(rng.uniform(-1, 1, (1, 5)))
@@ -553,7 +592,7 @@ class TestGradCheckPerOp:
         a = t(r.uniform(-1, 1, (n, d)))
         b = t(r.uniform(-1, 1, (d, n)))
         worst = ad.grad_check(
-            lambda: ad.sum_all(ad.sigmoid(ad.matmul(ad.tanh(a), b))), [a, b]
+            lambda: total(ad.sigmoid(ad.matmul(ad.tanh(a), b))), [a, b]
         )
         assert worst < 1e-5
 
@@ -564,7 +603,7 @@ class TestGradCheckPerOp:
             # log of a negative perturbed value goes NaN
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = Tensor(np.log(x.data - 1.0), requires_grad=True)
-            return ad.sum_all(out)
+            return total(out)
 
         with pytest.raises(GradCheckError):
             ad.grad_check(f, [x])

@@ -37,6 +37,18 @@ def test_int_widens_to_float_and_integral_float_narrows_to_int():
     assert config.batch_size == 8 and isinstance(config.batch_size, int)
 
 
+@pytest.mark.parametrize("raw", ["5", "true", "2e-5"])
+def test_string_field_keeps_its_text(raw):
+    # a number or a boolean word is still a file name in a string field
+    assert _from_text(f"data = {raw}\n").data == raw
+
+
+@pytest.mark.parametrize("value", [5, True, 2.5])
+def test_from_dict_rejects_non_string_in_string_field(value):
+    with pytest.raises(UsageError, match="data must be a string"):
+        TrainConfig.from_dict({"data": value})
+
+
 BAD_VALUES = [
     "batch_size = 2.5",  # non-integral number in an int field
     "max_epochs = yes",  # boolean in an int field

@@ -6,7 +6,7 @@ from gatedoc import encoder as enc
 from gatedoc.autodiff import Tensor
 from gatedoc.errors import DimensionError
 
-from conftest import tiny_config
+from conftest import tiny_config, total
 
 
 def _params(rng, vocab_size=12, d_tok=4, d_h=4, n_heads=1, n_layers=1, max_len=16):
@@ -152,7 +152,7 @@ class TestClassSimilarity:
     def test_gradient_reaches_class_matrix(self, rng):
         cs = _class_sim(rng)
         x = Tensor(rng.standard_normal((2, 4)))
-        ad.backward(ad.sum_all(enc.class_similarity(x, cs)))
+        ad.backward(total(enc.class_similarity(x, cs)))
         assert cs.w_c.grad is not None
         assert np.abs(cs.w_c.grad).sum() > 0
 
@@ -161,7 +161,7 @@ class TestClassSimilarity:
         x = Tensor(rng.uniform(-1, 1, (2, 4)))
         params = [cs.w_c, cs.w1, cs.b1, cs.w2, cs.b2]
         worst = ad.grad_check(
-            lambda: ad.sum_all(ad.tanh(enc.class_similarity(x, cs))), params
+            lambda: total(ad.tanh(enc.class_similarity(x, cs))), params
         )
         assert worst < 1e-5
 
