@@ -1,6 +1,7 @@
-"""Model explanation machinery: per-sentence importance profiles for raw
-text, the distribution of importance spread across a dataset, and the
-score-difference histogram over wrong predictions.
+"""Model explanation machinery over `model.Prediction` records: the
+prediction for raw text with each sentence's text beside its gate score,
+the distribution of gate-score spread across a dataset's predictions,
+and the score-difference histogram over wrong predictions.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import predict
-from .textpipe import assemble_document, scheme_n_classes, segment_sentences, tokenize
+from .textpipe import RawDocument, prepare_document
 
 
 @dataclass
@@ -25,13 +26,6 @@ class StddevReport:
     stddevs: list
     fraction_over_0_2: float
     n_documents: int
-
-    def to_dict(self):
-        return {
-            "stddevs": self.stddevs,
-            "fraction_over_0_2": self.fraction_over_0_2,
-            "n_documents": self.n_documents,
-        }
 
 
 @dataclass
@@ -65,37 +59,28 @@ def minmax_normalize(scores):
 
 
 def explain(params, config, vocab, text):
-    """Segment raw text, run the model, and align gate scores to spans."""
+    """The unlabelled Prediction for raw text, with each sentence's text."""
     if not text or not text.strip():
         raise UsageError("explain needs non-empty text")
-    segments = segment_sentences(text)
-    if not segments:
-        raise UsageError("text could not be segmented into sentences")
-    ids = [tokenize(s, vocab) for s, _ in segments]
-    spans = [span for _, span in segments]
-    doc = assemble_document(
-        ids, spans, config.limits(),
-        doc_id="input", label=None, n_classes=scheme_n_classes(config.scheme),
+    doc = prepare_document(
+        RawDocument("input", text, None), config.scheme, vocab, config.limits()
     )
     prediction = predict(doc, params)
-    profile = prediction.importance
-    profile.sentence_texts = [text[s:e] for s, e in profile.sentence_spans]
-    return profile, prediction
+    prediction.sentence_texts = [text[s:e] for s, e in prediction.sentence_spans]
+    return prediction
 
 
-def stddev_report(params, documents):
+def stddev_report(predictions):
     """Per-document stddev of normalized gate scores, sorted ascending."""
-    documents = list(documents)
-    if not documents:
+    predictions = list(predictions)
+    if not predictions:
         raise UsageError("stddev_report needs a non-empty dataset")
-    if not params.use_gate:
+    if not all(pred.gate_enabled for pred in predictions):
         raise UsageError("stddev_report requires a model trained with the gate enabled")
-    stddevs = []
-    for doc in documents:
-        pred = predict(doc, params)
-        normalized = minmax_normalize(pred.importance.gate_scores)
-        stddevs.append(float(normalized.std()))  # population stddev
-    stddevs.sort()
+    stddevs = sorted(
+        float(minmax_normalize(pred.gate_scores).std())  # population stddev
+        for pred in predictions
+    )
     over = sum(1 for s in stddevs if s > 0.2)
     return StddevReport(
         stddevs=stddevs,
@@ -104,13 +89,12 @@ def stddev_report(params, documents):
     )
 
 
-def error_histogram(predictions, scheme):
+def error_histogram(predictions):
     """Bucket wrong predictions by class-index distance on the label scale.
 
     For three_way the distance is ordinal over class indices, with the
     neutral class sitting between negative and positive.
     """
-    scheme_n_classes(scheme)  # raises on unknown scheme
     counts = {}
     n_wrong = 0
     for pred in predictions:

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,13 +28,11 @@ from .textpipe import (
     assemble_document,
     build_vocab,
     load_dataset,
-    prepare_document,
+    prepare_documents,
     read_raw_dataset,
     shuffle_split,
 )
 from .training import ablation_run, evaluate, train, write_metrics
-
-logger = logging.getLogger(__name__)
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -44,11 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(obj, path):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _write_text(text, path):
@@ -69,7 +64,6 @@ def _load_config(args):
 
 def _prepare_splits(config):
     """Raw corpus -> (train, dev, test) tokenized docs + vocab built on train."""
-    limits = config.limits()
     if config.train_data:
         train_raw = read_raw_dataset(config.train_data, config.scheme).documents
         dev_raw = read_raw_dataset(config.dev_data, config.scheme).documents
@@ -82,29 +76,23 @@ def _prepare_splits(config):
     if not train_raw or not dev_raw or not test_raw:
         raise DataError("one of the train/dev/test splits is empty")
     vocab = build_vocab(train_raw, min_freq=config.min_freq, max_size=config.max_vocab)
-
-    def prep(raws, name):
-        docs = []
-        for raw in raws:
-            try:
-                docs.append(prepare_document(raw, config.scheme, vocab, limits))
-            except DataError as exc:
-                logger.warning("%s split: skipped %r: %s", name, raw.id, exc)
-        if not docs:
-            raise DataError(f"{name} split has no usable documents")
-        return docs
-
-    return prep(train_raw, "train"), prep(dev_raw, "dev"), prep(test_raw, "test"), vocab
+    splits = [
+        prepare_documents(
+            raws, config.scheme, vocab, config.limits(), f"{name} split"
+        ).documents
+        for raws, name in ((train_raw, "train"), (dev_raw, "dev"), (test_raw, "test"))
+    ]
+    return (*splits, vocab)
 
 
-def _prediction_record(pred, doc_id):
+def _prediction_record(pred):
     return {
-        "id": doc_id,
+        "id": pred.doc_id,
         "predicted": pred.predicted,
         "gold": pred.gold,
         "probs": pred.probs,
-        "gate_scores": pred.importance.gate_scores,
-        "gate_enabled": pred.importance.gate_enabled,
+        "gate_scores": pred.gate_scores,
+        "gate_enabled": pred.gate_enabled,
     }
 
 
@@ -144,12 +132,11 @@ def cmd_predict(args):
     params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
     records = []
     if args.text:
-        profile, pred = explain(params, config, vocab, args.text)
-        records.append(_prediction_record(pred, "input"))
+        records.append(_prediction_record(explain(params, config, vocab, args.text)))
     elif args.data:
         data = load_dataset(args.data, config.scheme, vocab, config.limits())
         for doc in data.documents:
-            records.append(_prediction_record(predict(doc, params), doc.id))
+            records.append(_prediction_record(predict(doc, params)))
     else:
         raise UsageError("predict needs --text or --data")
     payload = {"predictions": records}
@@ -164,26 +151,23 @@ def cmd_explain(args):
     params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
     if not args.text:
         raise UsageError("explain needs --text")
-    profile, pred = explain(params, config, vocab, args.text)
-    page = render_heatmap(profile)
+    pred = explain(params, config, vocab, args.text)
     if args.out:
-        _write_text(page, args.out)
+        _write_text(render_heatmap(pred), args.out)
     if args.report:
         _write_json(
             {
-                "prediction": _prediction_record(pred, "input"),
+                "prediction": _prediction_record(pred),
                 "sentences": [
                     {"text": t, "span": list(span), "gate_score": s}
                     for t, span, s in zip(
-                        profile.sentence_texts,
-                        profile.sentence_spans,
-                        profile.gate_scores,
+                        pred.sentence_texts, pred.sentence_spans, pred.gate_scores
                     )
                 ],
             },
             args.report,
         )
-    print(f"predicted class {pred.predicted}; {len(profile.gate_scores)} sentences")
+    print(f"predicted class {pred.predicted}; {len(pred.gate_scores)} sentences")
     return 0
 
 
@@ -195,7 +179,7 @@ def cmd_ablate(args):
         config, train_docs, dev_docs, test_docs, vocab_size=len(vocab), seeds=seeds
     )
     if args.out:
-        _write_json(table.to_dict(), args.out)
+        _write_json(asdict(table), args.out)
     width = max(len(r.label) for r in table.rows)
     for row in table.rows:
         extra = "" if row.p_value_vs_full is None else f"  p={row.p_value_vs_full:.5f}"
@@ -210,11 +194,11 @@ def cmd_analyze(args):
     params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
     data = load_dataset(_require(args, "data"), config.scheme, vocab, config.limits())
     result = evaluate(params, data.documents)
-    report = stddev_report(params, data.documents)
-    hist = error_histogram(result.predictions, config.scheme)
+    report = stddev_report(result.predictions)
+    hist = error_histogram(result.predictions)
     payload = {
         "accuracy": result.accuracy,
-        "stddev_report": report.to_dict(),
+        "stddev_report": asdict(report),
         "score_diff_histogram": hist.to_dict(),
     }
     if args.out:

@@ -6,6 +6,7 @@ Unknown keys are rejected so typos fail loudly at load time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import UsageError
@@ -73,6 +74,9 @@ class TrainConfig:
             )
         if self.dtype not in ("float32", "float64"):
             raise UsageError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        for name, kind in _KINDS.items():
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
         positive = (
             "learning_rate", "batch_size", "max_epochs", "patience",
             "d_tok", "d_h", "n_heads", "n_layers", "d_class", "d_class_hidden",

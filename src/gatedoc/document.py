@@ -54,23 +54,6 @@ class DocEncoderParams:
     dec_cell: GruCellParams
 
 
-@dataclass
-class ImportanceProfile:
-    """Per-sentence gate scores for one document, aligned to text spans.
-
-    When the gate variant is disabled the scores are 0.5 placeholders
-    and `gate_enabled` is False.
-    """
-
-    gate_scores: list
-    sentence_spans: list
-    doc_id: str
-    predicted: int | None = None
-    gold: int | None = None
-    gate_enabled: bool = True
-    sentence_texts: list | None = None
-
-
 def init_gate(width, mode, dtype):
     # W_g starts at zero (every gate exactly 0.5): a random projection here,
     # under Adam's scale-free steps, saturates all gates within the first

@@ -56,27 +56,26 @@ def score_color(normalized):
     return f"rgb({level},{level},255)"
 
 
-def render_heatmap(profile):
-    """Render an ImportanceProfile (with sentence texts) to an HTML page."""
-    if not profile.gate_scores:
-        raise UsageError("cannot render an empty importance profile")
-    if profile.sentence_texts is None or len(profile.sentence_texts) != len(
-        profile.gate_scores
-    ):
-        raise UsageError("profile is missing sentence texts; use explain() to build it")
-    normalized = minmax_normalize(profile.gate_scores)
+def render_heatmap(pred):
+    """Render a Prediction (with sentence texts) to an HTML page."""
+    if not pred.gate_scores:
+        raise UsageError("cannot render a prediction without gate scores")
+    if pred.sentence_texts is None or len(pred.sentence_texts) != len(pred.gate_scores):
+        raise UsageError("prediction is missing sentence texts; use explain() to build it")
+    normalized = minmax_normalize(pred.gate_scores)
     rows = []
-    for text, score, norm in zip(profile.sentence_texts, profile.gate_scores, normalized):
+    for text, score, norm in zip(pred.sentence_texts, pred.gate_scores, normalized):
         rows.append(
             f'<div class="sentence" style="background-color: {score_color(float(norm))}" '
             f'data-score="{score:.6f}">'
             f'<span class="score">g={score:.4f}</span>{html.escape(text)}</div>'
         )
-    meta_bits = [f"document {html.escape(str(profile.doc_id))}"]
-    if profile.predicted is not None:
-        meta_bits.append(f"predicted class {profile.predicted}")
-    if profile.gold is not None:
-        meta_bits.append(f"gold class {profile.gold}")
-    if not profile.gate_enabled:
+    meta_bits = [
+        f"document {html.escape(str(pred.doc_id))}",
+        f"predicted class {pred.predicted}",
+    ]
+    if pred.gold is not None:
+        meta_bits.append(f"gold class {pred.gold}")
+    if not pred.gate_enabled:
         meta_bits.append("gate disabled: placeholder scores")
     return _PAGE.format(meta=" &middot; ".join(meta_bits), rows="\n".join(rows), legend=_LEGEND)

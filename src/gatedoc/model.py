@@ -1,6 +1,6 @@
 """Full model: parameter construction with ablation switches, the
-forward pass over one tokenized document, and the sigmoid classifier
-head.
+forward pass over one tokenized document, the sigmoid classifier head,
+and `predict`, whose `Prediction` record is what every report reads.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -22,10 +22,22 @@ from .errors import DimensionError, UsageError
 
 @dataclass
 class Prediction:
+    """One document's class probabilities and per-sentence gate scores.
+
+    `gate_scores[i]` belongs to the sentence at `sentence_spans[i]`; when
+    the gate variant is disabled the scores are 0.5 placeholders and
+    `gate_enabled` is False.  `sentence_texts` is filled only by
+    `analysis.explain`, which has the raw text.
+    """
+
+    doc_id: str
     probs: list
     predicted: int
     gold: int | None
-    importance: docmod.ImportanceProfile
+    gate_scores: list
+    gate_enabled: bool
+    sentence_spans: list
+    sentence_texts: list | None = None
 
 
 @dataclass
@@ -34,7 +46,6 @@ class ForwardResult:
 
     probs: Tensor
     gate_scores: np.ndarray
-    gate_enabled: bool
 
 
 @dataclass
@@ -159,27 +170,21 @@ def forward(doc, mp):
     encs = docmod.encode_sequence(e_dprime, mp.doc_encoder.enc_cell)
     e_d, _ = docmod.decode_document(encs, mp.doc_encoder)
     probs = classify_head(e_d, mp)
-    return ForwardResult(probs=probs, gate_scores=scores, gate_enabled=mp.use_gate)
+    return ForwardResult(probs=probs, gate_scores=scores)
 
 
 def predict(doc, mp):
-    """Forward one document into a Prediction with its importance profile."""
+    """Forward one document into its Prediction."""
     result = forward(doc, mp)
     probs = result.probs.data.reshape(-1)
-    predicted = int(np.argmax(probs))  # lowest index wins ties
-    profile = docmod.ImportanceProfile(
-        gate_scores=[float(s) for s in result.gate_scores],
-        sentence_spans=list(doc.sentence_spans),
-        doc_id=doc.id,
-        predicted=predicted,
-        gold=doc.label,
-        gate_enabled=result.gate_enabled,
-    )
     return Prediction(
+        doc_id=doc.id,
         probs=[float(p) for p in probs],
-        predicted=predicted,
+        predicted=int(np.argmax(probs)),  # lowest index wins ties
         gold=doc.label,
-        importance=profile,
+        gate_scores=[float(s) for s in result.gate_scores],
+        gate_enabled=mp.use_gate,
+        sentence_spans=list(doc.sentence_spans),
     )
 
 

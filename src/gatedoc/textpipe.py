@@ -46,7 +46,7 @@ SCHEMES = {
 class RawDocument:
     id: str
     text: str
-    score: int
+    score: int | None  # None: an unlabelled document
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def bucket_label(score, scheme, doc_id=None):
     ten_scale: class = score - 1.  three_way: <3 negative (0),
     =3 neutral (1), >3 positive (2).
     """
-    if scheme not in SCHEMES:
-        raise UsageError(f"unknown label scheme {scheme!r}")
+    scheme_n_classes(scheme)  # raises on unknown scheme
     lo, hi, _ = SCHEMES[scheme]
     if not isinstance(score, int) or isinstance(score, bool) or not lo <= score <= hi:
         where = f" in document {doc_id!r}" if doc_id else ""
@@ -127,7 +126,6 @@ def segment_sentences(text):
     """
     if not text:
         raise UsageError("cannot segment empty text")
-    n = len(text)
     bounds = []
     for i, ch in enumerate(text):
         if ch in _TERMINATORS and _is_boundary(text, i):
@@ -211,9 +209,7 @@ def build_vocab(corpus, min_freq=2, max_size=20000):
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),
     )[:max_size]
-    id_to_token = list(RESERVED_TOKENS) + kept
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
-    return Vocab(token_to_id=token_to_id, id_to_token=id_to_token)
+    return vocab_from_tokens(kept)
 
 
 def vocab_from_tokens(tokens):
@@ -267,7 +263,7 @@ def assemble_document(
 
 def prepare_document(raw, scheme, vocab, limits):
     """RawDocument -> TokenizedDocument (label bucketed, stream built)."""
-    label = bucket_label(raw.score, scheme, doc_id=raw.id)
+    label = None if raw.score is None else bucket_label(raw.score, scheme, doc_id=raw.id)
     segments = segment_sentences(raw.text)
     ids = [tokenize(s, vocab) for s, _ in segments]
     spans = [span for _, span in segments]
@@ -283,9 +279,8 @@ def read_raw_dataset(path, scheme):
     Malformed lines and out-of-range scores are skipped with a counted
     warning; an empty result is a data error.
     """
-    lo, hi, _ = SCHEMES[scheme] if scheme in SCHEMES else (None, None, None)
-    if lo is None:
-        raise UsageError(f"unknown label scheme {scheme!r}")
+    scheme_n_classes(scheme)  # raises on unknown scheme
+    lo, hi, _ = SCHEMES[scheme]
     docs = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -317,20 +312,31 @@ def read_raw_dataset(path, scheme):
     return LoadedDataset(documents=docs, skipped=skipped)
 
 
+def prepare_documents(raws, scheme, vocab, limits, where):
+    """Prepare each RawDocument, in order; one that raises DataError is
+    skipped, counted and logged.
+
+    `where` names the source in messages; no usable document at all is a
+    data error.
+    """
+    docs = []
+    skipped = 0
+    for raw in raws:
+        try:
+            docs.append(prepare_document(raw, scheme, vocab, limits))
+        except DataError as exc:
+            skipped += 1
+            logger.warning("%s: document %r skipped: %s", where, raw.id, exc)
+    if not docs:
+        raise DataError(f"no usable documents in {where}")
+    return LoadedDataset(documents=docs, skipped=skipped)
+
+
 def load_dataset(path, scheme, vocab, limits):
     """One TokenizedDocument per valid line of a JSON-lines file, in order."""
     raw = read_raw_dataset(path, scheme)
-    docs = []
-    skipped = raw.skipped
-    for rd in raw.documents:
-        try:
-            docs.append(prepare_document(rd, scheme, vocab, limits))
-        except DataError as exc:
-            skipped += 1
-            logger.warning("%s: document %r skipped: %s", path, rd.id, exc)
-    if not docs:
-        raise DataError(f"no usable documents in {path}")
-    return LoadedDataset(documents=docs, skipped=skipped)
+    prepared = prepare_documents(raw.documents, scheme, vocab, limits, path)
+    return LoadedDataset(prepared.documents, skipped=raw.skipped + prepared.skipped)
 
 
 def shuffle_split(items, seed, ratios=(0.8, 0.1, 0.1)):

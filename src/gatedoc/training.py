@@ -60,20 +60,6 @@ class AblationRow:
 class AblationTable:
     rows: list
 
-    def to_dict(self):
-        return {
-            "rows": [
-                {
-                    "label": r.label,
-                    "test_accuracy": r.test_accuracy,
-                    "dev_accuracy": r.dev_accuracy,
-                    "test_accuracies": r.test_accuracies,
-                    "p_value_vs_full": r.p_value_vs_full,
-                }
-                for r in self.rows
-            ]
-        }
-
 
 def evaluate(params, documents):
     """Accuracy = correct / total over all documents, plus the predictions."""

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from gatedoc.analysis import error_histogram, minmax_normalize
-from gatedoc.document import ImportanceProfile
+from gatedoc.analysis import error_histogram, minmax_normalize, stddev_report
 from gatedoc.errors import UsageError
 from gatedoc.heatmap import render_heatmap
 from gatedoc.model import Prediction
@@ -18,12 +17,14 @@ class TestMinmaxNormalize:
 
 
 def _profile(texts, doc_id="doc-1"):
-    return ImportanceProfile(
-        gate_scores=[0.25, 0.75],
-        sentence_spans=[(0, 1), (2, 3)],
+    return Prediction(
         doc_id=doc_id,
+        probs=[0.2, 0.7, 0.1],
         predicted=1,
         gold=0,
+        gate_scores=[0.25, 0.75],
+        gate_enabled=True,
+        sentence_spans=[(0, 1), (2, 3)],
         sentence_texts=texts,
     )
 
@@ -51,8 +52,11 @@ class TestRenderHeatmap:
             render_heatmap(profile)
 
 
-def _pred(predicted, gold):
-    return Prediction(probs=[], predicted=predicted, gold=gold, importance=None)
+def _pred(predicted, gold, gate_scores=(0.5,), gate_enabled=True):
+    return Prediction(
+        doc_id="d", probs=[], predicted=predicted, gold=gold,
+        gate_scores=list(gate_scores), gate_enabled=gate_enabled, sentence_spans=[],
+    )
 
 
 class TestErrorHistogram:
@@ -62,7 +66,7 @@ class TestErrorHistogram:
             _pred(3, 4), _pred(5, 4), _pred(0, 1), _pred(2, 4), _pred(7, 3),
             _pred(9, 0), _pred(6, 6), _pred(0, 0),
         ]
-        hist = error_histogram(preds, "ten_scale")
+        hist = error_histogram(preds)
         assert hist.counts == {1: 3, 2: 1, 4: 1, 9: 1}
         assert hist.n_wrong == 6
         assert hist.cumulative_at_1 == pytest.approx(3 / 6)
@@ -70,10 +74,29 @@ class TestErrorHistogram:
         assert hist.to_dict()["counts"] == {"1": 3, "2": 1, "4": 1, "9": 1}
 
     def test_no_wrong_predictions(self):
-        hist = error_histogram([_pred(1, 1), _pred(2, 2)], "three_way")
+        hist = error_histogram([_pred(1, 1), _pred(2, 2)])
         assert (hist.counts, hist.n_wrong) == ({}, 0)
         assert hist.cumulative_at_1 is None and hist.cumulative_at_2 is None
 
     def test_unlabeled_prediction_is_rejected(self):
         with pytest.raises(UsageError):
-            error_histogram([_pred(1, None)], "three_way")
+            error_histogram([_pred(1, None)])
+
+
+class TestStddevReport:
+    def test_sorted_population_stddevs_of_normalized_scores(self):
+        preds = [
+            _pred(0, 0, gate_scores=[0.1, 0.9]),  # normalized [0, 1]: stddev 0.5
+            _pred(0, 0, gate_scores=[0.4, 0.4, 0.4]),  # all equal: stddev 0
+            _pred(0, 0, gate_scores=[0.2, 0.3, 0.4, 0.5]),  # [0, 1/3, 2/3, 1]
+        ]
+        report = stddev_report(preds)
+        assert report.stddevs == pytest.approx([0.0, np.std([0, 1 / 3, 2 / 3, 1]), 0.5])
+        assert report.fraction_over_0_2 == pytest.approx(2 / 3)
+        assert report.n_documents == 3
+
+    def test_refuses_empty_and_gate_disabled_predictions(self):
+        with pytest.raises(UsageError, match="non-empty"):
+            stddev_report([])
+        with pytest.raises(UsageError, match="gate enabled"):
+            stddev_report([_pred(0, 0), _pred(0, 0, gate_enabled=False)])

@@ -2,6 +2,11 @@
 
 import json
 
+import pytest
+
+import gatedoc.analysis
+import gatedoc.cli
+import gatedoc.model
 from gatedoc import synthetic
 from gatedoc.cli import main
 
@@ -51,3 +56,133 @@ def test_train_writes_one_json_line_per_epoch(tmp_path):
     entry = json.loads(lines[0])
     assert entry["epoch"] == 0
     assert set(entry) == {"epoch", "train_loss", "dev_accuracy"}
+
+
+# --- inference commands on a checkpoint trained for one epoch ---------------
+
+TEXT = "The plot was thin. Yet the acting is superb!  Mr. Smith shines in 2.5 hours."
+PREDICTION_KEYS = {"id", "predicted", "gold", "probs", "gate_scores", "gate_enabled"}
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(checkpoint, labelled data) for a gated model and (checkpoint) without the gate."""
+    root = tmp_path_factory.mktemp("trained")
+    data = _corpus(root)
+    ckpts = {}
+    for use_gate in ("true", "false"):
+        ckpt = root / f"gate-{use_gate}.ckpt"
+        config = _config(root, data, use_gate=use_gate)
+        assert main(["train", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        ckpts[use_gate] = ckpt
+    return ckpts["true"], data, ckpts["false"]
+
+
+def _json(path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_eval_writes_accuracy_and_counts(trained, tmp_path):
+    ckpt, data, _ = trained
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    payload = _json(out)
+    assert set(payload) == {"accuracy", "correct", "total", "skipped"}
+    assert (payload["total"], payload["skipped"]) == (40, 0)
+
+
+def test_predict_data_writes_one_record_per_document(trained, tmp_path):
+    ckpt, data, _ = trained
+    out = tmp_path / "pred.json"
+    argv = ["predict", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    records = _json(out)["predictions"]
+    assert len(records) == 40
+    assert all(set(rec) == PREDICTION_KEYS for rec in records)
+    assert records[0]["id"] == "synth-00000" and records[0]["gold"] is not None
+
+
+def test_predict_text_is_one_unlabelled_record(trained, tmp_path):
+    ckpt, _, _ = trained
+    out = tmp_path / "pred.json"
+    assert main(["predict", "--checkpoint", str(ckpt), "--text", TEXT, "--out", str(out)]) == 0
+    (record,) = _json(out)["predictions"]
+    assert set(record) == PREDICTION_KEYS
+    assert (record["id"], record["gold"], len(record["gate_scores"])) == ("input", None, 3)
+
+
+def test_explain_writes_heatmap_and_report_aligned_to_the_text(trained, tmp_path):
+    ckpt, _, _ = trained
+    page, report = tmp_path / "heat.html", tmp_path / "report.json"
+    argv = ["explain", "--checkpoint", str(ckpt), "--text", TEXT,
+            "--out", str(page), "--report", str(report)]
+    assert main(argv) == 0
+    assert page.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+    payload = _json(report)
+    assert set(payload) == {"prediction", "sentences"}
+    assert set(payload["prediction"]) == PREDICTION_KEYS
+    sentences = payload["sentences"]
+    assert [set(s) for s in sentences] == [{"text", "span", "gate_score"}] * 3
+    for sentence in sentences:
+        start, end = sentence["span"]
+        assert sentence["text"] == TEXT[start:end]
+    assert [s["gate_score"] for s in sentences] == payload["prediction"]["gate_scores"]
+
+
+def test_analyze_writes_both_reports(trained, tmp_path):
+    ckpt, data, _ = trained
+    out = tmp_path / "analyze.json"
+    argv = ["analyze", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    payload = _json(out)
+    assert set(payload) == {"accuracy", "stddev_report", "score_diff_histogram"}
+    assert set(payload["stddev_report"]) == {"stddevs", "fraction_over_0_2", "n_documents"}
+    assert payload["stddev_report"]["n_documents"] == 40
+    assert set(payload["score_diff_histogram"]) == {
+        "counts", "n_wrong", "cumulative_at_1", "cumulative_at_2"
+    }
+
+
+def test_analyze_runs_the_model_once_per_document(trained, tmp_path, monkeypatch):
+    ckpt, data, _ = trained
+    calls = []
+
+    def counting(doc, mp):
+        calls.append(doc.id)
+        return original(doc, mp)
+
+    original = gatedoc.model.predict
+    for module in (gatedoc.model, gatedoc.analysis, gatedoc.cli):
+        monkeypatch.setattr(module, "predict", counting)
+    assert main(["analyze", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+    assert len(calls) == 40 and len(set(calls)) == 40
+
+
+def test_analyze_without_gate_is_usage_error(trained):
+    _, data, ckpt = trained
+    assert main(["analyze", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+
+
+def test_ablate_writes_four_rows_with_p_values(tmp_path):
+    config = _config(tmp_path, _corpus(tmp_path))
+    out = tmp_path / "ablate.json"
+    assert main(["ablate", "--config", str(config), "--seeds", "2", "--out", str(out)]) == 0
+    rows = _json(out)["rows"]
+    assert len(rows) == 4
+    assert all(
+        set(row) == {"label", "test_accuracy", "dev_accuracy", "test_accuracies",
+                     "p_value_vs_full"}
+        for row in rows
+    )
+    assert rows[0]["p_value_vs_full"] is None
+    assert all(0.0 <= row["p_value_vs_full"] <= 1.0 for row in rows[1:])
+
+
+def test_explain_blank_text_is_usage_error(trained):
+    ckpt, _, _ = trained
+    assert main(["explain", "--checkpoint", str(ckpt), "--text", "   "]) == 1
+
+
+def test_predict_without_text_or_data_is_usage_error(trained):
+    ckpt, _, _ = trained
+    assert main(["predict", "--checkpoint", str(ckpt)]) == 1

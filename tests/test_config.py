@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gatedoc import synthetic
 from gatedoc.cli import main
 from gatedoc.config import TrainConfig, parse_config_text
 from gatedoc.errors import UsageError
@@ -70,4 +71,18 @@ def test_bad_value_type_is_rejected(line):
 def test_cli_exits_1_on_bad_value_type(tmp_path, line):
     path = tmp_path / "run.cfg"
     path.write_text(f"data = corpus.jsonl\n{line}\n", encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_from_dict_rejects_non_finite_float(value):
+    with pytest.raises(UsageError, match="learning_rate must be finite"):
+        TrainConfig.from_dict({"learning_rate": value})
+
+
+def test_cli_exits_1_on_nan_learning_rate(tmp_path):
+    data = tmp_path / "corpus.jsonl"
+    synthetic.write_corpus(synthetic.generate_key_sentence_corpus(40, seed=0), data)
+    path = tmp_path / "run.cfg"
+    path.write_text(f"data = {data}\nlearning_rate = nan\nmax_epochs = 1\n", encoding="utf-8")
     assert main(["train", "--config", str(path)]) == 1

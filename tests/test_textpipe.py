@@ -290,6 +290,23 @@ class TestLoadDataset:
         loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
         assert loaded.skipped == 1
 
+    def test_whitespace_only_text_is_read_then_skipped_when_prepared(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        _write_jsonl(
+            path,
+            [
+                {"id": "ok", "text": "Good film.", "score": 5},
+                {"id": "blank", "text": " \t ", "score": 2},
+            ],
+        )
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [d.id for d in raw.documents] == ["ok", "blank"] and raw.skipped == 0
+        vocab = tp.build_vocab([rd(0, "good film . " * 2)], min_freq=1)
+        prepared = tp.prepare_documents(raw.documents, "three_way", vocab, tp.Limits(), path)
+        assert [d.id for d in prepared.documents] == ["ok"] and prepared.skipped == 1
+        loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+        assert [d.id for d in loaded.documents] == ["ok"] and loaded.skipped == 1
+
     def test_empty_file_is_data_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")

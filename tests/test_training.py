@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from gatedoc import training
@@ -16,3 +18,84 @@ def test_seeded_training_is_bit_identical(rng):
     assert a.keys() == b.keys()
     for name in a:
         assert np.array_equal(a[name].data, b[name].data), name
+
+
+def _scripted_dev(monkeypatch, accuracies, params_seen):
+    """Replace dev evaluation with a fixed accuracy per epoch; record the
+    parameters each epoch's evaluation saw."""
+    scripted = iter(accuracies)
+
+    def fake_evaluate(params, documents):
+        params_seen.append({n: t.data.copy() for n, t in params.named_parameters()})
+        return training.EvalResult(
+            accuracy=next(scripted), correct=0, total=len(documents), predictions=[]
+        )
+
+    monkeypatch.setattr(training, "evaluate", fake_evaluate)
+
+
+def _train_docs(rng, n=6):
+    return [make_doc(rng, 2, 20, label=i % 3, doc_id=f"d{i}") for i in range(n)]
+
+
+class TestEarlyStopping:
+    def test_patience_counts_ties_and_drops_then_stops(self, rng, monkeypatch):
+        seen = []
+        _scripted_dev(monkeypatch, [0.5, 0.6, 0.6, 0.4, 0.9, 0.9], seen)
+        cfg = tiny_config(max_epochs=6, patience=2, batch_size=2)
+        docs = _train_docs(rng)
+        result = training.train(docs[:4], docs[4:], cfg, vocab_size=20)
+        # epoch 2 ties (1 bad epoch), epoch 3 drops (2 bad epochs): stop
+        assert [h["epoch"] for h in result.history] == [0, 1, 2, 3]
+        assert [h["dev_accuracy"] for h in result.history] == [0.5, 0.6, 0.6, 0.4]
+
+    def test_best_snapshot_restored_and_tie_keeps_later_epoch(self, rng, monkeypatch):
+        seen = []
+        _scripted_dev(monkeypatch, [0.5, 0.6, 0.6, 0.4], seen)
+        cfg = tiny_config(max_epochs=4, patience=5, batch_size=2)
+        docs = _train_docs(rng)
+        result = training.train(docs[:4], docs[4:], cfg, vocab_size=20)
+        assert (result.best_epoch, result.best_dev_accuracy) == (2, 0.6)
+        final = {n: t.data for n, t in result.params.named_parameters()}
+
+        def same(snapshot):
+            return all(np.array_equal(final[n], snapshot[n]) for n in final)
+
+        assert same(seen[2])
+        assert not same(seen[1]) and not same(seen[3])
+
+
+class TestAblationRun:
+    def test_rows_in_variant_order_with_p_values_only_over_two_seeds(self, rng):
+        cfg = tiny_config(max_epochs=1, batch_size=4)
+        docs = [make_doc(rng, 2, 20, label=i % 3, doc_id=f"d{i}") for i in range(10)]
+        train_docs, dev_docs, test_docs = docs[:6], docs[6:8], docs[8:]
+        labels = [label for label, _ in training.ABLATION_VARIANTS]
+
+        one = training.ablation_run(cfg, train_docs, dev_docs, test_docs, 20, seeds=[0])
+        assert [row.label for row in one.rows] == labels
+        assert all(row.p_value_vs_full is None for row in one.rows)
+        assert all(len(row.test_accuracies) == 1 for row in one.rows)
+
+        two = training.ablation_run(cfg, train_docs, dev_docs, test_docs, 20, seeds=[0, 1])
+        assert [row.label for row in two.rows] == labels
+        assert two.rows[0].p_value_vs_full is None
+        for row in two.rows[1:]:
+            assert isinstance(row.p_value_vs_full, float)
+            assert 0.0 <= row.p_value_vs_full <= 1.0
+        assert all(len(row.test_accuracies) == 2 for row in two.rows)
+
+
+def test_write_metrics_one_sorted_json_line_per_epoch(tmp_path):
+    history = [
+        {"train_loss": 1.25, "epoch": 0, "dev_accuracy": 0.5},
+        {"train_loss": 0.75, "epoch": 1, "dev_accuracy": 0.625},
+    ]
+    path = tmp_path / "metrics.jsonl"
+    training.write_metrics(history, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(entry, sort_keys=True) for entry in history]
+    assert [list(json.loads(line)) for line in lines] == [
+        ["dev_accuracy", "epoch", "train_loss"]
+    ] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
