@@ -28,8 +28,6 @@ from .encoder import (
     ClassSimilarity,
     EncoderParams,
     class_similarity,
-    enrich,
-    extract_sentence_embeddings,
     transformer_encode,
 )
 from .errors import (

@@ -3,15 +3,17 @@
 Covers exactly what the gated document classifier needs: 2-D matrix
 products, the affine map x W + b as one node, pointwise add and mul of
 equal shapes, multiplication by a python float, sigmoid/tanh/relu, row
-gather, axis slicing, n-ary concat, transpose, softmax, block-scoped
-multi-head attention (one node per layer, with a hand-written backward),
-a GRU run over all rows of its input (one node, input projections
-hoisted out of the step loop, and a hand-written backward through time),
-row-wise layer normalisation, per-row scaling (the gate application),
-binary cross-entropy, the parameter walk over parameter dataclasses, a
+gather, n-ary concat, transpose, softmax, block-scoped multi-head
+attention (one node per layer, with a hand-written backward), a GRU run
+over all rows of its input (one node, input projections hoisted out of
+the step loop, and a hand-written backward through time), row-wise
+layer normalisation, per-row scaling (the gate application), binary
+cross-entropy, the parameter walk over parameter dataclasses, a
 fourth-order central-difference gradient checker and an Adam optimizer.
 No op broadcasts: a bias row enters only through `linear`, a scalar only
-through `scale` or `scale_rows`.
+through `scale` or `scale_rows`.  Each op checks the shapes it is given
+and raises DimensionError, so the model code above it does not check
+them again.
 
 Graphs are built eagerly: every operation whose inputs require
 gradients records a `Node` holding the op kind, its input tensors and a
@@ -307,23 +309,6 @@ def concat(tensors, axis=0):
         return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
 
     return _make("concat", out, tensors, bw)
-
-
-def slice_axis(x, axis, start, stop):
-    """Contiguous slice along one axis; backward scatters into a zero array."""
-    if not 0 <= axis < x.data.ndim:
-        raise DimensionError(f"slice: axis {axis} out of range for shape {x.shape}")
-    if not 0 <= start < stop <= x.shape[axis]:
-        raise DimensionError(f"slice: range [{start}, {stop}) invalid for shape {x.shape}")
-    sl = tuple(slice(None) if ax != axis else slice(start, stop) for ax in range(x.data.ndim))
-    out = x.data[sl].copy()
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[sl] = g
-        return (full,)
-
-    return _make("slice", out, (x,), bw)
 
 
 def gather_rows(x, indices):
@@ -644,7 +629,8 @@ def grad_check(f, params, eps=1e-4):
     (8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h; each difference is
     taken before it is scaled, so a zero gradient reads as exactly zero.
     Relative error uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator.  Run in 64-bit.
+    denominator.  Returns (worst, (name, flat index, analytic, numeric));
+    the entry is None when `params` hold no values.  Run in 64-bit.
     """
     params = list(params)
     zero_grad(params)
@@ -655,7 +641,7 @@ def grad_check(f, params, eps=1e-4):
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
     ]
-    worst = 0.0
+    worst, entry = 0.0, None
     for p, ana in zip(params, analytic):
         p.data = np.ascontiguousarray(p.data)  # reshape below must be a view
         flat = p.data.reshape(-1)
@@ -674,10 +660,10 @@ def grad_check(f, params, eps=1e-4):
             num = (8.0 * (f1p - f1m) - (f2p - f2m)) / (12.0 * eps)
             a = float(ana.reshape(-1)[i])
             rel = abs(a - num) / max(abs(a), abs(num), 1e-8)
-            if rel > worst:
-                worst = rel
+            if entry is None or rel > worst:
+                worst, entry = rel, (p.name, i, a, num)
     zero_grad(params)
-    return worst
+    return worst, entry
 
 
 @dataclass
@@ -693,8 +679,8 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params, grads, state):
-    """One Adam update over `params` (name -> Tensor) with `grads` (name -> array).
+def adam_step(named, state):
+    """One Adam update of each (name, Tensor) in `named` from its `.grad`.
 
     Deterministic given inputs; raises TrainingError on a non-finite
     gradient, naming the parameter.
@@ -704,10 +690,8 @@ def adam_step(params, grads, state):
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, p in params.items():
-        if name not in grads:
-            continue
-        g = grads[name]
+    for name, p in named:
+        g = p.grad
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         m = state.m.get(name)
@@ -720,7 +704,6 @@ def adam_step(params, grads, state):
         state.m[name] = m
         state.v[name] = v
         p.data = p.data - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params, state
 
 
 def xavier_uniform(rng, rows, cols, dtype):

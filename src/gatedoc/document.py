@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DimensionError, UsageError
+from .errors import UsageError
 
 
 @dataclass
@@ -99,11 +99,6 @@ def gate(e_prime, gp):
     reported score is the mean gate of the row.  Returns (scores as
     float64 per sentence, E'').
     """
-    n, width = e_prime.shape
-    if gp.w_g.shape[1] != width:
-        raise DimensionError(
-            f"gate width {gp.w_g.shape[1]} does not match embedding width {width}"
-        )
     z = ad.matmul(e_prime, ad.transpose(gp.w_g))  # (n, 1) or (n, width)
     g = ad.sigmoid(z)
     if gp.mode == "scalar":
@@ -131,10 +126,6 @@ def encode_sequence(e_dprime, cell):
 
 def attend(encs, query):
     """Dot-product attention: weights over encoder states and their weighted sum."""
-    if query.shape != (1, encs.shape[1]):
-        raise DimensionError(
-            f"attend: query shape {query.shape} does not match states {encs.shape}"
-        )
     scores = ad.matmul(encs, ad.transpose(query))  # (n, 1)
     a = ad.softmax(scores, axis=0)
     cnt = ad.matmul(ad.transpose(a), encs)  # (1, d_g)
@@ -148,10 +139,7 @@ def decode_document(encs, dp):
     decoder's initial state; the decoder input is the start-symbol
     embedding concatenated with the context vector.
     """
-    n = encs.shape[0]
-    if n < 1:
-        raise DimensionError("decode_document needs at least one encoder state")
-    enc_n = ad.slice_axis(encs, 0, n - 1, n)
+    enc_n = ad.gather_rows(encs, [encs.shape[0] - 1])
     dec0 = ad.tanh(ad.linear(enc_n, dp.bridge_w, dp.bridge_b))
     a, cnt = attend(encs, dec0)
     x = ad.concat((dp.start_emb, cnt), axis=1)

@@ -1,6 +1,6 @@
 """Sentence encoder: a parameter-shared transformer over the
-[CLS]/[SEP] token stream, separator-output extraction, and the
-class-similarity enrichment of each sentence embedding.
+[CLS]/[SEP] token stream, and the class similarities of the sentence
+embeddings that `model.forward` reads at the [SEP] rows.
 
 One transformer layer's weights are applied at every depth, so the
 parameter count is independent of the layer count.  Blocks are
@@ -70,9 +70,6 @@ class ClassSimilarity:
 
 
 def init_encoder(rng, vocab_size, d_tok, d_h, n_heads, n_layers, max_len, dtype):
-    if d_h % n_heads != 0:
-        raise DimensionError(f"d_h {d_h} not divisible by n_heads {n_heads}")
-
     def xu(r, c):
         return ad.xavier_uniform(rng, r, c, dtype)
 
@@ -170,16 +167,10 @@ def transformer_encode(stream, params, segments=None):
     `segments_from_seps` produces, and self-attention is restricted to
     the run (sentence-scoped attention); ids that recur after a gap
     raise DimensionError.  With None every position attends to the
-    whole stream.
+    whole stream.  The ops refuse a stream longer than the position
+    table, and `attention` a `segments` of another length.
     """
     n = len(stream)
-    max_len = params.pos_emb.shape[0]
-    if n > max_len:
-        raise DimensionError(f"stream of {n} tokens exceeds max length {max_len}")
-    if segments is not None and len(segments) != n:
-        raise DimensionError(
-            f"segments length {len(segments)} does not match stream length {n}"
-        )
     blocks = [(0, n)] if segments is None else _segment_blocks(segments)
     tok = ad.gather_rows(params.tok_emb, stream)
     pos = ad.gather_rows(params.pos_emb, list(range(n)))
@@ -189,30 +180,9 @@ def transformer_encode(stream, params, segments=None):
     return x
 
 
-def extract_sentence_embeddings(encoded, sep_positions):
-    """Rows of the encoded stream at the separator positions."""
-    n = encoded.shape[0]
-    for pos in sep_positions:
-        if not 0 <= pos < n:
-            raise DimensionError(
-                f"separator position {pos} outside stream of length {n} (assembly bug)"
-            )
-    return ad.gather_rows(encoded, list(sep_positions))
-
-
 def class_similarity(e_in, cs):
     """Inner products with each class embedding: rows W_c . FNN(e) (k x n_classes)."""
-    if e_in.shape[1] != cs.w1.shape[0]:
-        raise DimensionError(
-            f"class similarity expects width {cs.w1.shape[0]}, got {e_in.shape[1]}"
-        )
     h = ad.relu(ad.linear(e_in, cs.w1, cs.b1))
     f = ad.relu(ad.linear(h, cs.w2, cs.b2))
     return ad.matmul(f, ad.transpose(cs.w_c))
 
-
-def enrich(e, c):
-    """Row-wise concatenation [E_i ; C_i] (width d_h + n_classes)."""
-    if e.shape[0] != c.shape[0]:
-        raise DimensionError(f"enrich: row counts differ ({e.shape[0]} vs {c.shape[0]})")
-    return ad.concat((e, c), axis=1)

@@ -1,6 +1,8 @@
 """Full model: parameter construction with ablation switches, the
 forward pass over one tokenized document, the sigmoid classifier head,
 and `predict`, whose `Prediction` record is what every report reads.
+The forward pass reads each sentence's embedding at its [SEP] row with
+`gather_rows` and appends its class similarities with `concat`.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -17,7 +19,7 @@ from . import autodiff as ad
 from . import document as docmod
 from . import encoder as encmod
 from .autodiff import Tensor
-from .errors import DimensionError, UsageError
+from .errors import UsageError
 
 
 @dataclass
@@ -142,10 +144,6 @@ def classify_head(e_d, mp):
         head_in = ad.concat((e_d, c_d), axis=1)
     else:
         head_in = e_d
-    if head_in.shape[1] != mp.out_w1.shape[0]:
-        raise DimensionError(
-            f"classifier head expects width {mp.out_w1.shape[0]}, got {head_in.shape[1]}"
-        )
     h = ad.relu(ad.linear(head_in, mp.out_w1, mp.out_b1))
     return ad.sigmoid(ad.linear(h, mp.out_w2, mp.out_b2))
 
@@ -156,10 +154,10 @@ def forward(doc, mp):
     if mp.attention_scope == "sentence":
         segments = encmod.segments_from_seps(len(doc.token_stream), doc.sep_positions)
     encoded = encmod.transformer_encode(doc.token_stream, mp.encoder, segments=segments)
-    e = encmod.extract_sentence_embeddings(encoded, doc.sep_positions)
+    e = ad.gather_rows(encoded, doc.sep_positions)
     if mp.use_sentence_class_sim:
         c = encmod.class_similarity(e, mp.sent_sim)
-        e_prime = encmod.enrich(e, c)
+        e_prime = ad.concat((e, c), axis=1)
     else:
         e_prime = e
     if mp.use_gate:

@@ -68,15 +68,17 @@ def generate_key_sentence_corpus(n_docs, seed, n_distractors=5):
     """Balanced two-class documents, one key sentence each, in confound pairs."""
     rng = np.random.default_rng(seed)
     records = []
-    for pair in range(n_docs // 2):
+    for pair in range((n_docs + 1) // 2):
         distractors = [_distractor(rng) for _ in range(n_distractors)]
         key_index = int(rng.integers(0, n_distractors + 1))
         for label in (0, 1):
+            i = 2 * pair + label
+            if i == n_docs:  # odd count: the last pair has only its negative
+                break
             pool = POSITIVE_TOKENS if label else NEGATIVE_TOKENS
             key = _finish(_draw(rng, pool, int(rng.integers(4, 7))))
             sentences = list(distractors)
             sentences.insert(key_index, key)
-            i = 2 * pair + label
             records.append(
                 SyntheticRecord(
                     id=f"synth-{i:05d}",
@@ -85,20 +87,6 @@ def generate_key_sentence_corpus(n_docs, seed, n_distractors=5):
                     key_index=key_index,
                 )
             )
-    if n_docs % 2:  # odd count: one extra negative document
-        distractors = [_distractor(rng) for _ in range(n_distractors)]
-        key_index = int(rng.integers(0, n_distractors + 1))
-        key = _finish(_draw(rng, NEGATIVE_TOKENS, int(rng.integers(4, 7))))
-        sentences = list(distractors)
-        sentences.insert(key_index, key)
-        records.append(
-            SyntheticRecord(
-                id=f"synth-{n_docs - 1:05d}",
-                text=" ".join(sentences),
-                score=NEGATIVE_SCORE,
-                key_index=key_index,
-            )
-        )
     return records
 
 

@@ -149,8 +149,6 @@ def _is_boundary(text, i):
     n = len(text)
     ch = text[i]
     if ch == ".":
-        if i + 1 < n and i >= 1 and text[i - 1].isdigit() and text[i + 1].isdigit():
-            return False  # decimal point
         w = i
         while w > 0 and not text[w - 1].isspace():
             w -= 1

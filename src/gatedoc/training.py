@@ -99,11 +99,7 @@ def _batch_step(batch, params, named, optimizer, batch_index):
             )
         losses.append(value)
         ad.backward(ad.scale(loss, inv))
-    grads = {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in named
-    }
-    ad.adam_step(dict(named), grads, optimizer)
+    ad.adam_step(named, optimizer)
     return losses
 
 
@@ -189,7 +185,7 @@ def ablation_run(config, train_docs, dev_docs, test_docs, vocab_size, seeds=None
             variant = replace(config, seed=seed, **overrides)
             result = train(train_docs, dev_docs, variant, vocab_size)
             test_accs.append(evaluate(result.params, test_docs).accuracy)
-            dev_accs.append(evaluate(result.params, dev_docs).accuracy)
+            dev_accs.append(result.best_dev_accuracy)
         if full_accs is None:
             full_accs = test_accs
             p_value = None

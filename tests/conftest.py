@@ -68,6 +68,19 @@ def randomize_params(params, rng, scale=0.5):
         t.data = rng.uniform(-scale, scale, size=t.data.shape).astype(t.data.dtype)
 
 
+def skewed_backward(op, factor=1.01):
+    """`op` with every input gradient of its backward scaled by `factor`."""
+
+    def skewed(*args, **kwargs):
+        out = op(*args, **kwargs)
+        if out.node is not None:
+            bw = out.node.backward_fn
+            out.node.backward_fn = lambda g: tuple(factor * gi for gi in bw(g))
+        return out
+
+    return skewed
+
+
 def zero_params(params):
     for _, t in params.named_parameters():
         t.data = np.zeros_like(t.data)

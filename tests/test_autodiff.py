@@ -148,10 +148,10 @@ class TestConcatSplit:
 
     def test_slice_round_trip_exact(self, rng):
         parts = [rng.standard_normal((3, w)) for w in (2, 4, 1)]
-        merged = ad.concat([t(p) for p in parts], axis=1)
-        np.testing.assert_array_equal(ad.slice_axis(merged, 1, 0, 2).data, parts[0])
-        np.testing.assert_array_equal(ad.slice_axis(merged, 1, 2, 6).data, parts[1])
-        np.testing.assert_array_equal(ad.slice_axis(merged, 1, 6, 7).data, parts[2])
+        merged = ad.concat([t(p) for p in parts], axis=1).data
+        np.testing.assert_array_equal(merged[:, 0:2], parts[0])
+        np.testing.assert_array_equal(merged[:, 2:6], parts[1])
+        np.testing.assert_array_equal(merged[:, 6:7], parts[2])
 
     def test_axis_out_of_range(self):
         with pytest.raises(DimensionError):
@@ -271,7 +271,7 @@ def _composed_gru(x, h0, w, u, b):
     ones = Tensor(np.ones(h0.shape))
     h, states = h0, []
     for i in range(x.shape[0]):
-        xi = ad.slice_axis(x, 0, i, i + 1)
+        xi = ad.gather_rows(x, [i])
         z = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[0]), ad.matmul(h, u[0])), b[0]))
         r = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[1]), ad.matmul(h, u[1])), b[1]))
         c = ad.tanh(ad.add(ad.add(ad.matmul(xi, w[2]), ad.matmul(ad.mul(r, h), u[2])), b[2]))
@@ -482,15 +482,19 @@ class TestBackward:
 
 
 def _check(f, params, bound=1e-5):
-    worst = ad.grad_check(f, params)
-    assert worst < bound, f"worst relative error {worst}"
+    worst, entry = ad.grad_check(f, params)
+    assert worst < bound, f"worst relative error {worst} at {entry}"
 
 
 class TestGradCheckPerOp:
     def test_quadratic_textbook_case(self):
         theta = t([[3.0]], name="theta")
-        worst = ad.grad_check(lambda: ad.mul(theta, theta), [theta])
+        worst, (name, index, analytic, numeric) = ad.grad_check(
+            lambda: ad.mul(theta, theta), [theta]
+        )
         assert worst < 1e-9
+        assert (name, index, analytic) == ("theta", 0, 6.0)
+        assert abs(numeric - 6.0) < 1e-9
 
     def test_matmul(self, rng):
         a = t(rng.uniform(-1, 1, (3, 4)))
@@ -529,13 +533,9 @@ class TestGradCheckPerOp:
     def test_concat_and_slice(self, rng):
         a = t(rng.uniform(-1, 1, (2, 3)))
         b = t(rng.uniform(-1, 1, (2, 2)))
-
-        def f():
-            merged = ad.concat((a, b, a), axis=1)
-            left, right = ad.slice_axis(merged, 1, 0, 3), ad.slice_axis(merged, 1, 3, 8)
-            return total(ad.tanh(ad.concat((right, left), axis=1)))
-
-        _check(f, [a, b])
+        # a distinct weight per column, so a misplaced split boundary shows
+        w = t(rng.uniform(-1, 1, (2, 8)), grad=False)
+        _check(lambda: total(ad.mul(ad.tanh(ad.concat((a, b, a), axis=1)), w)), [a, b])
 
     def test_gather_rows_with_repeats(self, rng):
         table = t(rng.uniform(-1, 1, (5, 3)))
@@ -591,7 +591,7 @@ class TestGradCheckPerOp:
         r = np.random.default_rng(seed)
         a = t(r.uniform(-1, 1, (n, d)))
         b = t(r.uniform(-1, 1, (d, n)))
-        worst = ad.grad_check(
+        worst, _ = ad.grad_check(
             lambda: total(ad.sigmoid(ad.matmul(ad.tanh(a), b))), [a, b]
         )
         assert worst < 1e-5
@@ -619,29 +619,32 @@ class TestAdam:
         p = ad.parameter("p", rng.standard_normal((2, 2)))
         before = p.data.copy()
         state = ad.OptimizerState(learning_rate=0.1)
-        ad.adam_step({"p": p}, {"p": np.zeros((2, 2))}, state)
+        p.grad = np.zeros((2, 2))
+        ad.adam_step([("p", p)], state)
         np.testing.assert_array_equal(p.data, before)
 
     def test_first_step_magnitude_is_learning_rate(self, rng):
         p = ad.parameter("p", np.zeros((3, 3)))
         g = rng.uniform(0.5, 2.0, (3, 3))
         state = ad.OptimizerState(learning_rate=0.01)
-        ad.adam_step({"p": p}, {"p": g}, state)
+        p.grad = g
+        ad.adam_step([("p", p)], state)
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-6)
 
     def test_converges_on_quadratic(self):
         theta = ad.parameter("theta", np.array([[0.0]]))
         state = ad.OptimizerState(learning_rate=0.1)
         for _ in range(100):
-            grad = 2.0 * (theta.data - 5.0)
-            ad.adam_step({"theta": theta}, {"theta": grad}, state)
+            theta.grad = 2.0 * (theta.data - 5.0)
+            ad.adam_step([("theta", theta)], state)
         assert abs(theta.data[0, 0] - 5.0) < 0.5
 
     def test_non_finite_gradient_names_parameter(self):
         p = ad.parameter("exploding", np.zeros((1, 1)))
         state = ad.OptimizerState(learning_rate=0.1)
+        p.grad = np.array([[np.nan]])
         with pytest.raises(TrainingError, match="exploding"):
-            ad.adam_step({"exploding": p}, {"exploding": np.array([[np.nan]])}, state)
+            ad.adam_step([("exploding", p)], state)
 
     def test_deterministic_given_inputs(self, rng):
         g = rng.standard_normal((2, 2))
@@ -649,7 +652,8 @@ class TestAdam:
         for _ in range(2):
             p = ad.parameter("p", np.ones((2, 2)))
             state = ad.OptimizerState(learning_rate=0.05)
+            p.grad = g
             for _ in range(3):
-                ad.adam_step({"p": p}, {"p": g}, state)
+                ad.adam_step([("p", p)], state)
             results.append(p.data.copy())
         np.testing.assert_array_equal(results[0], results[1])

@@ -7,8 +7,11 @@ import pytest
 import gatedoc.analysis
 import gatedoc.cli
 import gatedoc.model
+from gatedoc import autodiff as ad
 from gatedoc import synthetic
 from gatedoc.cli import main
+
+from conftest import skewed_backward
 
 
 def _corpus(tmp_path, n_docs=40):
@@ -143,24 +146,32 @@ def test_analyze_writes_both_reports(trained, tmp_path):
     }
 
 
-def test_analyze_runs_the_model_once_per_document(trained, tmp_path, monkeypatch):
-    ckpt, data, _ = trained
+def _count_predict_calls(monkeypatch):
+    """Ids of the documents `model.predict` runs on, wherever it is called from."""
     calls = []
+    original = gatedoc.model.predict
 
     def counting(doc, mp):
         calls.append(doc.id)
         return original(doc, mp)
 
-    original = gatedoc.model.predict
     for module in (gatedoc.model, gatedoc.analysis, gatedoc.cli):
         monkeypatch.setattr(module, "predict", counting)
+    return calls
+
+
+def test_analyze_runs_the_model_once_per_document(trained, tmp_path, monkeypatch):
+    ckpt, data, _ = trained
+    calls = _count_predict_calls(monkeypatch)
     assert main(["analyze", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
     assert len(calls) == 40 and len(set(calls)) == 40
 
 
-def test_analyze_without_gate_is_usage_error(trained):
+def test_analyze_without_gate_is_usage_error(trained, monkeypatch):
     _, data, ckpt = trained
+    calls = _count_predict_calls(monkeypatch)
     assert main(["analyze", "--checkpoint", str(ckpt), "--data", str(data)]) == 1
+    assert calls == []  # refused before the model runs
 
 
 def test_ablate_writes_four_rows_with_p_values(tmp_path):
@@ -186,3 +197,18 @@ def test_explain_blank_text_is_usage_error(trained):
 def test_predict_without_text_or_data_is_usage_error(trained):
     ckpt, _, _ = trained
     assert main(["predict", "--checkpoint", str(ckpt)]) == 1
+
+
+def test_gradcheck_passes_and_names_the_worst_entry(tmp_path):
+    out = tmp_path / "gradcheck.json"
+    assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == 0
+    payload = _json(out)
+    assert payload["max_relative_error"] < payload["threshold"]
+    worst = payload["worst"]
+    assert set(worst) == {"parameter", "index", "analytic", "numeric"}
+    assert worst["parameter"].split(".")[0] in {"encoder", "classsim", "gate", "docenc", "head"}
+
+
+def test_gradcheck_catches_one_percent_tanh_error(monkeypatch):
+    monkeypatch.setattr(ad, "tanh", skewed_backward(ad.tanh))
+    assert main(["gradcheck", "--seed", "0"]) == 3

@@ -93,19 +93,21 @@ class TestTransformerEncode:
 
 
 class TestExtract:
+    """`model.forward` reads the sentence embeddings with `gather_rows`."""
+
     def test_picks_separator_rows(self, rng):
         encoded = Tensor(rng.standard_normal((9, 4)))
-        out = enc.extract_sentence_embeddings(encoded, [4, 8])
+        out = ad.gather_rows(encoded, [4, 8])
         np.testing.assert_array_equal(out.data, encoded.data[[4, 8]])
 
     def test_single_sentence_single_row(self, rng):
         encoded = Tensor(rng.standard_normal((5, 4)))
-        assert enc.extract_sentence_embeddings(encoded, [4]).shape == (1, 4)
+        assert ad.gather_rows(encoded, [4]).shape == (1, 4)
 
     def test_out_of_range_is_internal_error(self, rng):
         encoded = Tensor(rng.standard_normal((5, 4)))
-        with pytest.raises(DimensionError, match="assembly"):
-            enc.extract_sentence_embeddings(encoded, [5])
+        with pytest.raises(DimensionError, match="out of range"):
+            ad.gather_rows(encoded, [5])
 
 
 def _class_sim(rng, d_in=4, d_hidden=3, d_class=3, n_classes=3):
@@ -160,28 +162,31 @@ class TestClassSimilarity:
         cs = _class_sim(rng)
         x = Tensor(rng.uniform(-1, 1, (2, 4)))
         params = [cs.w_c, cs.w1, cs.b1, cs.w2, cs.b2]
-        worst = ad.grad_check(
+        worst, _ = ad.grad_check(
             lambda: total(ad.tanh(enc.class_similarity(x, cs))), params
         )
         assert worst < 1e-5
 
 
 class TestEnrich:
+    """`model.forward` appends the class similarities with `concat` on axis 1."""
+
     def test_width_is_sum(self, rng):
         e = Tensor(rng.standard_normal((2, 3)))
         c = Tensor(rng.standard_normal((2, 2)))
-        assert enc.enrich(e, c).shape == (2, 5)
+        assert ad.concat((e, c), axis=1).shape == (2, 5)
 
     def test_prefix_is_sentence_embedding(self, rng):
         e = Tensor(rng.standard_normal((3, 4)))
         c = Tensor(rng.standard_normal((3, 3)))
-        out = enc.enrich(e, c)
+        out = ad.concat((e, c), axis=1)
         np.testing.assert_array_equal(out.data[:, :4], e.data)
         np.testing.assert_array_equal(out.data[:, 4:], c.data)
 
     def test_row_mismatch(self, rng):
-        with pytest.raises(DimensionError):
-            enc.enrich(Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((3, 3))))
+        e, c = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((3, 3)))
+        with pytest.raises(DimensionError, match="incompatible shapes"):
+            ad.concat((e, c), axis=1)
 
 
 class TestFiniteness:
