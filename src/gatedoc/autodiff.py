@@ -8,8 +8,10 @@ attention (one node per layer, with a hand-written backward), a GRU run
 over all rows of its input (one node, input projections hoisted out of
 the step loop, and a hand-written backward through time), row-wise
 layer normalisation, per-row scaling (the gate application), binary
-cross-entropy, the parameter walk over parameter dataclasses, a
-fourth-order central-difference gradient checker and an Adam optimizer.
+cross-entropy, the one initializer that makes every parameter (drawn,
+filled with a constant, or taken from a checkpoint's arrays), the
+parameter walk over parameter dataclasses, a fourth-order
+central-difference gradient checker and an Adam optimizer.
 No op broadcasts: a bias row enters only through `linear`, a scalar only
 through `scale` or `scale_rows`.  Each op checks the shapes it is given
 and raises DimensionError, so the model code above it does not check
@@ -32,11 +34,13 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import DimensionError, GradCheckError, TrainingError, UsageError
+from .errors import CheckpointError, DimensionError, GradCheckError, TrainingError, UsageError
 
 _node_ids = itertools.count()
 
 _PROB_CLAMP = 1e-7  # bce_loss clamps probabilities into [1e-7, 1 - 1e-7]
+_LN_EPS = 1e-5  # added to the row variance in layer_norm
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class Node:
@@ -89,6 +93,36 @@ class Tensor:
 def parameter(name, data):
     """A named trainable leaf."""
     return Tensor(data, requires_grad=True, name=name)
+
+
+def initializer(dtype, rng=None, stored=None):
+    """The maker of every parameter: `init(name, rows, cols, fill=None)`.
+
+    Without `stored`, `init` returns a (rows x cols) leaf in `dtype`
+    filled with the constant `fill`, or, when `fill` is None, drawn from
+    `rng` uniform in +-sqrt(6 / (rows + cols)) (Xavier), so the draws
+    follow the call order.  With `stored`, a name -> array map, `init`
+    draws nothing: it pops the array stored under `name`, which the leaf
+    then holds (converted when its dtype is not `dtype`), and refuses a
+    missing name or another shape with CheckpointError.  Whatever is
+    left in the map was never asked for.
+    """
+    def init(name, rows, cols, fill=None):
+        if stored is not None:
+            arr = stored.pop(name, None)
+            if arr is None:
+                raise CheckpointError(f"checkpoint has no parameter {name!r}")
+            if arr.shape != (rows, cols):
+                raise CheckpointError(
+                    f"parameter {name!r}: stored shape {arr.shape} != expected {(rows, cols)}"
+                )
+            return parameter(name, np.asarray(arr, dtype=dtype))
+        if fill is not None:
+            return parameter(name, np.full((rows, cols), fill, dtype=dtype))
+        limit = math.sqrt(6.0 / (rows + cols))
+        return parameter(name, rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype))
+
+    return init
 
 
 def named_parameters(params):
@@ -560,7 +594,7 @@ def scale_rows(x, s):
     return _make("scale_rows", out, (x, s), bw)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Row-wise layer normalisation of a 2-D tensor."""
     if x.data.ndim != 2:
         raise DimensionError(f"layer_norm needs a 2-D tensor, got shape {x.shape}")
@@ -571,7 +605,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         )
     mu = x.data.mean(axis=1, keepdims=True)
     var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x.data - mu) * inv
     out = xhat * gain.data + bias.data
 
@@ -671,9 +705,6 @@ class OptimizerState:
     """Adam moments and step counter for a set of named parameters."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -687,9 +718,8 @@ def adam_step(named, state):
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name, p in named:
         g = p.grad
         if not np.isfinite(g).all():
@@ -699,14 +729,9 @@ def adam_step(named, state):
             m = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        p.data = p.data - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data = p.data - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
-
-def xavier_uniform(rng, rows, cols, dtype):
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
-    limit = math.sqrt(6.0 / (rows + cols))
-    return rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype)

@@ -4,12 +4,18 @@ Layout: magic ``GDOC``, version u32, header-length u32, a UTF-8 JSON
 header (config snapshot, parameter names and shapes), the parameter
 arrays as little-endian ``config.dtype`` in header order, the
 vocabulary (one non-reserved token per line), then a CRC32 of every
-byte before it.  A checksum, name or shape mismatch refuses to load.
+byte before it.
+
+Loading draws no random init: the stored arrays, keyed by name, go to
+`build_model(stored=...)`.  A checksum mismatch, a parameter the file
+lacks or stores in another shape, and a stored array the config does
+not build all refuse to load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -17,7 +23,7 @@ import zlib
 import numpy as np
 
 from .config import TrainConfig
-from .errors import CheckpointError
+from .errors import CheckpointError, UsageError
 from .model import build_model
 from .textpipe import RESERVED_TOKENS, vocab_from_tokens
 
@@ -55,52 +61,55 @@ def save_checkpoint(params, config, vocab, path):
 
 
 def load_checkpoint(path):
-    """Load (ModelParams, TrainConfig, Vocab); refuse corrupt files."""
+    """Load (ModelParams, TrainConfig, Vocab); refuse corrupt files.
+
+    Each stored array is read straight into the array its parameter takes
+    over, and the CRC is summed piece by piece, so the file is never held
+    in memory whole.  Each length is checked against the file size before
+    anything is allocated for it.
+    """
+    stored = {}
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            if size < _PREAMBLE.size + _CRC.size:
+                raise CheckpointError(f"truncated checkpoint: only {size} bytes")
+            preamble = fh.read(_PREAMBLE.size)
+            magic, version, header_len = _PREAMBLE.unpack(preamble)
+            if magic != MAGIC:
+                raise CheckpointError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
+            if version != VERSION:
+                raise CheckpointError(f"unsupported checkpoint version {version}")
+            offset, end = _PREAMBLE.size + header_len, size - _CRC.size
+            if offset > end:
+                raise CheckpointError("truncated checkpoint: the header runs past the end")
+            header_bytes = fh.read(header_len)
+            crc = zlib.crc32(header_bytes, zlib.crc32(preamble))
+            header = json.loads(header_bytes)
+            config = TrainConfig.from_dict(header["config"])
+            dtype = _array_dtype(config)
+            for spec in header["params"]:
+                name, shape = spec["name"], tuple(spec["shape"])
+                offset += math.prod(shape) * dtype.itemsize
+                if offset > end:
+                    raise CheckpointError(f"parameter {name!r} runs past the end of the file")
+                arr = stored[name] = np.empty(shape, dtype)
+                fh.readinto(arr)
+                crc = zlib.crc32(arr, crc)
+            vocab_bytes, crc_bytes = fh.read(end - offset), fh.read()
+        if zlib.crc32(vocab_bytes, crc) != _CRC.unpack(crc_bytes)[0]:
+            raise CheckpointError("checksum mismatch: checkpoint is truncated or corrupt")
+        tokens = vocab_bytes.decode("utf-8").split("\n")
     except OSError as exc:
         raise CheckpointError(f"cannot open checkpoint {path}: {exc}") from exc
-    if len(blob) < _PREAMBLE.size + _CRC.size:
-        raise CheckpointError(f"truncated checkpoint: only {len(blob)} bytes")
-    magic, version, header_len = _PREAMBLE.unpack_from(blob)
-    if magic != MAGIC:
-        raise CheckpointError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    body = memoryview(blob)[: -_CRC.size]
-    (crc_stored,) = _CRC.unpack_from(blob, len(body))
-    if zlib.crc32(body) != crc_stored:
-        raise CheckpointError("checksum mismatch: checkpoint is truncated or corrupt")
-    offset = _PREAMBLE.size + header_len
-    try:
-        header = json.loads(bytes(body[_PREAMBLE.size : offset]))
-        config = TrainConfig.from_dict(header["config"])
-        specs = header["params"]
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
-
-    dtype = _array_dtype(config)
-    arrays = []
-    for spec in specs:
-        count = int(np.prod(spec["shape"], dtype=np.int64))
-        if offset + count * dtype.itemsize > len(body):
-            raise CheckpointError(f"parameter {spec['name']!r} runs past the end of the file")
-        arrays.append(np.frombuffer(body, dtype=dtype, count=count, offset=offset))
-        offset += count * dtype.itemsize
-    tokens = bytes(body[offset:]).decode("utf-8").split("\n")
+    # ValueError covers bad JSON, shapes and UTF-8; UsageError, a config that does not validate
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
+        raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
+    if len(stored) != len(header["params"]):
+        raise CheckpointError("checkpoint stores a parameter name twice")
     vocab = vocab_from_tokens([t for t in tokens if t])
 
-    params = build_model(config, vocab_size=len(vocab))
-    named = params.named_parameters()
-    if [name for name, _ in named] != [spec["name"] for spec in specs]:
-        raise CheckpointError("checkpoint parameter names do not match the config")
-    for (name, tensor), spec, arr in zip(named, specs, arrays):
-        shape = tuple(spec["shape"])
-        if shape != tensor.data.shape:
-            raise CheckpointError(
-                f"parameter {name!r}: stored shape {shape} != expected {tensor.data.shape}"
-            )
-        # frombuffer views are read-only; force a writable copy
-        tensor.data = np.array(arr.reshape(shape), dtype=np.dtype(config.dtype))
+    params = build_model(config, vocab_size=len(vocab), stored=stored)
+    if stored:
+        raise CheckpointError(f"checkpoint parameters the config does not build: {sorted(stored)}")
     return params, config, vocab

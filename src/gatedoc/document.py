@@ -54,7 +54,7 @@ class DocEncoderParams:
     dec_cell: GruCellParams
 
 
-def init_gate(width, mode, dtype):
+def init_gate(init, width, mode):
     # W_g starts at zero (every gate exactly 0.5): a random projection here,
     # under Adam's scale-free steps, saturates all gates within the first
     # epoch and permanently freezes the importance mechanism at desk scale.
@@ -62,32 +62,24 @@ def init_gate(width, mode, dtype):
     if mode not in ("scalar", "vector"):
         raise UsageError(f"unknown gate mode {mode!r}")
     rows = 1 if mode == "scalar" else width
-    return GateParams(
-        mode=mode, w_g=ad.parameter("gate.w_g", np.zeros((rows, width), dtype=dtype))
-    )
+    return GateParams(mode=mode, w_g=init("gate.w_g", rows, width, 0.0))
 
 
-def init_gru_cell(rng, d_in, d_hidden, dtype, prefix):
-    def gate_params(tag):
-        return (
-            ad.parameter(f"{prefix}.w_{tag}", ad.xavier_uniform(rng, d_in, d_hidden, dtype)),
-            ad.parameter(f"{prefix}.u_{tag}", ad.xavier_uniform(rng, d_hidden, d_hidden, dtype)),
-            ad.parameter(f"{prefix}.b_{tag}", np.zeros((1, d_hidden), dtype=dtype)),
-        )
-
-    w_z, u_z, b_z = gate_params("z")
-    w_r, u_r, b_r = gate_params("r")
-    w_h, u_h, b_h = gate_params("h")
-    return GruCellParams(w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
+def init_gru_cell(init, d_in, d_hidden, prefix):
+    per_gate = (("w", d_in, None), ("u", d_hidden, None), ("b", 1, 0.0))
+    return GruCellParams(*(
+        init(f"{prefix}.{kind}_{tag}", rows, d_hidden, fill)
+        for tag in "zrh" for kind, rows, fill in per_gate
+    ))
 
 
-def init_doc_encoder(rng, d_in, d_g, dtype):
+def init_doc_encoder(init, d_in, d_g):
     return DocEncoderParams(
-        enc_cell=init_gru_cell(rng, d_in, d_g, dtype, "docenc.enc"),
-        bridge_w=ad.parameter("docenc.bridge_w", ad.xavier_uniform(rng, d_g, d_g, dtype)),
-        bridge_b=ad.parameter("docenc.bridge_b", np.zeros((1, d_g), dtype=dtype)),
-        start_emb=ad.parameter("docenc.start_emb", ad.xavier_uniform(rng, 1, d_g, dtype)),
-        dec_cell=init_gru_cell(rng, 2 * d_g, d_g, dtype, "docenc.dec"),
+        enc_cell=init_gru_cell(init, d_in, d_g, "docenc.enc"),
+        bridge_w=init("docenc.bridge_w", d_g, d_g),
+        bridge_b=init("docenc.bridge_b", 1, d_g, 0.0),
+        start_emb=init("docenc.start_emb", 1, d_g),
+        dec_cell=init_gru_cell(init, 2 * d_g, d_g, "docenc.dec"),
     )
 
 

@@ -24,8 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DimensionError
 
-LAYER_NORM_EPS = 1e-5
-
 
 @dataclass
 class EncoderParams:
@@ -69,48 +67,39 @@ class ClassSimilarity:
     b2: Tensor
 
 
-def init_encoder(rng, vocab_size, d_tok, d_h, n_heads, n_layers, max_len, dtype):
-    def xu(r, c):
-        return ad.xavier_uniform(rng, r, c, dtype)
-
-    def zrow(name, c):
-        return ad.parameter(name, np.zeros((1, c), dtype=dtype))
-
-    def orow(name, c):
-        return ad.parameter(name, np.ones((1, c), dtype=dtype))
-
+def init_encoder(init, vocab_size, d_tok, d_h, n_heads, n_layers, max_len):
     return EncoderParams(
         n_layers=n_layers,
         n_heads=n_heads,
-        tok_emb=ad.parameter("encoder.tok_emb", xu(vocab_size, d_tok)),
-        pos_emb=ad.parameter("encoder.pos_emb", xu(max_len, d_tok)),
-        w_in=ad.parameter("encoder.w_in", xu(d_tok, d_h)),
-        b_in=zrow("encoder.b_in", d_h),
-        ln1_g=orow("encoder.ln1_g", d_h),
-        ln1_b=zrow("encoder.ln1_b", d_h),
-        wq=ad.parameter("encoder.wq", xu(d_h, d_h)),
-        bq=zrow("encoder.bq", d_h),
-        wk=ad.parameter("encoder.wk", xu(d_h, d_h)),
-        wv=ad.parameter("encoder.wv", xu(d_h, d_h)),
-        bv=zrow("encoder.bv", d_h),
-        wo=ad.parameter("encoder.wo", xu(d_h, d_h)),
-        bo=zrow("encoder.bo", d_h),
-        ln2_g=orow("encoder.ln2_g", d_h),
-        ln2_b=zrow("encoder.ln2_b", d_h),
-        w_ff1=ad.parameter("encoder.w_ff1", xu(d_h, 4 * d_h)),
-        b_ff1=zrow("encoder.b_ff1", 4 * d_h),
-        w_ff2=ad.parameter("encoder.w_ff2", xu(4 * d_h, d_h)),
-        b_ff2=zrow("encoder.b_ff2", d_h),
+        tok_emb=init("encoder.tok_emb", vocab_size, d_tok),
+        pos_emb=init("encoder.pos_emb", max_len, d_tok),
+        w_in=init("encoder.w_in", d_tok, d_h),
+        b_in=init("encoder.b_in", 1, d_h, 0.0),
+        ln1_g=init("encoder.ln1_g", 1, d_h, 1.0),
+        ln1_b=init("encoder.ln1_b", 1, d_h, 0.0),
+        wq=init("encoder.wq", d_h, d_h),
+        bq=init("encoder.bq", 1, d_h, 0.0),
+        wk=init("encoder.wk", d_h, d_h),
+        wv=init("encoder.wv", d_h, d_h),
+        bv=init("encoder.bv", 1, d_h, 0.0),
+        wo=init("encoder.wo", d_h, d_h),
+        bo=init("encoder.bo", 1, d_h, 0.0),
+        ln2_g=init("encoder.ln2_g", 1, d_h, 1.0),
+        ln2_b=init("encoder.ln2_b", 1, d_h, 0.0),
+        w_ff1=init("encoder.w_ff1", d_h, 4 * d_h),
+        b_ff1=init("encoder.b_ff1", 1, 4 * d_h, 0.0),
+        w_ff2=init("encoder.w_ff2", 4 * d_h, d_h),
+        b_ff2=init("encoder.b_ff2", 1, d_h, 0.0),
     )
 
 
-def init_class_similarity(rng, w_c, d_in, d_hidden, d_class, dtype, prefix):
+def init_class_similarity(init, w_c, d_in, d_hidden, d_class, prefix):
     return ClassSimilarity(
         w_c=w_c,
-        w1=ad.parameter(f"{prefix}.w1", ad.xavier_uniform(rng, d_in, d_hidden, dtype)),
-        b1=ad.parameter(f"{prefix}.b1", np.zeros((1, d_hidden), dtype=dtype)),
-        w2=ad.parameter(f"{prefix}.w2", ad.xavier_uniform(rng, d_hidden, d_class, dtype)),
-        b2=ad.parameter(f"{prefix}.b2", np.zeros((1, d_class), dtype=dtype)),
+        w1=init(f"{prefix}.w1", d_in, d_hidden),
+        b1=init(f"{prefix}.b1", 1, d_hidden, 0.0),
+        w2=init(f"{prefix}.w2", d_hidden, d_class),
+        b2=init(f"{prefix}.b2", 1, d_class, 0.0),
     )
 
 
@@ -151,9 +140,9 @@ def _self_attention(x, p, blocks):
 
 
 def _shared_layer(x, p, blocks):
-    a = ad.layer_norm(x, p.ln1_g, p.ln1_b, eps=LAYER_NORM_EPS)
+    a = ad.layer_norm(x, p.ln1_g, p.ln1_b)
     x = ad.add(x, _self_attention(a, p, blocks))
-    f = ad.layer_norm(x, p.ln2_g, p.ln2_b, eps=LAYER_NORM_EPS)
+    f = ad.layer_norm(x, p.ln2_g, p.ln2_b)
     ff = ad.linear(ad.relu(ad.linear(f, p.w_ff1, p.b_ff1)), p.w_ff2, p.b_ff2)
     return ad.add(x, ff)
 

@@ -75,48 +75,46 @@ class ModelParams:
         return self.encoder.tok_emb.data.dtype
 
 
-def build_model(config, vocab_size, rng=None, dtype=None):
-    """Construct randomly initialized parameters for a config.
+def build_model(config, vocab_size, rng=None, dtype=None, stored=None):
+    """Construct the parameters for a config.
 
-    Initialization draws from `rng` in a fixed parameter order, so a
-    given (config, seed) pair always produces the same model.
+    Without `stored`, initialization draws from `rng` (default: seeded
+    with `config.seed`) in a fixed parameter order, so a given (config,
+    seed) pair always produces the same model.  With `stored`, a name ->
+    array map, every parameter is taken from it and nothing is drawn
+    (see `autodiff.initializer`).
     """
-    if rng is None:
+    if rng is None and stored is None:
         rng = np.random.default_rng(config.seed)
-    dtype = np.dtype(dtype if dtype is not None else config.dtype)
+    init = ad.initializer(dtype if dtype is not None else config.dtype, rng, stored)
     n_classes = config.n_classes
     enc = encmod.init_encoder(
-        rng,
+        init,
         vocab_size=vocab_size,
         d_tok=config.d_tok,
         d_h=config.d_h,
         n_heads=config.n_heads,
         n_layers=config.n_layers,
         max_len=config.max_stream_len,
-        dtype=dtype,
     )
     w_c = None
     if config.use_sentence_class_sim or config.use_document_class_sim:
-        w_c = ad.parameter(
-            "classsim.w_c", ad.xavier_uniform(rng, n_classes, config.d_class, dtype)
-        )
+        w_c = init("classsim.w_c", n_classes, config.d_class)
     sent_sim = None
     if config.use_sentence_class_sim:
         sent_sim = encmod.init_class_similarity(
-            rng, w_c, config.d_h, config.d_class_hidden, config.d_class, dtype,
-            "classsim.sent",
+            init, w_c, config.d_h, config.d_class_hidden, config.d_class, "classsim.sent"
         )
     doc_sim = None
     if config.use_document_class_sim:
         doc_sim = encmod.init_class_similarity(
-            rng, w_c, config.d_g, config.d_class_hidden, config.d_class, dtype,
-            "classsim.doc",
+            init, w_c, config.d_g, config.d_class_hidden, config.d_class, "classsim.doc"
         )
     e_prime_width = config.d_h + (n_classes if config.use_sentence_class_sim else 0)
     gate = None
     if config.use_gate:
-        gate = docmod.init_gate(e_prime_width, config.gate_mode, dtype)
-    doc_encoder = docmod.init_doc_encoder(rng, e_prime_width, config.d_g, dtype)
+        gate = docmod.init_gate(init, e_prime_width, config.gate_mode)
+    doc_encoder = docmod.init_doc_encoder(init, e_prime_width, config.d_g)
     head_in = config.d_g + (n_classes if config.use_document_class_sim else 0)
     d_hidden = config.resolved_d_out_hidden()
     return ModelParams(
@@ -130,10 +128,10 @@ def build_model(config, vocab_size, rng=None, dtype=None):
         doc_sim=doc_sim,
         gate=gate,
         doc_encoder=doc_encoder,
-        out_w1=ad.parameter("head.w1", ad.xavier_uniform(rng, head_in, d_hidden, dtype)),
-        out_b1=ad.parameter("head.b1", np.zeros((1, d_hidden), dtype=dtype)),
-        out_w2=ad.parameter("head.w2", ad.xavier_uniform(rng, d_hidden, n_classes, dtype)),
-        out_b2=ad.parameter("head.b2", np.zeros((1, n_classes), dtype=dtype)),
+        out_w1=init("head.w1", head_in, d_hidden),
+        out_b1=init("head.b1", 1, d_hidden, 0.0),
+        out_w2=init("head.w2", d_hidden, n_classes),
+        out_b2=init("head.b2", 1, n_classes, 0.0),
     )
 
 

@@ -30,8 +30,11 @@ ABBREVIATIONS = frozenset(
     {"mr.", "mrs.", "ms.", "dr.", "prof.", "sr.", "jr.", "st.",
      "e.g.", "i.e.", "etc.", "vs.", "u.s."}
 )
-_TERMINATORS = ".!?"
 _QUOTES = "\"'“”‘’«»‹›"
+# a terminator followed by whitespace; group 1 is the next non-space character
+_BOUNDARY_RE = re.compile(r"[.!?](?=\s+(\S))")
+# a token longer than every abbreviation cannot be one
+_ABBREVIATION_SPAN = 1 + max(len(a) for a in ABBREVIATIONS)
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -126,58 +129,24 @@ def segment_sentences(text):
     """
     if not text:
         raise UsageError("cannot segment empty text")
-    bounds = []
-    for i, ch in enumerate(text):
-        if ch in _TERMINATORS and _is_boundary(text, i):
-            bounds.append(i + 1)
-
+    cuts = [
+        m.end()
+        for m in _BOUNDARY_RE.finditer(text)
+        if (m[1].isupper() or m[1].isdigit() or m[1] in _QUOTES)
+        and not (m[0] == "." and _ends_in_abbreviation(text, m.end()))
+    ]
     sentences = []
-    start = _next_nonspace(text, 0)
-    for b in bounds:
-        if start is None or start >= b:
-            continue
-        sentences.append((text[start:b], (start, b)))
-        start = _next_nonspace(text, b)
-    if start is not None:
-        end = _last_nonspace(text) + 1
+    for a, b in zip([0, *cuts], [*cuts, len(text)]):
+        piece = text[a:b]
+        start, end = a + len(piece) - len(piece.lstrip()), a + len(piece.rstrip())
         if end > start:
             sentences.append((text[start:end], (start, end)))
     return sentences
 
 
-def _is_boundary(text, i):
-    n = len(text)
-    ch = text[i]
-    if ch == ".":
-        w = i
-        while w > 0 and not text[w - 1].isspace():
-            w -= 1
-        if text[w : i + 1].lower() in ABBREVIATIONS:
-            return False
-    k = i + 1
-    if k >= n or not text[k].isspace():
-        return False
-    while k < n and text[k].isspace():
-        k += 1
-    if k >= n:
-        return False
-    nxt = text[k]
-    return nxt.isupper() or nxt.isdigit() or nxt in _QUOTES
-
-
-def _next_nonspace(text, i):
-    while i < len(text):
-        if not text[i].isspace():
-            return i
-        i += 1
-    return None
-
-
-def _last_nonspace(text):
-    i = len(text) - 1
-    while i >= 0 and text[i].isspace():
-        i -= 1
-    return i
+def _ends_in_abbreviation(text, end):
+    """Whether the whitespace-delimited token that ends at `end` is an abbreviation."""
+    return text[max(0, end - _ABBREVIATION_SPAN) : end].split()[-1].lower() in ABBREVIATIONS
 
 
 def tokenize_words(text):
@@ -278,29 +247,22 @@ def read_raw_dataset(path, scheme):
     warning; an empty result is a data error.
     """
     scheme_n_classes(scheme)  # raises on unknown scheme
-    lo, hi, _ = SCHEMES[scheme]
     docs = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
+    # bytes that are not UTF-8 are read as lone surrogates, so that only
+    # their line fails (at the encode) instead of the whole file
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
-                doc_id = obj["id"]
-                text = obj["text"]
-                score = obj["score"]
-                if (
-                    not isinstance(doc_id, str)
-                    or not isinstance(text, str)
-                    or not text
-                    or not isinstance(score, int)
-                    or isinstance(score, bool)
-                ):
+                doc_id, text, score = obj["id"], obj["text"], obj["score"]
+                if not isinstance(doc_id, str) or not isinstance(text, str) or not text:
                     raise ValueError("bad field types")
-                if not lo <= score <= hi:
-                    raise ValueError(f"score {score} outside [{lo}, {hi}]")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                bucket_label(score, scheme, doc_id=doc_id)
+            except (KeyError, TypeError, ValueError, DataError) as exc:
                 skipped += 1
                 logger.warning("%s:%d skipped: %s", path, lineno, exc)
                 continue

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from gatedoc import autodiff as ad
 from gatedoc.autodiff import Graph, Tensor
-from gatedoc.errors import DimensionError, GradCheckError, TrainingError, UsageError
+from gatedoc.errors import (
+    CheckpointError, DimensionError, GradCheckError, TrainingError, UsageError,
+)
 
 from conftest import total
 
@@ -610,6 +612,50 @@ class TestGradCheckPerOp:
 
 
 # ---------------------------------------------------------------------------
+# parameter initialization
+# ---------------------------------------------------------------------------
+
+
+class TestInitializer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draws_xavier_uniform_in_call_order(self, dtype):
+        init = ad.initializer(dtype, np.random.default_rng(3))
+        a, ones, b = init("a", 4, 6), init("ones", 1, 6, 1.0), init("b", 6, 2)
+        ref = np.random.default_rng(3)
+        for t, (rows, cols) in ((a, (4, 6)), (b, (6, 2))):
+            limit = math.sqrt(6.0 / (rows + cols))
+            expected = ref.uniform(-limit, limit, size=(rows, cols)).astype(dtype)
+            np.testing.assert_array_equal(t.data, expected)
+            assert t.data.dtype == dtype and t.requires_grad
+        np.testing.assert_array_equal(ones.data, np.ones((1, 6), dtype=dtype))
+        assert (a.name, ones.name, b.name) == ("a", "ones", "b")
+
+    def test_fills_draw_nothing(self):
+        rng = np.random.default_rng(0)
+        init = ad.initializer(np.float64, rng)
+        zeros = init("z", 2, 3, 0.0)
+        np.testing.assert_array_equal(zeros.data, np.zeros((2, 3)))
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_stored_arrays_are_taken_by_name(self):
+        w, v = np.arange(6.0).reshape(2, 3), np.arange(2.0).reshape(1, 2)
+        stored = {"w": w, "v": v, "unused": np.zeros((1, 1))}
+        init = ad.initializer(np.float64, stored=stored)
+        assert init("w", 2, 3).data is w
+        assert list(stored) == ["v", "unused"]
+        converted = ad.initializer(np.float32, stored=stored)("v", 1, 2)
+        np.testing.assert_array_equal(converted.data, v.astype(np.float32))
+        assert converted.data.dtype == np.float32 and list(stored) == ["unused"]
+
+    def test_missing_or_reshaped_stored_array_refused(self):
+        init = ad.initializer(np.float64, stored={"w": np.zeros((3, 2))})
+        with pytest.raises(CheckpointError, match="no parameter 'v'"):
+            init("v", 3, 2)
+        with pytest.raises(CheckpointError, match="shape"):
+            init("w", 2, 3)
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 
@@ -630,6 +676,21 @@ class TestAdam:
         p.grad = g
         ad.adam_step([("p", p)], state)
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-6)
+
+    def test_two_steps_match_the_textbook_update(self, rng):
+        # Kingma & Ba (arXiv:1412.6980), Algorithm 1, with b1 0.9, b2 0.999, eps 1e-8
+        p = ad.parameter("p", rng.standard_normal((2, 3)))
+        expected = p.data.copy()
+        m = v = np.zeros((2, 3))
+        state = ad.OptimizerState(learning_rate=0.01)
+        for t in (1, 2):
+            g = rng.standard_normal((2, 3))
+            m, v = 0.9 * m + 0.1 * g, 0.999 * v + 0.001 * g * g
+            m_hat, v_hat = m / (1 - 0.9**t), v / (1 - 0.999**t)
+            expected = expected - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            p.grad = g
+            ad.adam_step([("p", p)], state)
+        np.testing.assert_allclose(p.data, expected, rtol=1e-12)
 
     def test_converges_on_quadratic(self):
         theta = ad.parameter("theta", np.array([[0.0]]))

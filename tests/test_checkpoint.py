@@ -1,4 +1,6 @@
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -55,7 +57,7 @@ def test_stored_names_are_tensor_names(tmp_path):
 def test_truncated_file_refused(tmp_path):
     path, _, _, _ = _saved(tmp_path)
     blob = path.read_bytes()
-    for keep in (3, 20, len(blob) // 2, len(blob) - 1):
+    for keep in (0, 3, 20, len(blob) // 2, len(blob) - 1):
         path.write_bytes(blob[:keep])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
@@ -103,3 +105,123 @@ def test_version_1_file_refused(tmp_path):
 def test_missing_file_refused(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "absent.gdoc")
+
+
+def _rewritten(path, edit):
+    """Rewrite the checkpoint at `path` after `edit(specs, arrays)` changes
+    its parameter list, with a fresh CRC, so only the parameter check can refuse."""
+    blob = path.read_bytes()
+    end = HEADER_START + _header_len(blob)
+    header = json.loads(blob[HEADER_START:end])
+    itemsize = np.dtype(header["config"]["dtype"]).itemsize
+    arrays = []
+    for spec in header["params"]:
+        size = int(np.prod(spec["shape"])) * itemsize
+        arrays.append(blob[end : end + size])
+        end += size
+    edit(header["params"], arrays)
+    hb = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = blob[:8] + struct.pack("<I", len(hb)) + hb + b"".join(arrays) + blob[end:-4]
+    _write_with_crc(path, body)
+
+
+def _write_with_crc(path, body):
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _rename(specs, arrays):
+    specs[0]["name"] += "_renamed"
+
+
+def _transpose_shape(specs, arrays):
+    spec = next(s for s in specs if s["shape"][0] != s["shape"][1])
+    spec["shape"] = spec["shape"][::-1]
+
+
+def _drop(specs, arrays):
+    del specs[-1], arrays[-1]
+
+
+def _add(specs, arrays):
+    specs.append({"name": "head.extra", "shape": [1, 2]})
+    arrays.append(np.zeros(2).tobytes())
+
+
+def _repeat(specs, arrays):
+    specs.append(dict(specs[-1]))
+    arrays.append(arrays[-1])
+
+
+def test_config_that_does_not_validate_refused(tmp_path):
+    path, _, _, _ = _saved(tmp_path)
+    blob = path.read_bytes()
+    edited = blob.replace(b'"n_heads": 2', b'"n_heads": 3')
+    assert edited != blob and len(edited) == len(blob)
+    _write_with_crc(path, edited[:-4])
+    with pytest.raises(CheckpointError, match="n_heads"):
+        load_checkpoint(path)
+
+
+def _unnamed(specs, arrays):
+    del specs[0]["name"]
+
+
+def _not_a_record(specs, arrays):
+    specs[0] = "encoder.tok_emb"
+
+
+@pytest.mark.parametrize(
+    "edit", [_rename, _transpose_shape, _drop, _add, _repeat, _unnamed, _not_a_record]
+)
+def test_parameter_mismatch_refused(tmp_path, edit):
+    path, _, _, _ = _saved(tmp_path)
+    _rewritten(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_lengths_past_the_end_refused_before_allocating(tmp_path):
+    path, _, _, _ = _saved(tmp_path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(blob)) + blob[12:])
+    with pytest.raises(CheckpointError, match="header runs past the end"):
+        load_checkpoint(path)
+
+    def huge(specs, arrays):  # 8 TB of float64
+        specs[0]["shape"] = [10**6, 10**6]
+
+    path.write_bytes(blob)
+    _rewritten(path, huge)
+    with pytest.raises(CheckpointError, match="runs past the end of the file"):
+        load_checkpoint(path)
+
+
+def test_undecodable_vocabulary_refused(tmp_path):
+    path, _, _, _ = _saved(tmp_path)
+    _write_with_crc(path, path.read_bytes()[:-4] + b"\xff")
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_parameters_load_by_name_in_any_order(tmp_path):
+    path, params, _, _ = _saved(tmp_path)
+
+    def reverse(specs, arrays):
+        specs.reverse()
+        arrays.reverse()
+
+    _rewritten(path, reverse)
+    loaded, _, _ = load_checkpoint(path)
+    for (name, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_load_draws_no_random_init(tmp_path, monkeypatch):
+    path, params, _, _ = _saved(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint created a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded, _, _ = load_checkpoint(path)
+    assert len(loaded.named_parameters()) == len(params.named_parameters())

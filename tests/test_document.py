@@ -10,21 +10,21 @@ from conftest import skewed_backward, total
 
 
 def _gate(rng, width, mode="scalar", randomize=True):
-    gp = doc.init_gate(width, mode, np.float64)
+    gp = doc.init_gate(ad.initializer(np.float64), width, mode)
     if randomize:
         gp.w_g.data = rng.uniform(-0.5, 0.5, size=gp.w_g.data.shape)
     return gp
 
 
 def _cell(rng, d_in, d_g, prefix="cell"):
-    cell = doc.init_gru_cell(rng, d_in, d_g, np.float64, prefix)
+    cell = doc.init_gru_cell(ad.initializer(np.float64, rng), d_in, d_g, prefix)
     for _, tensor in ad.named_parameters(cell):
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     return cell
 
 
 def _doc_encoder(rng, d_in, d_g):
-    dp = doc.init_doc_encoder(rng, d_in, d_g, np.float64)
+    dp = doc.init_doc_encoder(ad.initializer(np.float64, rng), d_in, d_g)
     for _, tensor in ad.named_parameters(dp.enc_cell) + ad.named_parameters(dp.dec_cell):
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     for tensor in (dp.bridge_w, dp.bridge_b, dp.start_emb):
@@ -79,7 +79,7 @@ class TestGate:
 
 class TestGruCell:
     def test_all_zero_weights_zero_state(self, rng):
-        cell = doc.init_gru_cell(rng, 3, 4, np.float64, "c")
+        cell = doc.init_gru_cell(ad.initializer(np.float64, rng), 3, 4, "c")
         for _, tensor in ad.named_parameters(cell):
             tensor.data = np.zeros_like(tensor.data)
         h = doc._run_gru(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), cell)

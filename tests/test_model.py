@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 
 import numpy as np
@@ -102,3 +104,25 @@ def test_every_parameter_gets_a_gradient(variant):
     largest = max(peaks.values())
     weak = {name: p / largest for name, p in peaks.items() if p < 1e-10 * largest}
     assert not weak, f"parameters with vanishing gradients: {weak}"
+
+
+def _recorded_op_kinds():
+    """The op kind of every `_make` call in `autodiff`'s source."""
+    calls = [
+        node for node in ast.walk(ast.parse(inspect.getsource(ad)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_make"
+    ]
+    assert all(isinstance(call.args[0], ast.Constant) for call in calls)
+    return {call.args[0].value for call in calls}
+
+
+def test_every_engine_op_has_a_caller():
+    # each document's loss graph as training's batch step builds it, scaled by 1/batch
+    seen = set()
+    for variant in VARIANTS:
+        config, params, rng = _model(variant)
+        doc = make_doc(rng, 3, VOCAB_SIZE)
+        target = one_hot(doc.label, config.n_classes, np.float64)
+        loss = ad.scale(ad.bce_loss(forward(doc, params).probs, target), 0.5)
+        seen |= {t.node.op for t in ad.Graph.trace(loss).nodes}
+    assert seen == _recorded_op_kinds()

@@ -42,6 +42,15 @@ class TestSegmentation:
         assert len(sents) == 3
         assert "Dr. Smith" in sents[0][0]
 
+    @pytest.mark.parametrize("abbr", sorted(tp.ABBREVIATIONS))
+    def test_every_abbreviation_protected(self, abbr):
+        text = f"{abbr.capitalize()} Smith met {abbr.upper()} Jones. Then it ended."
+        assert [s for s, _ in tp.segment_sentences(text)][1:] == ["Then it ended."]
+
+    def test_token_ending_in_an_abbreviation_splits(self):
+        sents = tp.segment_sentences("It was unprof. Then vs. Us. It ended.")
+        assert [s for s, _ in sents] == ["It was unprof.", "Then vs. Us.", "It ended."]
+
     def test_no_terminator_is_one_sentence(self):
         sents = tp.segment_sentences("no terminator here")
         assert len(sents) == 1
@@ -282,6 +291,24 @@ class TestLoadDataset:
         loaded = tp.load_dataset(path, "ten_scale", vocab, tp.Limits())
         assert [d.id for d in loaded.documents] == ["ok"]
         assert loaded.skipped == 1
+
+    def test_score_of_wrong_type_skipped_with_count(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        scores = [4, True, 2.5, "3", None, 0]
+        _write_jsonl(
+            path, [{"id": f"d{i}", "text": "Fine movie.", "score": s} for i, s in enumerate(scores)]
+        )
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [d.id for d in raw.documents] == ["d0"]
+        assert raw.skipped == len(scores) - 1
+
+    def test_line_that_is_not_utf8_skipped_with_count(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        good = [json.dumps({"id": i, "text": "Fine movie.", "score": 4}) for i in ("a", "b")]
+        bad = b'{"id": "c\xff", "text": "Fine movie.", "score": 4}'
+        path.write_bytes(f"{good[0]}\n".encode() + bad + f"\n{good[1]}".encode())
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [d.id for d in raw.documents] == ["a", "b"] and raw.skipped == 1
 
     def test_malformed_json_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
