@@ -9,9 +9,9 @@ over all rows of its input (one node, input projections hoisted out of
 the step loop, and a hand-written backward through time), row-wise
 layer normalisation, per-row scaling (the gate application), binary
 cross-entropy, the one initializer that makes every parameter (drawn,
-filled with a constant, or taken from a checkpoint's arrays), the
-parameter walk over parameter dataclasses, a fourth-order
-central-difference gradient checker and an Adam optimizer.
+filled with a constant, or taken from a checkpoint's arrays) and lists
+each one it makes, a fourth-order central-difference gradient checker
+and an Adam optimizer.
 No op broadcasts: a bias row enters only through `linear`, a scalar only
 through `scale` or `scale_rows`.  Each op checks the shapes it is given
 and raises DimensionError, so the model code above it does not check
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,48 +105,29 @@ def initializer(dtype, rng=None, stored=None):
     draws nothing: it pops the array stored under `name`, which the leaf
     then holds (converted when its dtype is not `dtype`), and refuses a
     missing name or another shape with CheckpointError.  Whatever is
-    left in the map was never asked for.
+    left in the map was never asked for.  `init.made` lists every
+    (name, leaf) made so far, in call order.
     """
     def init(name, rows, cols, fill=None):
         if stored is not None:
-            arr = stored.pop(name, None)
-            if arr is None:
+            data = stored.pop(name, None)
+            if data is None:
                 raise CheckpointError(f"checkpoint has no parameter {name!r}")
-            if arr.shape != (rows, cols):
+            if data.shape != (rows, cols):
                 raise CheckpointError(
-                    f"parameter {name!r}: stored shape {arr.shape} != expected {(rows, cols)}"
+                    f"parameter {name!r}: stored shape {data.shape} != expected {(rows, cols)}"
                 )
-            return parameter(name, np.asarray(arr, dtype=dtype))
-        if fill is not None:
-            return parameter(name, np.full((rows, cols), fill, dtype=dtype))
-        limit = math.sqrt(6.0 / (rows + cols))
-        return parameter(name, rng.uniform(-limit, limit, size=(rows, cols)).astype(dtype))
+        elif fill is not None:
+            data = np.full((rows, cols), fill, dtype=dtype)
+        else:
+            limit = math.sqrt(6.0 / (rows + cols))
+            data = rng.uniform(-limit, limit, size=(rows, cols))
+        leaf = parameter(name, np.asarray(data, dtype=dtype))
+        init.made.append((name, leaf))
+        return leaf
 
+    init.made = []
     return init
-
-
-def named_parameters(params):
-    """(name, tensor) for every trainable Tensor reachable through the
-    fields of a parameter dataclass, depth first in field order.
-
-    Each tensor is keyed by its own `.name` and listed once, however
-    many fields share it.
-    """
-    seen = set()
-    out = []
-
-    def walk(obj):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            if isinstance(value, Tensor):
-                if value.requires_grad and id(value) not in seen:
-                    seen.add(id(value))
-                    out.append((value.name, value))
-            elif is_dataclass(value):
-                walk(value)
-
-    walk(params)
-    return out
 
 
 def _make(op, out_data, inputs, backward_fn):

@@ -57,7 +57,7 @@ def _load_config(args):
     if not args.config:
         raise UsageError("--config is required for this command")
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = args.seed
     return config.validate()
 
@@ -271,8 +271,9 @@ def build_parser():
     parser = _Parser(prog="gatedoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, config=False, checkpoint=False, data=False, text=False):
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    def common(p, *, seed=False, config=False, checkpoint=False, data=False, text=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="write results (JSON) here")
         if config:
             p.add_argument("--config", default=None, help="key = value config file")
@@ -284,7 +285,7 @@ def build_parser():
             p.add_argument("--text", default=None, help="raw document text")
 
     p = sub.add_parser("train", help="train a model from a config")
-    common(p, config=True, checkpoint=True)
+    common(p, seed=True, config=True, checkpoint=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")
@@ -301,7 +302,7 @@ def build_parser():
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("ablate", help="train the full model and its three ablations")
-    common(p, config=True)
+    common(p, seed=True, config=True)
     p.add_argument("--seeds", type=int, default=1, help="seeds per variant (>=2 adds t-tests)")
     p.set_defaults(func=cmd_ablate)
 
@@ -310,7 +311,7 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", help="end-to-end finite-difference gradient check")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser
@@ -330,6 +331,10 @@ def main(argv=None):
         return 2
     except GatedocError as exc:
         print(f"internal fault: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a fault in the program itself, not in its input
+        sys.excepthook(type(exc), exc, exc.__traceback__)  # the traceback, for a bug report
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -12,7 +12,9 @@ Both the encoder's recurrence over all sentence rows and the decoder's
 single step run as one fused `autodiff.gru` node: the input projections
 are computed for every row before the step loop, and the hand-written
 backward through time forms each weight gradient with one GEMM over all
-steps.
+steps.  A GRU cell holds the (z, r, h) triples that op takes; its
+parameters are drawn gate by gate, and `ModelParams.named_parameters()`
+lists them in that draw order.
 """
 
 from __future__ import annotations
@@ -34,15 +36,9 @@ class GateParams:
 
 @dataclass
 class GruCellParams:
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_h: Tensor
-    u_h: Tensor
-    b_h: Tensor
+    w: tuple  # (z, r, h) input weights: the triples `autodiff.gru` takes
+    u: tuple  # (z, r, h) recurrent weights
+    b: tuple  # (z, r, h) biases
 
 
 @dataclass
@@ -66,11 +62,13 @@ def init_gate(init, width, mode):
 
 
 def init_gru_cell(init, d_in, d_hidden, prefix):
+    """Made gate by gate (w_z, u_z, b_z, w_r, ...), held kind by kind."""
     per_gate = (("w", d_in, None), ("u", d_hidden, None), ("b", 1, 0.0))
-    return GruCellParams(*(
-        init(f"{prefix}.{kind}_{tag}", rows, d_hidden, fill)
-        for tag in "zrh" for kind, rows, fill in per_gate
-    ))
+    by_gate = [
+        [init(f"{prefix}.{kind}_{tag}", rows, d_hidden, fill) for kind, rows, fill in per_gate]
+        for tag in "zrh"
+    ]
+    return GruCellParams(*zip(*by_gate))
 
 
 def init_doc_encoder(init, d_in, d_g):
@@ -103,17 +101,10 @@ def gate(e_prime, gp):
     return scores, gated
 
 
-def _run_gru(x, h0, cell):
-    return ad.gru(
-        x, h0, (cell.w_z, cell.w_r, cell.w_h), (cell.u_z, cell.u_r, cell.u_h),
-        (cell.b_z, cell.b_r, cell.b_h),
-    )
-
-
 def encode_sequence(e_dprime, cell):
     """Forward GRU states over the gated sentence rows, from a zero state."""
-    h0 = Tensor(np.zeros((1, cell.u_z.shape[0]), dtype=e_dprime.data.dtype))
-    return _run_gru(e_dprime, h0, cell)
+    h0 = Tensor(np.zeros((1, cell.u[0].shape[0]), dtype=e_dprime.data.dtype))
+    return ad.gru(e_dprime, h0, cell.w, cell.u, cell.b)
 
 
 def attend(encs, query):
@@ -135,5 +126,5 @@ def decode_document(encs, dp):
     dec0 = ad.tanh(ad.linear(enc_n, dp.bridge_w, dp.bridge_b))
     a, cnt = attend(encs, dec0)
     x = ad.concat((dp.start_emb, cnt), axis=1)
-    e_d = _run_gru(x, dec0, dp.dec_cell)
+    e_d = ad.gru(x, dec0, dp.dec_cell.w, dp.dec_cell.u, dp.dec_cell.b)
     return e_d, a

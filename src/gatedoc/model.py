@@ -6,7 +6,8 @@ The forward pass reads each sentence's embedding at its [SEP] row with
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
-sentence-side and document-side similarity paths.
+sentence-side and document-side similarity paths.  `named_parameters()`
+is the initializer's own list of what it made, in draw order.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ class ModelParams:
     out_b1: Tensor
     out_w2: Tensor
     out_b2: Tensor
+    named: list  # (name, leaf) of every parameter, in draw order
 
     def named_parameters(self):
-        """All trainable tensors in field order, keyed by `Tensor.name`; W_c once."""
-        return ad.named_parameters(self)
+        """Every trainable tensor once, keyed by name, in draw order."""
+        return self.named
 
     def dtype(self):
         return self.encoder.tok_emb.data.dtype
@@ -132,6 +134,7 @@ def build_model(config, vocab_size, rng=None, dtype=None, stored=None):
         out_b1=init("head.b1", 1, d_hidden, 0.0),
         out_w2=init("head.w2", d_hidden, n_classes),
         out_b2=init("head.b2", 1, n_classes, 0.0),
+        named=init.made,
     )
 
 

@@ -20,6 +20,7 @@ from .errors import DataError, UsageError
 logger = logging.getLogger(__name__)
 
 RESERVED_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[S]")
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train/dev/test shares of one corpus; test takes the rest
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, START_ID = range(5)
 
 # Sentence boundaries are . ! ? followed by whitespace and then an
@@ -299,14 +300,13 @@ def load_dataset(path, scheme, vocab, limits):
     return LoadedDataset(prepared.documents, skipped=raw.skipped + prepared.skipped)
 
 
-def shuffle_split(items, seed, ratios=(0.8, 0.1, 0.1)):
-    """Deterministic seeded shuffle, then an 80/10/10 (by default) split."""
+def shuffle_split(items, seed):
+    """Deterministic seeded shuffle, then the SPLIT_RATIOS train/dev/test split."""
     items = list(items)
     order = np.random.default_rng(seed).permutation(len(items))
     shuffled = [items[i] for i in order]
     n = len(shuffled)
-    n_train = int(n * ratios[0])
-    n_dev = int(n * ratios[1])
+    n_train, n_dev = (int(n * share) for share in SPLIT_RATIOS[:2])
     return (
         shuffled[:n_train],
         shuffled[n_train : n_train + n_dev],

@@ -629,6 +629,7 @@ class TestInitializer:
             assert t.data.dtype == dtype and t.requires_grad
         np.testing.assert_array_equal(ones.data, np.ones((1, 6), dtype=dtype))
         assert (a.name, ones.name, b.name) == ("a", "ones", "b")
+        assert init.made == [("a", a), ("ones", ones), ("b", b)]
 
     def test_fills_draw_nothing(self):
         rng = np.random.default_rng(0)
@@ -643,6 +644,7 @@ class TestInitializer:
         init = ad.initializer(np.float64, stored=stored)
         assert init("w", 2, 3).data is w
         assert list(stored) == ["v", "unused"]
+        assert [name for name, _ in init.made] == ["w"]
         converted = ad.initializer(np.float32, stored=stored)("v", 1, 2)
         np.testing.assert_array_equal(converted.data, v.astype(np.float32))
         assert converted.data.dtype == np.float32 and list(stored) == ["unused"]

@@ -39,6 +39,28 @@ def test_train_without_config_is_usage_error():
     assert main(["train"]) == 1
 
 
+@pytest.mark.parametrize("command, source", [
+    ("eval", "--data"), ("predict", "--data"), ("explain", "--text"), ("analyze", "--data"),
+])
+def test_seed_is_refused_where_nothing_is_drawn(tmp_path, command, source):
+    # refused while parsing: the missing checkpoint would otherwise be a data error (2)
+    missing = str(tmp_path / "missing.ckpt")
+    assert main([command, "--checkpoint", missing, source, "x", "--seed", "1"]) == 1
+
+
+def test_unexpected_exception_is_internal_fault(monkeypatch, capsys):
+    def broken(path):
+        raise RuntimeError("broken loader")
+
+    monkeypatch.setattr(gatedoc.cli, "load_checkpoint", broken)
+    assert main(["eval", "--checkpoint", "any.ckpt", "--data", "any.jsonl"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.endswith("internal fault: RuntimeError: broken loader\n")
+    with pytest.raises(SystemExit) as exited:  # SystemExit is not an Exception
+        main(["--help"])
+    assert exited.value.code == 0
+
+
 def test_eval_with_missing_checkpoint_is_data_error(tmp_path):
     data = _corpus(tmp_path, n_docs=4)
     missing = tmp_path / "missing.ckpt"

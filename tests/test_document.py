@@ -17,19 +17,30 @@ def _gate(rng, width, mode="scalar", randomize=True):
 
 
 def _cell(rng, d_in, d_g, prefix="cell"):
-    cell = doc.init_gru_cell(ad.initializer(np.float64, rng), d_in, d_g, prefix)
-    for _, tensor in ad.named_parameters(cell):
+    init = ad.initializer(np.float64, rng)
+    cell = doc.init_gru_cell(init, d_in, d_g, prefix)
+    for _, tensor in init.made:
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     return cell
 
 
+def _by_gate(cell):
+    """A cell's tensors in draw order: w_z, u_z, b_z, w_r, ..."""
+    return [tensor for triple in zip(cell.w, cell.u, cell.b) for tensor in triple]
+
+
+def _gru(x, h0, cell):
+    return ad.gru(x, h0, cell.w, cell.u, cell.b)
+
+
 def _doc_encoder(rng, d_in, d_g):
-    dp = doc.init_doc_encoder(ad.initializer(np.float64, rng), d_in, d_g)
-    for _, tensor in ad.named_parameters(dp.enc_cell) + ad.named_parameters(dp.dec_cell):
+    init = ad.initializer(np.float64, rng)
+    dp = doc.init_doc_encoder(init, d_in, d_g)
+    for tensor in _by_gate(dp.enc_cell) + _by_gate(dp.dec_cell):
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     for tensor in (dp.bridge_w, dp.bridge_b, dp.start_emb):
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
-    return dp
+    return dp, [tensor for _, tensor in init.made]
 
 
 class TestGate:
@@ -79,55 +90,53 @@ class TestGate:
 
 class TestGruCell:
     def test_all_zero_weights_zero_state(self, rng):
-        cell = doc.init_gru_cell(ad.initializer(np.float64, rng), 3, 4, "c")
-        for _, tensor in ad.named_parameters(cell):
+        init = ad.initializer(np.float64, rng)
+        cell = doc.init_gru_cell(init, 3, 4, "c")
+        for _, tensor in init.made:
             tensor.data = np.zeros_like(tensor.data)
-        h = doc._run_gru(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), cell)
+        h = _gru(Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 4))), cell)
         np.testing.assert_array_equal(h.data, np.zeros((1, 4)))
 
     def test_update_gate_forced_closed_copies_state(self, rng):
         cell = _cell(rng, 3, 4)
-        cell.b_z.data = np.full((1, 4), -100.0)  # z ~ 0 -> h' ~ h_prev
+        cell.b[0].data = np.full((1, 4), -100.0)  # z ~ 0 -> h' ~ h_prev
         h_prev = rng.standard_normal((1, 4))
-        h = doc._run_gru(Tensor(rng.standard_normal((1, 3))), Tensor(h_prev), cell)
+        h = _gru(Tensor(rng.standard_normal((1, 3))), Tensor(h_prev), cell)
         np.testing.assert_allclose(h.data, h_prev, atol=1e-12)
 
     def test_against_scalar_loop_oracle(self, rng):
         cell = _cell(rng, 3, 4)
         x = rng.standard_normal(3)
         h_prev = rng.standard_normal(4)
-        out = doc._run_gru(Tensor(x.reshape(1, 3)), Tensor(h_prev.reshape(1, 4)), cell)
+        out = _gru(Tensor(x.reshape(1, 3)), Tensor(h_prev.reshape(1, 4)), cell)
 
         def sig(v):
             return 1 / (1 + np.exp(-v))
 
         expected = np.zeros(4)
         for j in range(4):
-            z = sig(sum(x[i] * cell.w_z.data[i, j] for i in range(3))
-                    + sum(h_prev[i] * cell.u_z.data[i, j] for i in range(4))
-                    + cell.b_z.data[0, j])
-            r_vec = [sig(sum(x[i] * cell.w_r.data[i, jj] for i in range(3))
-                         + sum(h_prev[i] * cell.u_r.data[i, jj] for i in range(4))
-                         + cell.b_r.data[0, jj]) for jj in range(4)]
-            cand = np.tanh(sum(x[i] * cell.w_h.data[i, j] for i in range(3))
-                           + sum(r_vec[i] * h_prev[i] * cell.u_h.data[i, j] for i in range(4))
-                           + cell.b_h.data[0, j])
+            z = sig(sum(x[i] * cell.w[0].data[i, j] for i in range(3))
+                    + sum(h_prev[i] * cell.u[0].data[i, j] for i in range(4))
+                    + cell.b[0].data[0, j])
+            r_vec = [sig(sum(x[i] * cell.w[1].data[i, jj] for i in range(3))
+                         + sum(h_prev[i] * cell.u[1].data[i, jj] for i in range(4))
+                         + cell.b[1].data[0, jj]) for jj in range(4)]
+            cand = np.tanh(sum(x[i] * cell.w[2].data[i, j] for i in range(3))
+                           + sum(r_vec[i] * h_prev[i] * cell.u[2].data[i, j] for i in range(4))
+                           + cell.b[2].data[0, j])
             expected[j] = (1 - z) * h_prev[j] + z * cand
         np.testing.assert_allclose(out.data.reshape(-1), expected, atol=1e-10)
 
     def test_width_mismatch(self, rng):
         cell = _cell(rng, 3, 4)
         with pytest.raises(DimensionError):
-            doc._run_gru(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 4))), cell)
+            _gru(Tensor(np.ones((1, 5))), Tensor(np.ones((1, 4))), cell)
 
     def test_gradcheck_all_parameters(self, rng):
         cell = _cell(rng, 3, 4)
         x = Tensor(rng.uniform(-1, 1, (1, 3)))
         h0 = Tensor(rng.uniform(-1, 1, (1, 4)))
-        params = [tensor for _, tensor in ad.named_parameters(cell)]
-        worst, _ = ad.grad_check(
-            lambda: total(doc._run_gru(x, h0, cell)), params
-        )
+        worst, _ = ad.grad_check(lambda: total(_gru(x, h0, cell)), _by_gate(cell))
         assert worst < 1e-5
 
 
@@ -138,7 +147,7 @@ class TestEncodeSequence:
         encs = doc.encode_sequence(Tensor(e), cell)
         h = Tensor(np.zeros((1, 4)))
         for i in range(5):
-            h = doc._run_gru(Tensor(e[i : i + 1]), h, cell)
+            h = _gru(Tensor(e[i : i + 1]), h, cell)
             np.testing.assert_allclose(h.data[0], encs.data[i], rtol=0, atol=1e-14)
 
     def test_prefix_property(self, rng):
@@ -158,10 +167,10 @@ class TestEncodeSequence:
 
         h = np.zeros(4)
         for i in range(3):
-            z = sig(e[i] @ cell.w_z.data + h @ cell.u_z.data + cell.b_z.data.reshape(-1))
-            r = sig(e[i] @ cell.w_r.data + h @ cell.u_r.data + cell.b_r.data.reshape(-1))
+            z = sig(e[i] @ cell.w[0].data + h @ cell.u[0].data + cell.b[0].data.reshape(-1))
+            r = sig(e[i] @ cell.w[1].data + h @ cell.u[1].data + cell.b[1].data.reshape(-1))
             cand = np.tanh(
-                e[i] @ cell.w_h.data + (r * h) @ cell.u_h.data + cell.b_h.data.reshape(-1)
+                e[i] @ cell.w[2].data + (r * h) @ cell.u[2].data + cell.b[2].data.reshape(-1)
             )
             h = (1 - z) * h + z * cand
             np.testing.assert_allclose(encs.data[i], h, atol=1e-10)
@@ -210,14 +219,14 @@ class TestAttend:
 
 class TestDecodeDocument:
     def test_single_sentence_attention_is_one(self, rng):
-        dp = _doc_encoder(rng, 3, 4)
+        dp, _ = _doc_encoder(rng, 3, 4)
         encs = doc.encode_sequence(Tensor(rng.standard_normal((1, 3))), dp.enc_cell)
         e_d, a = doc.decode_document(encs, dp)
         np.testing.assert_allclose(a.data, [[1.0]], atol=0)
         assert e_d.shape == (1, 4)
 
     def test_zero_bridge_gives_uniform_attention(self, rng):
-        dp = _doc_encoder(rng, 3, 4)
+        dp, _ = _doc_encoder(rng, 3, 4)
         dp.bridge_w.data = np.zeros_like(dp.bridge_w.data)
         dp.bridge_b.data = np.zeros_like(dp.bridge_b.data)
         encs = doc.encode_sequence(Tensor(rng.standard_normal((3, 3))), dp.enc_cell)
@@ -225,7 +234,7 @@ class TestDecodeDocument:
         np.testing.assert_allclose(a.data, np.full((3, 1), 1 / 3), atol=1e-12)
 
     def test_against_equation_transcription_oracle(self, rng):
-        dp = _doc_encoder(rng, 3, 4)
+        dp, _ = _doc_encoder(rng, 3, 4)
         e = rng.standard_normal((3, 3))
         encs = doc.encode_sequence(Tensor(e), dp.enc_cell)
         e_d, _ = doc.decode_document(encs, dp)
@@ -234,9 +243,9 @@ class TestDecodeDocument:
             return 1 / (1 + np.exp(-v))
 
         def gru(x, h, cell):
-            z = sig(x @ cell.w_z.data + h @ cell.u_z.data + cell.b_z.data)
-            r = sig(x @ cell.w_r.data + h @ cell.u_r.data + cell.b_r.data)
-            cand = np.tanh(x @ cell.w_h.data + (r * h) @ cell.u_h.data + cell.b_h.data)
+            z = sig(x @ cell.w[0].data + h @ cell.u[0].data + cell.b[0].data)
+            r = sig(x @ cell.w[1].data + h @ cell.u[1].data + cell.b[1].data)
+            cand = np.tanh(x @ cell.w[2].data + (r * h) @ cell.u[2].data + cell.b[2].data)
             return (1 - z) * h + z * cand
 
         h = np.zeros((1, 4))
@@ -258,7 +267,7 @@ class TestGateInfluenceInvariant:
     def test_closed_gate_blocks_sentence_content(self, rng):
         width, d_g = 5, 4
         gp = _gate(rng, width)
-        dp = _doc_encoder(rng, width, d_g)
+        dp, _ = _doc_encoder(rng, width, d_g)
 
         def run(e_prime):
             scores, _ = doc.gate(Tensor(e_prime), gp)
@@ -279,13 +288,13 @@ class TestGateInfluenceInvariant:
         """Gate -> GRU encoder -> decoder under a batch loss, and its parameters."""
         width, d_g = 4, 3
         gp = _gate(rng, width)
-        dp = _doc_encoder(rng, width, d_g)
+        dp, made = _doc_encoder(rng, width, d_g)
         # a batch of inputs and a cross-entropy-style loss keep every
         # parameter's gradient well above finite-difference noise
         inputs = [Tensor(rng.uniform(-1, 1, (n_sentences, width))) for _ in range(3)]
         w_out = Tensor(rng.uniform(-1, 1, (d_g, 2)), requires_grad=False)
         target = Tensor(np.array([[1.0, 0.0]]), requires_grad=False)
-        params = [gp.w_g] + [tensor for _, tensor in ad.named_parameters(dp)]
+        params = [gp.w_g] + made
 
         def f():
             total = None
@@ -301,10 +310,12 @@ class TestGateInfluenceInvariant:
 
     @pytest.mark.parametrize("n_sentences", [1, 2, 4])
     def test_whole_module_gradcheck(self, rng, n_sentences):
-        worst, _ = ad.grad_check(*self._whole_module(rng, n_sentences))
+        # h = 1e-3: the smallest gradients here (~6e-9) sit below the 1e-8
+        # floor, where the roundoff of a 1e-4 step decides the error
+        worst, _ = ad.grad_check(*self._whole_module(rng, n_sentences), eps=1e-3)
         assert worst < 1e-4
 
     def test_gradcheck_catches_one_percent_tanh_error(self, rng, monkeypatch):
         monkeypatch.setattr(ad, "tanh", skewed_backward(ad.tanh))
-        worst, _ = ad.grad_check(*self._whole_module(rng, 4))
+        worst, _ = ad.grad_check(*self._whole_module(rng, 4), eps=1e-3)
         assert worst >= 1e-4

@@ -10,12 +10,13 @@ from conftest import tiny_config, total
 
 
 def _params(rng, vocab_size=12, d_tok=4, d_h=4, n_heads=1, n_layers=1, max_len=16):
+    init = ad.initializer(np.float64, rng)
     p = enc.init_encoder(
-        ad.initializer(np.float64, rng), vocab_size=vocab_size, d_tok=d_tok, d_h=d_h,
+        init, vocab_size=vocab_size, d_tok=d_tok, d_h=d_h,
         n_heads=n_heads, n_layers=n_layers, max_len=max_len,
     )
     # layer-norm inits are ones/zeros; randomize for non-trivial oracle checks
-    for _, tensor in ad.named_parameters(p):
+    for _, tensor in init.made:
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     return p
 
@@ -82,11 +83,12 @@ class TestTransformerEncode:
             enc.transformer_encode(list(range(9)), p)
 
     def test_parameter_count_independent_of_depth(self, rng):
-        init = ad.initializer(np.float64, rng)
-        shallow = enc.init_encoder(init, 12, 4, 4, 1, 1, 16)
-        deep = enc.init_encoder(init, 12, 4, 4, 1, 4, 16)
-        size = lambda p: sum(t.data.size for _, t in ad.named_parameters(p))
-        assert size(shallow) == size(deep)
+        def size(n_layers):
+            init = ad.initializer(np.float64, rng)
+            enc.init_encoder(init, 12, 4, 4, 1, n_layers, 16)
+            return sum(t.data.size for _, t in init.made)
+
+        assert size(1) == size(4)
 
     def test_segments_from_seps(self):
         segs = enc.segments_from_seps(7, [3, 6])
@@ -115,9 +117,7 @@ def _class_sim(rng, d_in=4, d_hidden=3, d_class=3, n_classes=3):
     w_c = ad.parameter("classsim.w_c", rng.uniform(-0.5, 0.5, (n_classes, d_class)))
     init = ad.initializer(np.float64, rng)
     cs = enc.init_class_similarity(init, w_c, d_in, d_hidden, d_class, "cs")
-    for _, tensor in ad.named_parameters(cs):
-        if tensor is w_c:
-            continue
+    for _, tensor in init.made:  # w_c is made above, not by init
         tensor.data = rng.uniform(-0.5, 0.5, size=tensor.data.shape)
     return cs
 

@@ -1,6 +1,8 @@
 import ast
 import inspect
 import itertools
+import math
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -73,6 +75,29 @@ def test_parameter_keys_are_tensor_names(variant):
     assert all(name == t.name for name, t in named)
     names = [name for name, _ in named]
     assert len(names) == len(set(names))
+
+
+def test_named_parameters_are_every_tensor_held_in_draw_order(variant):
+    params = build_model(tiny_config(**variant), VOCAB_SIZE, rng=np.random.default_rng(5))
+    named = params.named_parameters()
+    held = set()
+
+    def walk(obj):
+        for value in vars(obj).values():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, ad.Tensor):
+                    held.add(id(item))
+                elif is_dataclass(item):
+                    walk(item)
+
+    walk(params)
+    assert held == {id(t) for _, t in named}
+    ref = np.random.default_rng(5)
+    for _, t in named:
+        if np.all(t.data == t.data.flat[0]):
+            continue  # a constant fill draws nothing
+        limit = math.sqrt(6.0 / sum(t.shape))
+        np.testing.assert_array_equal(t.data, ref.uniform(-limit, limit, size=t.shape))
 
 
 def test_switched_off_variant_has_none_of_its_parameters(variant):
