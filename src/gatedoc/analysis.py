@@ -40,14 +40,6 @@ class ScoreDiffHistogram:
     cumulative_at_1: float | None
     cumulative_at_2: float | None
 
-    def to_dict(self):
-        return {
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "n_wrong": self.n_wrong,
-            "cumulative_at_1": self.cumulative_at_1,
-            "cumulative_at_2": self.cumulative_at_2,
-        }
-
 
 def minmax_normalize(scores):
     """Rescale to [0, 1]; an all-equal sequence (incl. length 1) maps to zeros."""

@@ -19,6 +19,7 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def save_checkpoint(params, config, vocab, path):
     named = params.named_parameters()
     dtype = _array_dtype(config)
     header = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "params": [{"name": name, "shape": list(t.data.shape)} for name, t in named],
     }
     hb = json.dumps(header, sort_keys=True).encode("utf-8")

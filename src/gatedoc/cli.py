@@ -32,7 +32,7 @@ from .textpipe import (
     read_raw_dataset,
     shuffle_split,
 )
-from .training import ablation_run, evaluate, train, write_metrics
+from .training import ablation_run, evaluate, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -101,7 +101,8 @@ def cmd_train(args):
     train_docs, dev_docs, test_docs, vocab = _prepare_splits(config)
     result = train(train_docs, dev_docs, config, vocab_size=len(vocab))
     if args.out:
-        write_metrics(result.history, args.out)
+        lines = (json.dumps(entry, sort_keys=True) + "\n" for entry in result.history)
+        _write_text("".join(lines), args.out)
     if args.checkpoint:
         save_checkpoint(result.params, config, vocab, args.checkpoint)
     test = evaluate(result.params, test_docs)
@@ -175,13 +176,13 @@ def cmd_ablate(args):
     config = _load_config(args)
     train_docs, dev_docs, test_docs, vocab = _prepare_splits(config)
     seeds = [config.seed + i for i in range(args.seeds)]
-    table = ablation_run(
+    rows = ablation_run(
         config, train_docs, dev_docs, test_docs, vocab_size=len(vocab), seeds=seeds
     )
     if args.out:
-        _write_json(asdict(table), args.out)
-    width = max(len(r.label) for r in table.rows)
-    for row in table.rows:
+        _write_json({"rows": [asdict(r) for r in rows]}, args.out)
+    width = max(len(r.label) for r in rows)
+    for row in rows:
         extra = "" if row.p_value_vs_full is None else f"  p={row.p_value_vs_full:.5f}"
         print(
             f"{row.label:<{width}}  test {row.test_accuracy:.4f} "
@@ -201,7 +202,8 @@ def cmd_analyze(args):
     payload = {
         "accuracy": result.accuracy,
         "stddev_report": asdict(report),
-        "score_diff_histogram": hist.to_dict(),
+        # sort_keys sorts the int keys numerically: for distances <= 9, their string order
+        "score_diff_histogram": asdict(hist),
     }
     if args.out:
         _write_json(payload, args.out)
@@ -220,8 +222,9 @@ def cmd_gradcheck(args):
         d_tok=4, d_h=4, n_heads=1, n_layers=1,
         d_class=3, d_class_hidden=3, d_g=4, d_out_hidden=4,
         max_sentences=8, max_stream_len=32, dtype="float64",
+        seed=args.seed if args.seed is not None else 0,
     ).validate()
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(config.seed)
     vocab_size = 16
     params = build_model(config, vocab_size=vocab_size, rng=rng, dtype="float64")
     # check away from init, whose zero biases leave dead ReLU units exactly
@@ -279,10 +282,11 @@ def build_parser():
             p.add_argument("--config", default=None, help="key = value config file")
         if checkpoint:
             p.add_argument("--checkpoint", default=None, help="checkpoint path")
+        source = p.add_mutually_exclusive_group() if data and text else p
         if data:
-            p.add_argument("--data", default=None, help="JSON-lines dataset path")
+            source.add_argument("--data", default=None, help="JSON-lines dataset path")
         if text:
-            p.add_argument("--text", default=None, help="raw document text")
+            source.add_argument("--text", default=None, help="raw document text")
 
     p = sub.add_parser("train", help="train a model from a config")
     common(p, seed=True, config=True, checkpoint=True)

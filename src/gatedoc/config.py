@@ -7,7 +7,7 @@ Unknown keys are rejected so typos fail loudly at load time.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .errors import UsageError
 from .textpipe import Limits, scheme_n_classes
@@ -85,6 +85,8 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:  # numpy's generators refuse negative seeds
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.d_h % self.n_heads != 0:
             raise UsageError(f"d_h ({self.d_h}) must be divisible by n_heads ({self.n_heads})")
         if self.max_stream_len < 3:
@@ -94,9 +96,6 @@ class TrainConfig:
         if self.train_data and not (self.dev_data and self.test_data):
             raise UsageError("train_data requires dev_data and test_data")
         return self
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -18,7 +18,7 @@ output space but never as gold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,17 +35,6 @@ class SyntheticRecord:
     text: str
     score: int
     key_index: int  # sentence index of the key sentence
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "id": self.id,
-                "text": self.text,
-                "score": self.score,
-                "key_index": self.key_index,
-            },
-            sort_keys=True,
-        )
 
 
 def _finish(tokens):
@@ -93,4 +82,4 @@ def generate_key_sentence_corpus(n_docs, seed, n_distractors=5):
 def write_corpus(records, path):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(rec.to_json() + "\n")
+            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")

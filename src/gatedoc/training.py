@@ -8,9 +8,7 @@ same final parameters bit for bit.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,11 +52,6 @@ class AblationRow:
     dev_accuracy: float
     test_accuracies: list
     p_value_vs_full: float | None
-
-
-@dataclass
-class AblationTable:
-    rows: list
 
 
 def evaluate(params, documents):
@@ -159,23 +152,16 @@ def train(train_docs, dev_docs, config, vocab_size):
     )
 
 
-def write_metrics(history, path):
-    """Metrics as JSON lines (epoch, train_loss, dev_accuracy); atomic write."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for entry in history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def ablation_run(config, train_docs, dev_docs, test_docs, vocab_size, seeds=None):
+def ablation_run(config, train_docs, dev_docs, test_docs, vocab_size, seeds):
     """Train the full model and the three single-removal variants.
 
-    All variants share seeds and data.  With two or more seeds, each
-    variant row carries a Welch t-test p-value against the full model
-    over the per-seed test accuracies.
+    All variants share seeds and data; the rows come in `ABLATION_VARIANTS`
+    order.  With two or more seeds, each variant row carries a Welch
+    t-test p-value against the full model over the per-seed test accuracies.
     """
-    seeds = list(seeds) if seeds else [config.seed]
+    seeds = list(seeds)
+    if not seeds:
+        raise UsageError("ablation needs at least one seed")
     rows = []
     full_accs = None
     for label, overrides in ABLATION_VARIANTS:
@@ -186,13 +172,11 @@ def ablation_run(config, train_docs, dev_docs, test_docs, vocab_size, seeds=None
             result = train(train_docs, dev_docs, variant, vocab_size)
             test_accs.append(evaluate(result.params, test_docs).accuracy)
             dev_accs.append(result.best_dev_accuracy)
+        p_value = None
         if full_accs is None:
             full_accs = test_accs
-            p_value = None
         elif len(seeds) >= 2:
             _, p_value = welch_ttest(full_accs, test_accs)
-        else:
-            p_value = None
         rows.append(
             AblationRow(
                 label=label,
@@ -202,4 +186,4 @@ def ablation_run(config, train_docs, dev_docs, test_docs, vocab_size, seeds=None
                 p_value_vs_full=p_value,
             )
         )
-    return AblationTable(rows=rows)
+    return rows

@@ -1,7 +1,11 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from gatedoc.analysis import error_histogram, minmax_normalize, stddev_report
+from gatedoc.cli import _write_json
 from gatedoc.errors import UsageError
 from gatedoc.heatmap import render_heatmap
 from gatedoc.model import Prediction
@@ -60,18 +64,23 @@ def _pred(predicted, gold, gate_scores=(0.5,), gate_enabled=True):
 
 
 class TestErrorHistogram:
-    def test_counts_and_cumulative_fractions(self):
-        # ten_scale: wrong by 1 (x3), 2 (x1), 4 (x1) and 9 (x1); two correct
+    def test_counts_and_cumulative_fractions(self, tmp_path):
+        # ten_scale: wrong by 9 (x1), 1 (x3), 2 (x1) and 4 (x1); two correct
         preds = [
-            _pred(3, 4), _pred(5, 4), _pred(0, 1), _pred(2, 4), _pred(7, 3),
-            _pred(9, 0), _pred(6, 6), _pred(0, 0),
+            _pred(9, 0), _pred(3, 4), _pred(5, 4), _pred(0, 1), _pred(2, 4),
+            _pred(7, 3), _pred(6, 6), _pred(0, 0),
         ]
         hist = error_histogram(preds)
         assert hist.counts == {1: 3, 2: 1, 4: 1, 9: 1}
         assert hist.n_wrong == 6
         assert hist.cumulative_at_1 == pytest.approx(3 / 6)
         assert hist.cumulative_at_2 == pytest.approx(4 / 6)
-        assert hist.to_dict()["counts"] == {"1": 3, "2": 1, "4": 1, "9": 1}
+        # as `gatedoc analyze` writes it: string keys in ascending order
+        path = tmp_path / "hist.json"
+        _write_json(asdict(hist), path)
+        counts = json.loads(path.read_text(encoding="utf-8"))["counts"]
+        assert counts == {"1": 3, "2": 1, "4": 1, "9": 1}
+        assert list(counts) == ["1", "2", "4", "9"]
 
     def test_no_wrong_predictions(self):
         hist = error_histogram([_pred(1, 1), _pred(2, 2)])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -22,14 +23,14 @@ def test_line_without_equals_is_rejected():
         _from_text("# comment\nbatch_size 8\n")
 
 
-def test_to_dict_from_dict_round_trip():
+def test_asdict_from_dict_round_trip():
     config = TrainConfig(
         scheme="ten_scale", data="corpus.jsonl", learning_rate=2e-5, batch_size=64,
         use_gate=False, gate_mode="vector", dtype="float64",
     )
-    assert TrainConfig.from_dict(config.to_dict()) == config
+    assert TrainConfig.from_dict(asdict(config)) == config
     # checkpoints store the config as JSON
-    assert TrainConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+    assert TrainConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
 
 
 def test_int_widens_to_float_and_integral_float_narrows_to_int():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 
 from gatedoc import training
@@ -73,29 +71,14 @@ class TestAblationRun:
         labels = [label for label, _ in training.ABLATION_VARIANTS]
 
         one = training.ablation_run(cfg, train_docs, dev_docs, test_docs, 20, seeds=[0])
-        assert [row.label for row in one.rows] == labels
-        assert all(row.p_value_vs_full is None for row in one.rows)
-        assert all(len(row.test_accuracies) == 1 for row in one.rows)
+        assert [row.label for row in one] == labels
+        assert all(row.p_value_vs_full is None for row in one)
+        assert all(len(row.test_accuracies) == 1 for row in one)
 
         two = training.ablation_run(cfg, train_docs, dev_docs, test_docs, 20, seeds=[0, 1])
-        assert [row.label for row in two.rows] == labels
-        assert two.rows[0].p_value_vs_full is None
-        for row in two.rows[1:]:
+        assert [row.label for row in two] == labels
+        assert two[0].p_value_vs_full is None
+        for row in two[1:]:
             assert isinstance(row.p_value_vs_full, float)
             assert 0.0 <= row.p_value_vs_full <= 1.0
-        assert all(len(row.test_accuracies) == 2 for row in two.rows)
-
-
-def test_write_metrics_one_sorted_json_line_per_epoch(tmp_path):
-    history = [
-        {"train_loss": 1.25, "epoch": 0, "dev_accuracy": 0.5},
-        {"train_loss": 0.75, "epoch": 1, "dev_accuracy": 0.625},
-    ]
-    path = tmp_path / "metrics.jsonl"
-    training.write_metrics(history, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [json.dumps(entry, sort_keys=True) for entry in history]
-    assert [list(json.loads(line)) for line in lines] == [
-        ["dev_accuracy", "epoch", "train_loss"]
-    ] * 2
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["metrics.jsonl"]
+        assert all(len(row.test_accuracies) == 2 for row in two)
