@@ -1,6 +1,10 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 
-from gatedoc import training
+import gatedoc.cli
+from gatedoc import synthetic, training
 
 from conftest import make_doc, tiny_config
 
@@ -82,3 +86,34 @@ class TestAblationRun:
             assert isinstance(row.p_value_vs_full, float)
             assert 0.0 <= row.p_value_vs_full <= 1.0
         assert all(len(row.test_accuracies) == 2 for row in two)
+
+
+def test_write_metrics_one_sorted_json_line_per_epoch(tmp_path, monkeypatch):
+    # train --out writes the history; keys come out sorted whatever their order in memory
+    history = [
+        {"train_loss": 1.25, "epoch": 0, "dev_accuracy": 0.5},
+        {"train_loss": 0.75, "epoch": 1, "dev_accuracy": 0.625},
+    ]
+
+    def with_history(*args, **kwargs):
+        return replace(training.train(*args, **kwargs), history=history)
+
+    monkeypatch.setattr(gatedoc.cli, "train", with_history)
+    corpus = tmp_path / "corpus.jsonl"
+    synthetic.write_corpus(synthetic.generate_key_sentence_corpus(20, seed=0), corpus)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"data = {corpus}\nd_tok = 4\nd_h = 8\nn_heads = 2\nn_layers = 1\n"
+        "d_class = 3\nd_class_hidden = 4\nd_g = 6\nmax_epochs = 1\nbatch_size = 4\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / "metrics.jsonl"
+    assert gatedoc.cli.main(["train", "--config", str(config), "--out", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(entry, sort_keys=True) for entry in history]
+    assert [list(json.loads(line)) for line in lines] == [
+        ["dev_accuracy", "epoch", "train_loss"]
+    ] * 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.jsonl"]
