@@ -6,9 +6,13 @@ from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedoc import autodiff as ad
+from gatedoc.cli import GRADCHECK_THRESHOLD
 from gatedoc.model import build_model, forward, one_hot
+from gatedoc.textpipe import assemble_document
 
 from conftest import make_doc, randomize_params, tiny_config
 from forward_oracle import oracle_forward
@@ -67,6 +71,76 @@ def test_engine_matches_numpy_oracle(variant):
         )
         np.testing.assert_allclose(result.probs.data.reshape(-1), probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.gate_scores, scores, rtol=0, atol=1e-12)
+
+
+
+D_H = tiny_config().d_h
+
+
+@st.composite
+def sentence_lengths(draw):
+    """1-12 sentence lengths in tokens, in any order: short ones, whose
+    blocks share a padded group, and up to three long ones, which with
+    enough short ones are too skewed for one group."""
+    n = draw(st.integers(1, 12))
+    n_long = draw(st.integers(0, min(n, 3)))
+    short = draw(st.lists(st.integers(1, 3), min_size=n - n_long, max_size=n - n_long))
+    long = draw(st.lists(st.integers(40, 90), min_size=n_long, max_size=n_long))
+    return draw(st.permutations(short + long))
+
+
+def _filled_doc(rng, lengths, **overrides):
+    """A config whose max_stream_len the document of these sentence lengths fills exactly."""
+    stream_len = 1 + sum(n + 1 for n in lengths)
+    config = tiny_config(max_sentences=len(lengths), max_stream_len=stream_len, **overrides)
+    sentences = [[int(t) for t in rng.integers(5, VOCAB_SIZE, size=n)] for n in lengths]
+    spans = [(i, i + 1) for i in range(len(lengths))]
+    doc = assemble_document(
+        sentences, spans, config.limits(), doc_id="drawn", label=0, n_classes=config.n_classes
+    )
+    assert len(doc.token_stream) == config.max_stream_len
+    return config, doc
+
+
+@given(
+    variant=st.sampled_from(VARIANTS),
+    n_layers=st.integers(1, 3),
+    n_heads=st.sampled_from([h for h in range(1, D_H + 1) if D_H % h == 0]),
+    lengths=sentence_lengths(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_engine_matches_numpy_oracle_on_drawn_documents(variant, n_layers, n_heads, lengths, seed):
+    rng = np.random.default_rng(seed)
+    config, doc = _filled_doc(rng, lengths, n_layers=n_layers, n_heads=n_heads, **variant)
+    params = build_model(config, VOCAB_SIZE, rng=rng)
+    randomize_params(params, rng)
+    arrays = {name: t.data for name, t in params.named_parameters()}
+    result = forward(doc, params)
+    probs, scores = oracle_forward(arrays, doc, n_layers=n_layers, n_heads=n_heads, **variant)
+    np.testing.assert_allclose(result.probs.data.reshape(-1), probs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.gate_scores, scores, rtol=0, atol=1e-12)
+
+
+def test_engine_gradients_on_a_skewed_document():
+    # blocks of 1, 51, 3, 4 and 2 rows are too skewed for one group; the
+    # 3- and 4-row blocks share a padded group, so padded queries and keys
+    # occur together
+    rng = np.random.default_rng(7)
+    config, doc = _filled_doc(rng, [50, 2, 3, 1], n_layers=2)
+    params = build_model(config, VOCAB_SIZE, rng=rng)
+    randomize_params(params, rng)
+    target = one_hot(doc.label, config.n_classes, np.float64)
+    named = dict(params.named_parameters())
+    # the encoder's attention inputs and the decoder's query
+    checked = [named[name] for name in (
+        "encoder.wq", "encoder.bq", "encoder.wk", "encoder.wv", "encoder.bv",
+        "docenc.bridge_w", "docenc.bridge_b",
+    )]
+    worst, entry = ad.grad_check(
+        lambda: ad.bce_loss(forward(doc, params).probs, target), checked, eps=1e-3
+    )
+    assert worst < GRADCHECK_THRESHOLD, f"worst relative error {worst} at {entry}"
 
 
 def test_parameter_keys_are_tensor_names(variant):
