@@ -19,7 +19,6 @@ from .config import TrainConfig, load_config
 from .document import (
     GateParams,
     GruCellParams,
-    attend,
     decode_document,
     encode_sequence,
     gate,

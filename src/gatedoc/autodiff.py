@@ -3,15 +3,15 @@
 Covers exactly what the gated document classifier needs: 2-D matrix
 products, the affine map x W + b as one node, pointwise add and mul of
 equal shapes, multiplication by a python float, sigmoid/tanh/relu, row
-gather, n-ary concat, transpose, softmax, block-scoped multi-head
-attention (one node per layer, with a hand-written backward), a GRU run
-over all rows of its input (one node, input projections hoisted out of
-the step loop, and a hand-written backward through time), row-wise
-layer normalisation, per-row scaling (the gate application), binary
-cross-entropy, the one initializer that makes every parameter (drawn,
-filled with a constant, or taken from a checkpoint's arrays) and lists
-each one it makes, a fourth-order central-difference gradient checker
-and an Adam optimizer.
+gather, n-ary concat, transpose, block-scoped multi-head attention
+(one node with a hand-written backward; query blocks of their own and a
+score scale serve the decoder), a GRU run over all rows of its input
+(one node, input projections hoisted out of the step loop, and a
+hand-written backward through time), row-wise layer normalisation,
+per-row scaling (the gate application), binary cross-entropy, the one
+initializer that makes every parameter (drawn, filled with a constant,
+or taken from a checkpoint's arrays) and lists each one it makes, a
+fourth-order central-difference gradient checker and an Adam optimizer.
 No op broadcasts: a bias row enters only through `linear`, a scalar only
 through `scale` or `scale_rows`.  Each op checks the shapes it is given
 and raises DimensionError, so the model code above it does not check
@@ -356,84 +356,80 @@ def transpose(x):
     return _make("transpose", out, (x,), bw)
 
 
-def softmax(x, axis):
-    """Exp-normalisation with max subtraction; sums to 1 along `axis`."""
-    if x.data.ndim not in (1, 2):
-        raise DimensionError(f"softmax supports 1-D/2-D tensors, got shape {x.shape}")
-    ax = axis if axis >= 0 else x.data.ndim + axis
-    if not 0 <= ax < x.data.ndim:
-        raise DimensionError(f"softmax: axis {axis} out of range for shape {x.shape}")
-    shifted = x.data - x.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
-
-    def bw(g, y=out):
-        return (y * (g - (g * y).sum(axis=ax, keepdims=True)),)
-
-    return _make("softmax", out, (x,), bw)
-
-
 def _group_blocks(blocks):
-    """Batch layout of row blocks: one (rows, valid) pair per group of blocks.
+    """Indices of the blocks batched together, one list per group.
 
-    Each group is padded to its longest block.  `rows` (n_group x L)
-    holds each block's row indices, padding repeating its first row;
-    `valid` marks the real entries, or is None when nothing is padded.
-    Every group costs a fixed run of numpy calls, so all blocks share
-    one group when that keeps the padded score entries, sum of
-    n_group * L^2, within 4 * sum(L_i^2).  Otherwise blocks whose
-    lengths share a power-of-two ceiling form a group; a group's longest
-    block is then under twice its shortest, which keeps the same bound.
+    Each group is padded to its longest block.  Every group costs a
+    fixed run of numpy calls, so all blocks share one group when that
+    keeps the padded score entries, sum of n_group * L^2, within
+    4 * sum(L_i^2).  Otherwise blocks whose lengths share a power-of-two
+    ceiling form a group; a group's longest block is then under twice
+    its shortest, which keeps the same bound.
     """
     lengths = [stop - start for start, stop in blocks]
     if len(blocks) * max(lengths) ** 2 <= 4 * sum(L * L for L in lengths):
-        grouped = [blocks]
-    else:
-        by_ceiling = {}
-        for block, length in zip(blocks, lengths):
-            by_ceiling.setdefault((length - 1).bit_length(), []).append(block)
-        grouped = by_ceiling.values()
-    groups = []
-    for members in grouped:
-        starts, stops = np.array(members, dtype=np.intp).T
-        sizes = stops - starts
-        offsets = np.arange(sizes.max())
-        valid = offsets[None, :] < sizes[:, None]
-        rows = starts[:, None] + np.where(valid, offsets[None, :], 0)
-        groups.append((rows, None if valid.all() else valid))
-    return groups
+        return [list(range(len(blocks)))]
+    by_ceiling = {}
+    for i, length in enumerate(lengths):
+        by_ceiling.setdefault((length - 1).bit_length(), []).append(i)
+    return list(by_ceiling.values())
 
 
-def attention(q, k, v, n_heads, blocks):
-    """Multi-head scaled dot-product attention scoped to row blocks.
+def _pad_ranges(ranges):
+    """(rows, valid) of (start, stop) row ranges padded to the longest.
 
-    q, k and v are (n x d); head h uses columns [h*d_k, (h+1)*d_k) with
-    d_k = d / n_heads.  `blocks` lists (start, stop) row ranges covering
-    [0, n) in order, and each row attends only to the rows of its own
-    block: per block and head, softmax(Q K^T / sqrt(d_k)) V.  Blocks are
-    batched by length group (`_group_blocks`) into contiguous head-major
-    (n_group x heads x L x d_k) copies, and padded keys score -inf.  The
-    backward pass keeps the attention weights P and applies
-    dV = P^T G, dS = P * (dP - rowsum(dP * P)), dQ = dS K, dK = dS^T Q.
+    `rows` (n_ranges x L) holds each range's row indices, padding
+    repeating its first row; `valid` marks the real entries, or is None
+    when nothing is padded.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise DimensionError(
-            f"attention: q, k, v must share a 2-D shape, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    n, d = q.shape
+    sizes = [stop - start for start, stop in ranges]
+    offsets = np.arange(max(sizes))
+    valid = offsets < np.array(sizes)[:, None]
+    rows = np.array([start for start, _ in ranges])[:, None] + offsets * valid
+    return rows, None if min(sizes) == len(offsets) else valid
+
+
+def _check_tiling(kind, ranges, n):
+    pos = 0
+    for start, stop in ranges:
+        if start != pos or stop <= start:
+            raise DimensionError(f"attention: {kind} ({start}, {stop}) does not follow row {pos}")
+        pos = stop
+    if pos != n or not ranges:
+        raise DimensionError(f"attention: {kind} cover {pos} of {n} rows")
+
+
+def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
+    """Multi-head dot-product attention scoped to row blocks.
+
+    k and v are (n x d) and q is (m x d); head h uses columns
+    [h*d_k, (h+1)*d_k) with d_k = d / n_heads.  `blocks` lists
+    (start, stop) key ranges tiling [0, n) in order, and `q_blocks` one
+    query range per block, tiling [0, m) in order (default: `blocks`).
+    The queries of range i attend only to the keys of block i: per block
+    and head, softmax(scale Q K^T) V, where `scale` defaults to
+    1/sqrt(d_k).  Blocks are batched by key length group (`_group_blocks`)
+    into contiguous head-major (n_group x heads x L x d_k) copies, the
+    group's key and query ranges each padded to their longest.  Padded
+    keys score -inf, padded query rows carry no gradient, and only real
+    rows are written: the output and dQ at the query rows, dK and dV at
+    the key rows.  The backward pass keeps the attention weights P and
+    applies dV = P^T G, dS = scale P * (dP - rowsum(dP * P)), dQ = dS K,
+    dK = dS^T Q.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit")
+    d = k.shape[1]
     if n_heads <= 0 or d % n_heads:
         raise DimensionError(f"attention: width {d} not divisible by {n_heads} heads")
-    if not blocks:
-        raise DimensionError("attention: no blocks")
-    pos = 0
-    for start, stop in blocks:
-        if start != pos or stop <= start:
-            raise DimensionError(f"attention: block ({start}, {stop}) does not follow row {pos}")
-        pos = stop
-    if pos != n:
-        raise DimensionError(f"attention: blocks cover {pos} of {n} rows")
+    _check_tiling("blocks", blocks, k.shape[0])
+    if q_blocks is not None:
+        if len(q_blocks) != len(blocks):
+            raise DimensionError(f"attention: {len(q_blocks)} query ranges, {len(blocks)} blocks")
+        _check_tiling("q_blocks", q_blocks, q.shape[0])
     d_k = d // n_heads
-    inv = 1.0 / math.sqrt(d_k)
+    if scale is None:
+        scale = 1.0 / math.sqrt(d_k)
 
     def heads(x, rows):
         g, L = rows.shape
@@ -449,32 +445,35 @@ def attention(q, k, v, n_heads, blocks):
 
     out = np.empty_like(q.data)
     saved = []
-    for rows, valid in _group_blocks(blocks):
-        qh, kh, vh = heads(q.data, rows), heads(k.data, rows), heads(v.data, rows)
-        s = (qh @ kh.transpose(0, 1, 3, 2)) * inv
-        if valid is not None:
-            np.copyto(s, -np.inf, where=~valid[:, None, None, :])
+    for members in _group_blocks(blocks):
+        qrows, qvalid = krows, kvalid = _pad_ranges([blocks[i] for i in members])
+        if q_blocks is not None:
+            qrows, qvalid = _pad_ranges([q_blocks[i] for i in members])
+        qh, kh, vh = heads(q.data, qrows), heads(k.data, krows), heads(v.data, krows)
+        s = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+        if kvalid is not None:
+            np.copyto(s, -np.inf, where=~kvalid[:, None, None, :])
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         p = s / s.sum(axis=-1, keepdims=True)
-        put_rows(out, p @ vh, rows, valid)
-        saved.append((rows, valid, qh, kh, vh, p))
+        put_rows(out, p @ vh, qrows, qvalid)
+        saved.append((qrows, qvalid, krows, kvalid, qh, kh, vh, p))
 
     def bw(g):
         grads = [np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v)]
         dq, dk, dv = grads
-        for rows, valid, qh, kh, vh, p in saved:
-            gh = heads(g, rows)
-            if valid is not None:
-                gh *= valid[:, None, :, None]  # padded query rows carry no gradient
+        for qrows, qvalid, krows, kvalid, qh, kh, vh, p in saved:
+            gh = heads(g, qrows)
+            if qvalid is not None:
+                gh *= qvalid[:, None, :, None]  # padded query rows carry no gradient
             dp = gh @ vh.transpose(0, 1, 3, 2)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * inv
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
             if dq is not None:
-                put_rows(dq, ds @ kh, rows, valid)
+                put_rows(dq, ds @ kh, qrows, qvalid)
             if dk is not None:
-                put_rows(dk, ds.transpose(0, 1, 3, 2) @ qh, rows, valid)
+                put_rows(dk, ds.transpose(0, 1, 3, 2) @ qh, krows, kvalid)
             if dv is not None:
-                put_rows(dv, p.transpose(0, 1, 3, 2) @ gh, rows, valid)
+                put_rows(dv, p.transpose(0, 1, 3, 2) @ gh, krows, kvalid)
         return tuple(grads)
 
     return _make("attention", out, (q, k, v), bw)

@@ -1,6 +1,7 @@
 """Document encoder: learned per-sentence importance gates, a forward
-GRU over the gated sentence embeddings, and a one-step decoder with
-dot-product attention that yields the document embedding.
+GRU over the gated sentence embeddings, and a one-step decoder whose
+context vector is the engine's `attention` with one query and an
+unscaled dot score; the decoder returns only the document embedding.
 
 GRU orientation, fixed throughout (and matched by the test oracles):
     z = sigmoid(W_z x + U_z h + b_z)
@@ -107,24 +108,18 @@ def encode_sequence(e_dprime, cell):
     return ad.gru(e_dprime, h0, cell.w, cell.u, cell.b)
 
 
-def attend(encs, query):
-    """Dot-product attention: weights over encoder states and their weighted sum."""
-    scores = ad.matmul(encs, ad.transpose(query))  # (n, 1)
-    a = ad.softmax(scores, axis=0)
-    cnt = ad.matmul(ad.transpose(a), encs)  # (1, d_g)
-    return a, cnt
-
-
 def decode_document(encs, dp):
-    """One-step decode: document embedding and the attention weights.
+    """One-step decode: the document embedding (1 x d_g).
 
     dec_0 = tanh-FNN(enc_n) is both the attention query and the
-    decoder's initial state; the decoder input is the start-symbol
-    embedding concatenated with the context vector.
+    decoder's initial state; the context vector is the engine's
+    attention of dec_0 over the encoder states with Luong et al.'s
+    unscaled dot score (arXiv:1508.04025), and the decoder input is the
+    start-symbol embedding concatenated with it.
     """
-    enc_n = ad.gather_rows(encs, [encs.shape[0] - 1])
+    n = encs.shape[0]
+    enc_n = ad.gather_rows(encs, [n - 1])
     dec0 = ad.tanh(ad.linear(enc_n, dp.bridge_w, dp.bridge_b))
-    a, cnt = attend(encs, dec0)
+    cnt = ad.attention(dec0, encs, encs, 1, [(0, n)], q_blocks=[(0, 1)], scale=1.0)
     x = ad.concat((dp.start_emb, cnt), axis=1)
-    e_d = ad.gru(x, dec0, dp.dec_cell.w, dp.dec_cell.u, dp.dec_cell.b)
-    return e_d, a
+    return ad.gru(x, dec0, dp.dec_cell.w, dp.dec_cell.u, dp.dec_cell.b)

@@ -167,7 +167,7 @@ def forward(doc, mp):
         scores = np.full(e_prime.shape[0], 0.5)
         e_dprime = e_prime
     encs = docmod.encode_sequence(e_dprime, mp.doc_encoder.enc_cell)
-    e_d, _ = docmod.decode_document(encs, mp.doc_encoder)
+    e_d = docmod.decode_document(encs, mp.doc_encoder)
     probs = classify_head(e_d, mp)
     return ForwardResult(probs=probs, gate_scores=scores)
 

@@ -160,26 +160,35 @@ class TestConcatSplit:
             ad.concat((t(np.ones((2, 2))), t(np.ones((2, 2)))), axis=2)
 
 
+def _softmax(x):
+    """Row-wise softmax of x (m x n) by `attention`: the rows as queries
+    over k = v = I_n, with scale 1, give softmax(x I) I = softmax(x)."""
+    m, n = x.shape
+    eye = t(np.eye(n), grad=False)
+    return ad.attention(x, eye, eye, 1, [(0, n)], q_blocks=[(0, m)], scale=1.0)
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = ad.softmax(t([0.0, 0.0, 0.0]), axis=0)
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = _softmax(t([[0.0, 0.0, 0.0]]))
+        np.testing.assert_allclose(out.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_stable_at_1000(self):
-        out = ad.softmax(t([1000.0, 0.0]), axis=0)
-        np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-15)
+        out = _softmax(t([[1000.0, 0.0]]))
+        np.testing.assert_allclose(out.data, [[1.0, 0.0]], atol=1e-15)
 
     def test_closed_form_log_ratio(self):
-        out = ad.softmax(t([math.log(2.0), math.log(1.0)]), axis=0)
-        np.testing.assert_allclose(out.data, [2 / 3, 1 / 3], atol=1e-15)
+        out = _softmax(t([[math.log(2.0), math.log(1.0)]]))
+        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-15)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_sums_to_one(self, n, d, axis, seed):
         x = np.random.default_rng(seed).uniform(-50, 50, (n, d))
-        out = ad.softmax(t(x), axis=axis)
-        assert (out.data >= 0).all()
-        np.testing.assert_allclose(out.data.sum(axis=axis), 1.0, atol=1e-12)
+        out = _softmax(t(x if axis == 1 else x.T)).data
+        out = out if axis == 1 else out.T
+        assert (out >= 0).all()
+        np.testing.assert_allclose(out.sum(axis=axis), 1.0, atol=1e-12)
 
 
 def _blocks(lengths):
@@ -187,15 +196,19 @@ def _blocks(lengths):
     return list(zip([0] + stops[:-1], stops))
 
 
-def _dense_attention(q, k, v, n_heads, blocks):
-    """Per-head loop over the full n x n scores with a -1e9 cross-block mask."""
+def _dense_attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
+    """Per-head loop over the full m x n scores with a -1e9 cross-block mask."""
     dk = q.shape[1] // n_heads
-    seg = np.repeat(np.arange(len(blocks)), [stop - start for start, stop in blocks])
-    mask = np.where(seg[:, None] == seg[None, :], 0.0, -1e9)
+    scale = 1 / math.sqrt(dk) if scale is None else scale
+
+    def segments(ranges):
+        return np.repeat(np.arange(len(ranges)), [stop - start for start, stop in ranges])
+
+    mask = np.where(segments(q_blocks or blocks)[:, None] == segments(blocks)[None, :], 0.0, -1e9)
     heads = []
     for h in range(n_heads):
         cols = slice(h * dk, (h + 1) * dk)
-        s = q[:, cols] @ k[:, cols].T / math.sqrt(dk) + mask
+        s = q[:, cols] @ k[:, cols].T * scale + mask
         e = np.exp(s - s.max(axis=1, keepdims=True))
         heads.append((e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
     return np.concatenate(heads, axis=1)
@@ -203,7 +216,10 @@ def _dense_attention(q, k, v, n_heads, blocks):
 
 # (n_heads, block lengths): one block; similar lengths padded into one
 # group, with a length-1 block; lengths too skewed for one group, split
-# into two power-of-two groups, one of them padded
+# into two power-of-two groups, one of them padded.  Then queries other
+# than the keys, as (key block lengths, query range lengths, scale): one
+# query per block; a 3-row query range padded with a 1-row one in the
+# padded group of the skewed case; an unscaled score
 ATTENTION_CASES = [
     (1, [5]),
     (3, [5]),
@@ -211,17 +227,31 @@ ATTENTION_CASES = [
     (3, [1, 3, 2, 4]),
     (1, [1, 1, 1, 1, 1, 1, 7, 5]),
     (3, [1, 1, 1, 1, 1, 1, 7, 5]),
+    (1, ([3, 5, 2], [1, 1, 1], None)),
+    (3, ([1, 1, 1, 1, 1, 1, 7, 5], [1, 2, 1, 1, 1, 1, 3, 1], None)),
+    (3, ([4, 2], [2, 3], 1.0)),
 ]
+
+
+def _attention_args(rng, n_heads, lengths, width, low=-1.0, high=1.0):
+    """q, k, v (as arrays) and the remaining `attention` arguments of a case."""
+    if not isinstance(lengths, tuple):
+        lengths = (lengths, None, None)
+    key_lengths, q_lengths, scale = lengths
+    blocks = _blocks(key_lengths)
+    q_blocks = None if q_lengths is None else _blocks(q_lengths)
+    n, m = sum(key_lengths), sum(q_lengths or key_lengths)
+    q, k, v = (rng.uniform(low, high, (rows, width)) for rows in (m, n, n))
+    return q, k, v, (n_heads, blocks, q_blocks, scale)
 
 
 class TestAttention:
     @pytest.mark.parametrize("n_heads, lengths", ATTENTION_CASES)
     def test_matches_dense_masked_reference(self, rng, n_heads, lengths):
-        n, blocks = sum(lengths), _blocks(lengths)
-        q, k, v = (rng.uniform(-2, 2, (n, 4 * n_heads)) for _ in range(3))
-        out = ad.attention(t(q), t(k), t(v), n_heads, blocks)
+        q, k, v, args = _attention_args(rng, n_heads, lengths, 4 * n_heads, -2.0, 2.0)
+        out = ad.attention(t(q), t(k), t(v), *args)
         np.testing.assert_allclose(
-            out.data, _dense_attention(q, k, v, n_heads, blocks), rtol=0, atol=1e-12
+            out.data, _dense_attention(q, k, v, *args), rtol=0, atol=1e-12
         )
 
     def test_float32_in_float32_out(self, rng):
@@ -253,6 +283,21 @@ class TestAttention:
         x = t(np.ones((3, 4)))
         with pytest.raises(DimensionError):
             ad.attention(x, x, x, 3, [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "q_shape, q_blocks",
+        [
+            ((2, 3), [(0, 1), (1, 2)]),  # q narrower than k
+            ((2, 2), [(0, 2)]),  # one query range for two blocks
+            ((2, 2), [(0, 1), (1, 3)]),  # ranges run past q's rows
+            ((3, 2), [(0, 1), (1, 2)]),  # ranges leave a row of q out
+            ((2, 2), [(0, 1), (0, 2)]),  # ranges overlap
+        ],
+    )
+    def test_queries_must_fit_the_keys(self, q_shape, q_blocks):
+        x = t(np.ones((6, 2)))
+        with pytest.raises(DimensionError):
+            ad.attention(t(np.ones(q_shape)), x, x, 1, [(0, 3), (3, 6)], q_blocks=q_blocks)
 
 
 def _gru_inputs(rng, n, d_in, d, h0_grad=True, dtype=np.float64):
@@ -341,8 +386,13 @@ class TestGru:
             ad.gru(x, h0, w[:2], u, b)
 
 
+def _padded_groups(blocks):
+    """(rows, valid) of each group's blocks, padded as `attention` pads them."""
+    return [ad._pad_ranges([blocks[i] for i in members]) for members in ad._group_blocks(blocks)]
+
+
 def _padded_scores(blocks):
-    return sum(rows.size * rows.shape[1] for rows, _ in ad._group_blocks(blocks))
+    return sum(rows.size * rows.shape[1] for rows, _ in _padded_groups(blocks))
 
 
 class TestBlockGrouping:
@@ -362,7 +412,7 @@ class TestBlockGrouping:
     @settings(max_examples=60, deadline=None)
     def test_every_row_once_within_the_bound(self, lengths):
         blocks = _blocks(lengths)
-        groups = ad._group_blocks(blocks)
+        groups = _padded_groups(blocks)
         assert len(groups) <= 10  # at most log2(512) + 1 length groups
         real = np.concatenate(
             [rows.reshape(-1) if valid is None else rows[valid] for rows, valid in groups]
@@ -549,16 +599,21 @@ class TestGradCheckPerOp:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_softmax(self, rng, axis):
+        # the softmax form of `attention`: only the queries carry a gradient
         x = t(rng.uniform(-1, 1, (3, 4)))
         w = t(rng.uniform(-1, 1, (3, 4)), grad=False)
-        _check(lambda: total(ad.mul(ad.softmax(x, axis=axis), w)), [x])
+
+        def softmax():
+            return _softmax(x) if axis == 1 else ad.transpose(_softmax(ad.transpose(x)))
+
+        _check(lambda: total(ad.mul(softmax(), w)), [x])
 
     @pytest.mark.parametrize("n_heads, lengths", ATTENTION_CASES)
     def test_attention(self, rng, n_heads, lengths):
-        n, blocks = sum(lengths), _blocks(lengths)
-        q, k, v = (t(rng.uniform(-1, 1, (n, 2 * n_heads))) for _ in range(3))
-        w = t(rng.uniform(-1, 1, (n, 2 * n_heads)), grad=False)
-        _check(lambda: total(ad.mul(ad.attention(q, k, v, n_heads, blocks), w)), [q, k, v])
+        q, k, v, args = _attention_args(rng, n_heads, lengths, 2 * n_heads)
+        q, k, v = t(q), t(k), t(v)
+        w = t(rng.uniform(-1, 1, q.shape), grad=False)
+        _check(lambda: total(ad.mul(ad.attention(q, k, v, *args), w)), [q, k, v])
 
     # (rows, d_in, d, h0 carries a gradient): one step from a trained
     # state; five steps from a constant zero state; d_in != d

@@ -176,26 +176,61 @@ class TestEncodeSequence:
             np.testing.assert_allclose(encs.data[i], h, atol=1e-10)
 
 
+def _context(encs, query, values=None):
+    """The decoder's attention form: one query over the encoder states,
+    unscaled; with `values` an (n x d) identity it returns the weights."""
+    n = encs.shape[0]
+    values = encs if values is None else values
+    return ad.attention(query, encs, values, 1, [(0, n)], q_blocks=[(0, 1)], scale=1.0)
+
+
+def _weights(encs, query):
+    """The attention weights of the decoder's form, for d >= n states."""
+    n, d = encs.shape
+    return _context(encs, query, Tensor(np.eye(n, d))).data[0, :n]
+
+
+def _sig(v):
+    return 1 / (1 + np.exp(-v))
+
+
+def _gru_step(x, h, cell):
+    """One GRU step transcribed from the equations, on plain arrays."""
+    z = _sig(x @ cell.w[0].data + h @ cell.u[0].data + cell.b[0].data)
+    r = _sig(x @ cell.w[1].data + h @ cell.u[1].data + cell.b[1].data)
+    cand = np.tanh(x @ cell.w[2].data + (r * h) @ cell.u[2].data + cell.b[2].data)
+    return (1 - z) * h + z * cand
+
+
+def _decoded(encs, dp, cnt):
+    """The decoder's output from the encoder states for a given context vector."""
+    dec0 = np.tanh(encs[-1:] @ dp.bridge_w.data + dp.bridge_b.data)
+    return _gru_step(np.concatenate([dp.start_emb.data, cnt], axis=1), dec0, dp.dec_cell)
+
+
 class TestAttend:
+    """The decoder's attention, as the one `attention` node `decode_document` builds."""
+
     def test_identical_states_give_uniform_weights(self, rng):
         row = rng.standard_normal(4)
         encs = Tensor(np.tile(row, (3, 1)))
-        a, cnt = doc.attend(encs, Tensor(rng.standard_normal((1, 4))))
-        np.testing.assert_allclose(a.data, np.full((3, 1), 1 / 3), atol=1e-12)
-        np.testing.assert_allclose(cnt.data.reshape(-1), row, atol=1e-12)
+        query = Tensor(rng.standard_normal((1, 4)))
+        np.testing.assert_allclose(_weights(encs, query), np.full(3, 1 / 3), atol=1e-12)
+        np.testing.assert_allclose(_context(encs, query).data.reshape(-1), row, atol=1e-12)
 
     def test_dominant_state_takes_all(self, rng):
         encs = np.ones((3, 4)) * 0.01
         encs[1] = 100.0
-        a, cnt = doc.attend(Tensor(encs), Tensor(np.ones((1, 4))))
-        assert a.data[1, 0] > 1 - 1e-9
+        query = Tensor(np.ones((1, 4)))
+        assert _weights(Tensor(encs), query)[1] > 1 - 1e-9
+        cnt = _context(Tensor(encs), query)
         np.testing.assert_allclose(cnt.data.reshape(-1), encs[1], atol=1e-6)
 
     def test_weights_sum_to_one_and_weighted_sum_oracle(self, rng):
         encs = rng.standard_normal((3, 4))
         query = rng.standard_normal((1, 4))
-        a, cnt = doc.attend(Tensor(encs), Tensor(query))
-        assert abs(a.data.sum() - 1.0) < 1e-12
+        assert abs(_weights(Tensor(encs), Tensor(query)).sum() - 1.0) < 1e-12
+        cnt = _context(Tensor(encs), Tensor(query))
         scores = encs @ query.reshape(-1)
         e = np.exp(scores - scores.max())
         w = e / e.sum()
@@ -203,64 +238,57 @@ class TestAttend:
         np.testing.assert_allclose(cnt.data.reshape(-1), expected, atol=1e-12)
 
     def test_shift_invariance(self, rng):
-        encs = rng.standard_normal((4, 3))
-        q = rng.standard_normal((1, 3))
-        a1, _ = doc.attend(Tensor(encs), Tensor(q))
+        encs = rng.standard_normal((4, 5))
+        q = rng.standard_normal((1, 5))
+        a1 = _weights(Tensor(encs), Tensor(q))
         # adding a constant to all scores = appending a constant direction;
-        # verified directly on the softmax
-        scores = encs @ q.reshape(-1)
-        shifted = ad.softmax(Tensor((scores + 7.5).reshape(-1, 1)), axis=0)
-        np.testing.assert_allclose(a1.data, shifted.data, atol=1e-12)
+        # verified on the op's softmax form, scores over k = v = I
+        scores = Tensor((encs @ q.reshape(-1) + 7.5).reshape(1, -1))
+        eye = Tensor(np.eye(4))
+        shifted = ad.attention(scores, eye, eye, 1, [(0, 4)], q_blocks=[(0, 1)], scale=1.0)
+        np.testing.assert_allclose(a1, shifted.data[0], atol=1e-12)
 
     def test_query_width_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            doc.attend(Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((1, 5))))
+            _context(Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((1, 5))))
 
 
 class TestDecodeDocument:
     def test_single_sentence_attention_is_one(self, rng):
+        # one state takes all the weight: the context vector is enc_0
         dp, _ = _doc_encoder(rng, 3, 4)
         encs = doc.encode_sequence(Tensor(rng.standard_normal((1, 3))), dp.enc_cell)
-        e_d, a = doc.decode_document(encs, dp)
-        np.testing.assert_allclose(a.data, [[1.0]], atol=0)
+        e_d = doc.decode_document(encs, dp)
         assert e_d.shape == (1, 4)
+        np.testing.assert_allclose(e_d.data, _decoded(encs.data, dp, encs.data), atol=1e-12)
 
     def test_zero_bridge_gives_uniform_attention(self, rng):
+        # dec_0 = tanh(0) scores every state 0: the context vector is their mean
         dp, _ = _doc_encoder(rng, 3, 4)
         dp.bridge_w.data = np.zeros_like(dp.bridge_w.data)
         dp.bridge_b.data = np.zeros_like(dp.bridge_b.data)
-        encs = doc.encode_sequence(Tensor(rng.standard_normal((3, 3))), dp.enc_cell)
-        _, a = doc.decode_document(encs, dp)
-        np.testing.assert_allclose(a.data, np.full((3, 1), 1 / 3), atol=1e-12)
+        encs = doc.encode_sequence(Tensor(rng.standard_normal((3, 3))), dp.enc_cell).data
+        e_d = doc.decode_document(Tensor(encs), dp)
+        mean = encs.mean(axis=0, keepdims=True)
+        np.testing.assert_allclose(e_d.data, _decoded(encs, dp, mean), atol=1e-12)
 
     def test_against_equation_transcription_oracle(self, rng):
         dp, _ = _doc_encoder(rng, 3, 4)
         e = rng.standard_normal((3, 3))
         encs = doc.encode_sequence(Tensor(e), dp.enc_cell)
-        e_d, _ = doc.decode_document(encs, dp)
-
-        def sig(v):
-            return 1 / (1 + np.exp(-v))
-
-        def gru(x, h, cell):
-            z = sig(x @ cell.w[0].data + h @ cell.u[0].data + cell.b[0].data)
-            r = sig(x @ cell.w[1].data + h @ cell.u[1].data + cell.b[1].data)
-            cand = np.tanh(x @ cell.w[2].data + (r * h) @ cell.u[2].data + cell.b[2].data)
-            return (1 - z) * h + z * cand
+        e_d = doc.decode_document(encs, dp)
 
         h = np.zeros((1, 4))
         states = []
         for i in range(3):
-            h = gru(e[i : i + 1], h, dp.enc_cell)
+            h = _gru_step(e[i : i + 1], h, dp.enc_cell)
             states.append(h)
         states = np.concatenate(states, axis=0)
         dec0 = np.tanh(states[-1:] @ dp.bridge_w.data + dp.bridge_b.data)
         scores = states @ dec0.T
         w = np.exp(scores - scores.max())
         w = w / w.sum()
-        cnt = w.T @ states
-        expected = gru(np.concatenate([dp.start_emb.data, cnt], axis=1), dec0, dp.dec_cell)
-        np.testing.assert_allclose(e_d.data, expected, atol=1e-10)
+        np.testing.assert_allclose(e_d.data, _decoded(states, dp, w.T @ states), atol=1e-10)
 
 
 class TestGateInfluenceInvariant:
@@ -274,7 +302,7 @@ class TestGateInfluenceInvariant:
             scores[1] = 0.0  # close sentence 1's gate
             gated = ad.scale_rows(Tensor(e_prime), Tensor(scores))
             encs = doc.encode_sequence(gated, dp.enc_cell)
-            e_d, _ = doc.decode_document(encs, dp)
+            e_d = doc.decode_document(encs, dp)
             return e_d.data
 
         e = rng.standard_normal((3, width))
@@ -301,7 +329,7 @@ class TestGateInfluenceInvariant:
             for e in inputs:
                 _, gated = doc.gate(e, gp)
                 encs = doc.encode_sequence(gated, dp.enc_cell)
-                e_d, _ = doc.decode_document(encs, dp)
+                e_d = doc.decode_document(encs, dp)
                 loss = ad.bce_loss(ad.sigmoid(ad.matmul(e_d, w_out)), target)
                 total = loss if total is None else ad.add(total, loss)
             return total
