@@ -73,7 +73,6 @@ def test_engine_matches_numpy_oracle(variant):
         np.testing.assert_allclose(result.gate_scores, scores, rtol=0, atol=1e-12)
 
 
-
 D_H = tiny_config().d_h
 
 
@@ -90,7 +89,8 @@ def sentence_lengths(draw):
 
 
 def _filled_doc(rng, lengths, **overrides):
-    """A config whose max_stream_len the document of these sentence lengths fills exactly."""
+    """A config and a document of these sentence lengths whose stream fills
+    the config's max_stream_len exactly."""
     stream_len = 1 + sum(n + 1 for n in lengths)
     config = tiny_config(max_sentences=len(lengths), max_stream_len=stream_len, **overrides)
     sentences = [[int(t) for t in rng.integers(5, VOCAB_SIZE, size=n)] for n in lengths]
