@@ -389,13 +389,13 @@ def _pad_ranges(ranges):
     return rows, None if min(sizes) == len(offsets) else valid
 
 
-def _check_tiling(kind, ranges, n):
+def _check_tiling(kind, ranges, n, allow_empty=False):
     pos = 0
     for start, stop in ranges:
-        if start != pos or stop <= start:
+        if start != pos or stop < start + (not allow_empty):
             raise DimensionError(f"attention: {kind} ({start}, {stop}) does not follow row {pos}")
         pos = stop
-    if pos != n or not ranges:
+    if pos != n or not n:
         raise DimensionError(f"attention: {kind} cover {pos} of {n} rows")
 
 
@@ -406,6 +406,9 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     [h*d_k, (h+1)*d_k) with d_k = d / n_heads.  `blocks` lists
     (start, stop) key ranges tiling [0, n) in order, and `q_blocks` one
     query range per block, tiling [0, m) in order (default: `blocks`).
+    Key blocks are non-empty; a query range may be empty, and its block
+    is dropped before grouping: no output reads its keys, so their dK
+    and dV rows are exactly 0.
     The queries of range i attend only to the keys of block i: per block
     and head, softmax(scale Q K^T) V, where `scale` defaults to
     1/sqrt(d_k).  Blocks are batched by key length group (`_group_blocks`)
@@ -426,7 +429,7 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     if q_blocks is not None:
         if len(q_blocks) != len(blocks):
             raise DimensionError(f"attention: {len(q_blocks)} query ranges, {len(blocks)} blocks")
-        _check_tiling("q_blocks", q_blocks, q.shape[0])
+        _check_tiling("q_blocks", q_blocks, q.shape[0], allow_empty=True)
     d_k = d // n_heads
     if scale is None:
         scale = 1.0 / math.sqrt(d_k)
@@ -443,6 +446,9 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
         else:
             dest[rows[valid]] = flat[valid.reshape(-1)]
 
+    if q_blocks is not None:  # a block without queries adds nothing
+        kept = [i for i, (start, stop) in enumerate(q_blocks) if stop > start]
+        blocks, q_blocks = [blocks[i] for i in kept], [q_blocks[i] for i in kept]
     out = np.empty_like(q.data)
     saved = []
     for members in _group_blocks(blocks):
@@ -460,7 +466,7 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
         saved.append((qrows, qvalid, krows, kvalid, qh, kh, vh, p))
 
     def bw(g):
-        grads = [np.empty_like(t.data) if t.requires_grad else None for t in (q, k, v)]
+        grads = [np.zeros_like(t.data) if t.requires_grad else None for t in (q, k, v)]
         dq, dk, dv = grads
         for qrows, qvalid, krows, kvalid, qh, kh, vh, p in saved:
             gh = heads(g, qrows)

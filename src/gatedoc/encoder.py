@@ -1,6 +1,6 @@
 """Sentence encoder: a parameter-shared transformer over the
-[CLS]/[SEP] token stream, and the class similarities of the sentence
-embeddings that `model.forward` reads at the [SEP] rows.
+[CLS]/[SEP] token stream that returns the rows asked for (the [SEP]
+rows, in `model.forward`), and the class similarities of those rows.
 
 One transformer layer's weights are applied at every depth, so the
 parameter count is independent of the layer count.  Blocks are
@@ -11,7 +11,8 @@ blocks, one per segment ([CLS], then each sentence with its [SEP]) under
 sentence scope, or a single block under document scope.  Every layer
 runs one `autodiff.attention` node that scores each block only against
 itself, so a document costs at most 4 * sum(L_i^2) scores per head
-(padding included) rather than n^2.
+(padding included) rather than n^2.  The last layer forms its queries,
+and everything after attention, only at the requested rows.
 """
 
 from __future__ import annotations
@@ -131,42 +132,50 @@ def _segment_blocks(segments):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _self_attention(x, p, blocks):
-    q = ad.linear(x, p.wq, p.bq)
-    k = ad.matmul(x, p.wk)  # a key bias would add a per-row constant: softmax ignores it
-    v = ad.linear(x, p.wv, p.bv)
-    merged = ad.attention(q, k, v, p.n_heads, blocks)
-    return ad.linear(merged, p.wo, p.bo)
-
-
-def _shared_layer(x, p, blocks):
+def _shared_layer(x, p, blocks, rows=None):
+    """One layer; given `rows`, queried and returned only at those rows."""
     a = ad.layer_norm(x, p.ln1_g, p.ln1_b)
-    x = ad.add(x, _self_attention(a, p, blocks))
+    k = ad.matmul(a, p.wk)  # a key bias would add a per-row constant: softmax ignores it
+    v = ad.linear(a, p.wv, p.bv)
+    q_blocks = None
+    if rows is not None:  # each block queries the requested rows inside it
+        x, a = ad.gather_rows(x, rows), ad.gather_rows(a, rows)
+        stops = np.searchsorted(rows, [stop for _, stop in blocks]).tolist()
+        q_blocks = list(zip([0, *stops[:-1]], stops))
+    merged = ad.attention(ad.linear(a, p.wq, p.bq), k, v, p.n_heads, blocks, q_blocks)
+    x = ad.add(x, ad.linear(merged, p.wo, p.bo))
     f = ad.layer_norm(x, p.ln2_g, p.ln2_b)
     ff = ad.linear(ad.relu(ad.linear(f, p.w_ff1, p.b_ff1)), p.w_ff2, p.b_ff2)
     return ad.add(x, ff)
 
 
-def transformer_encode(stream, params, segments=None):
-    """Contextual embeddings for every stream position (stream_len x d_h).
+def transformer_encode(stream, params, segments=None, *, rows):
+    """Contextual embeddings at the stream positions `rows` (len(rows) x d_h).
 
-    With n_layers = 0 the result is just the projected token+position
-    embeddings.  When `segments` is given (one id per position), each
-    id must occupy one contiguous run of positions, as
-    `segments_from_seps` produces, and self-attention is restricted to
-    the run (sentence-scoped attention); ids that recur after a gap
-    raise DimensionError.  With None every position attends to the
-    whole stream.  The ops refuse a stream longer than the position
-    table, and `attention` a `segments` of another length.
+    `rows` must be non-empty and strictly increasing, else
+    DimensionError.  The last layer forms queries, and everything after
+    attention, only at `rows`; with n_layers = 0 the result is the
+    projected token+position embeddings there.  When `segments` is
+    given (one id per position), each id must occupy one contiguous run
+    of positions, as `segments_from_seps` produces, and self-attention
+    is restricted to the run (sentence-scoped attention); ids that recur
+    after a gap raise DimensionError.  With None every position attends
+    to the whole stream.  The ops refuse a stream longer than the
+    position table, and `attention` a `segments` of another length.
     """
     n = len(stream)
     blocks = [(0, n)] if segments is None else _segment_blocks(segments)
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or not rows.size or (np.diff(rows) <= 0).any():
+        raise DimensionError(f"transformer_encode: rows {rows} empty or not strictly increasing")
     tok = ad.gather_rows(params.tok_emb, stream)
     pos = ad.gather_rows(params.pos_emb, list(range(n)))
     x = ad.linear(ad.add(tok, pos), params.w_in, params.b_in)
-    for _ in range(params.n_layers):
+    if params.n_layers == 0:
+        return ad.gather_rows(x, rows)
+    for _ in range(params.n_layers - 1):
         x = _shared_layer(x, params, blocks)
-    return x
+    return _shared_layer(x, params, blocks, rows)
 
 
 def class_similarity(e_in, cs):

@@ -1,8 +1,8 @@
 """Full model: parameter construction with ablation switches, the
 forward pass over one tokenized document, the sigmoid classifier head,
 and `predict`, whose `Prediction` record is what every report reads.
-The forward pass reads each sentence's embedding at its [SEP] row with
-`gather_rows` and appends its class similarities with `concat`.
+The forward pass appends each sentence embedding's class similarities
+with `concat`.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -154,8 +154,9 @@ def forward(doc, mp):
     segments = None
     if mp.attention_scope == "sentence":
         segments = encmod.segments_from_seps(len(doc.token_stream), doc.sep_positions)
-    encoded = encmod.transformer_encode(doc.token_stream, mp.encoder, segments=segments)
-    e = ad.gather_rows(encoded, doc.sep_positions)
+    e = encmod.transformer_encode(
+        doc.token_stream, mp.encoder, segments=segments, rows=doc.sep_positions
+    )
     if mp.use_sentence_class_sim:
         c = encmod.class_similarity(e, mp.sent_sim)
         e_prime = ad.concat((e, c), axis=1)

@@ -219,7 +219,9 @@ def _dense_attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
 # into two power-of-two groups, one of them padded.  Then queries other
 # than the keys, as (key block lengths, query range lengths, scale): one
 # query per block; a 3-row query range padded with a 1-row one in the
-# padded group of the skewed case; an unscaled score
+# padded group of the skewed case; an unscaled score; a key block without
+# queries; and the skewed case with a 1-row block and the last block,
+# whose range starts at q's end, without queries
 ATTENTION_CASES = [
     (1, [5]),
     (3, [5]),
@@ -230,7 +232,10 @@ ATTENTION_CASES = [
     (1, ([3, 5, 2], [1, 1, 1], None)),
     (3, ([1, 1, 1, 1, 1, 1, 7, 5], [1, 2, 1, 1, 1, 1, 3, 1], None)),
     (3, ([4, 2], [2, 3], 1.0)),
+    (1, ([1, 4, 3], [0, 1, 1], None)),
+    (3, ([1, 1, 1, 1, 1, 1, 1, 7, 5, 6], [1, 1, 1, 0, 1, 1, 1, 2, 3, 0], None)),
 ]
+EMPTY_QUERY_CASES = [(h, L) for h, L in ATTENTION_CASES if isinstance(L, tuple) and 0 in L[1]]
 
 
 def _attention_args(rng, n_heads, lengths, width, low=-1.0, high=1.0):
@@ -292,12 +297,26 @@ class TestAttention:
             ((2, 2), [(0, 1), (1, 3)]),  # ranges run past q's rows
             ((3, 2), [(0, 1), (1, 2)]),  # ranges leave a row of q out
             ((2, 2), [(0, 1), (0, 2)]),  # ranges overlap
+            ((2, 2), [(0, 1), (1, 1), (1, 2)]),  # the middle key block is empty
         ],
     )
     def test_queries_must_fit_the_keys(self, q_shape, q_blocks):
         x = t(np.ones((6, 2)))
+        # three query ranges meet three key blocks, the middle one empty
+        blocks = [(0, 3), (3, 6)] if len(q_blocks) < 3 else [(0, 3), (3, 3), (3, 6)]
         with pytest.raises(DimensionError):
-            ad.attention(t(np.ones(q_shape)), x, x, 1, [(0, 3), (3, 6)], q_blocks=q_blocks)
+            ad.attention(t(np.ones(q_shape)), x, x, 1, blocks, q_blocks=q_blocks)
+
+    @pytest.mark.parametrize("n_heads, lengths", EMPTY_QUERY_CASES)
+    def test_keys_without_queries_get_zero_gradient(self, rng, n_heads, lengths):
+        q, k, v, (_, blocks, q_blocks, _) = _attention_args(rng, n_heads, lengths, 2 * n_heads)
+        q, k, v = t(q), t(k), t(v)
+        ad.backward(total(ad.attention(q, k, v, n_heads, blocks, q_blocks)))
+        for (start, stop), (q_start, q_stop) in zip(blocks, q_blocks):
+            if q_stop == q_start:
+                assert not k.grad[start:stop].any() and not v.grad[start:stop].any()
+            else:
+                assert v.grad[start:stop].all()
 
 
 def _gru_inputs(rng, n, d_in, d, h0_grad=True, dtype=np.float64):

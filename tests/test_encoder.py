@@ -25,20 +25,20 @@ class TestTransformerEncode:
     def test_zero_layers_is_projected_embeddings(self, rng):
         p = _params(rng, n_layers=0)
         stream = [2, 5, 7, 3]
-        out = enc.transformer_encode(stream, p)
+        out = enc.transformer_encode(stream, p, rows=range(4))
         expected = (p.tok_emb.data[stream] + p.pos_emb.data[:4]) @ p.w_in.data + p.b_in.data
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
     def test_positional_sensitivity(self, rng):
         p = _params(rng)
-        base = enc.transformer_encode([2, 5, 7, 3], p).data
-        swapped = enc.transformer_encode([2, 7, 5, 3], p).data
+        base = enc.transformer_encode([2, 5, 7, 3], p, rows=range(4)).data
+        swapped = enc.transformer_encode([2, 7, 5, 3], p, rows=range(4)).data
         assert np.abs(base - swapped).max() > 1e-8
 
     def test_single_head_matches_brute_force(self, rng):
         p = _params(rng, d_h=4, n_heads=1, n_layers=1)
         stream = [2, 6, 8, 9, 3]
-        out = enc.transformer_encode(stream, p).data
+        out = enc.transformer_encode(stream, p, rows=range(5)).data
 
         # step-by-step straight-line recomputation
         def ln(x, g, b):
@@ -66,8 +66,9 @@ class TestTransformerEncode:
         p = _params(rng, n_layers=2, n_heads=2, d_h=4)
         # [CLS] a a [SEP] b b [SEP]
         segments = [0, 1, 1, 1, 2, 2, 2]
-        base = enc.transformer_encode([2, 5, 6, 3, 7, 8, 3], p, segments=segments).data
-        changed = enc.transformer_encode([2, 5, 6, 3, 9, 10, 3], p, segments=segments).data
+        rows = range(7)
+        base = enc.transformer_encode([2, 5, 6, 3, 7, 8, 3], p, segments, rows=rows).data
+        changed = enc.transformer_encode([2, 5, 6, 3, 9, 10, 3], p, segments, rows=rows).data
         np.testing.assert_array_equal(base[:4], changed[:4])  # sentence 1 untouched
         assert np.abs(base[4:] - changed[4:]).max() > 1e-10
 
@@ -75,12 +76,30 @@ class TestTransformerEncode:
         p = _params(rng)
         # blocks cannot let positions 0 and 3 attend to each other across the 1s
         with pytest.raises(DimensionError, match="contiguous"):
-            enc.transformer_encode([2, 5, 6, 3], p, segments=[0, 1, 1, 0])
+            enc.transformer_encode([2, 5, 6, 3], p, segments=[0, 1, 1, 0], rows=[3])
 
     def test_stream_too_long_rejected(self, rng):
         p = _params(rng, max_len=8)
         with pytest.raises(DimensionError):
-            enc.transformer_encode(list(range(9)), p)
+            enc.transformer_encode(list(range(9)), p, rows=[8])
+
+    # the [SEP] rows, one per block under sentence scope; then [CLS], two
+    # rows of one sentence and a row that is not a [SEP]
+    @pytest.mark.parametrize("rows", [[3, 5, 9], [0, 1, 3, 8]])
+    @pytest.mark.parametrize("segments", [None, [0, 1, 1, 1, 2, 2, 3, 3, 3, 3]])
+    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    def test_requested_rows_equal_those_of_a_full_encode(self, rng, n_layers, segments, rows):
+        p = _params(rng, d_h=4, n_heads=2, n_layers=n_layers)
+        stream = [2, 5, 6, 3, 7, 3, 8, 9, 10, 3]
+        full = enc.transformer_encode(stream, p, segments, rows=range(len(stream))).data
+        pruned = enc.transformer_encode(stream, p, segments, rows=rows).data
+        np.testing.assert_allclose(pruned, full[rows], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [[3, 1], [1, 1, 3], []])
+    def test_rows_must_be_strictly_increasing(self, rng, rows):
+        p = _params(rng)
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            enc.transformer_encode([2, 5, 6, 3], p, rows=rows)
 
     def test_parameter_count_independent_of_depth(self, rng):
         def size(n_layers):
@@ -96,7 +115,7 @@ class TestTransformerEncode:
 
 
 class TestExtract:
-    """`model.forward` reads the sentence embeddings with `gather_rows`."""
+    """`transformer_encode` returns the requested rows with `gather_rows`."""
 
     def test_picks_separator_rows(self, rng):
         encoded = Tensor(rng.standard_normal((9, 4)))

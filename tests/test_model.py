@@ -143,6 +143,26 @@ def test_engine_gradients_on_a_skewed_document():
     assert worst < GRADCHECK_THRESHOLD, f"worst relative error {worst} at {entry}"
 
 
+@pytest.mark.parametrize("scope", ["sentence", "document"])
+def test_last_layer_runs_only_at_the_sep_rows(scope):
+    # keys and values span the stream in both layers; the last layer's
+    # queries, output projection and FFN only the [SEP] rows
+    config = tiny_config(n_layers=2, attention_scope=scope)
+    rng = np.random.default_rng(0)
+    params = build_model(config, VOCAB_SIZE, rng=rng)
+    doc = make_doc(rng, 3, VOCAB_SIZE)
+    target = one_hot(doc.label, config.n_classes, np.float64)
+    loss = ad.bce_loss(forward(doc, params).probs, target)
+    weights = ("wv", "wq", "wo", "w_ff1", "w_ff2")
+    rows = {name: [] for name in weights}
+    for out in ad.Graph.trace(loss).nodes:
+        for name in weights:
+            if out.node.op == "linear" and out.node.inputs[1] is getattr(params.encoder, name):
+                rows[name].append(out.shape[0])
+    n, k = len(doc.token_stream), len(doc.sep_positions)
+    assert rows == {"wv": [n, n], **dict.fromkeys(weights[1:], [n, k])}
+
+
 def test_parameter_keys_are_tensor_names(variant):
     _, params, _ = _model(variant)
     named = params.named_parameters()
