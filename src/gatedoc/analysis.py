@@ -51,15 +51,19 @@ def minmax_normalize(scores):
 
 
 def explain(params, config, vocab, text):
-    """The unlabelled Prediction for raw text, with each sentence's text."""
+    """The unlabelled Prediction for raw text, and the (text, span) of each
+    sentence the model read, in gate-score order."""
     if not text or not text.strip():
         raise UsageError("explain needs non-empty text")
+    try:
+        text.encode("utf-8")  # argv bytes that are not UTF-8 arrive as lone surrogates
+    except UnicodeEncodeError as exc:
+        raise UsageError(f"text is not valid UTF-8: {exc}") from exc
     doc = prepare_document(
         RawDocument("input", text, None), config.scheme, vocab, config.limits()
     )
-    prediction = predict(doc, params)
-    prediction.sentence_texts = [text[s:e] for s, e in prediction.sentence_spans]
-    return prediction
+    sentences = [(text[s:e], (s, e)) for s, e in doc.sentence_spans]
+    return predict(doc, params), sentences
 
 
 def stddev_report(predictions):

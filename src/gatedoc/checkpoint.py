@@ -14,6 +14,7 @@ not build all refuse to load.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -53,12 +54,17 @@ def save_checkpoint(params, config, vocab, path):
 
     tmp = f"{path}.tmp"
     crc = 0
-    with open(tmp, "wb") as fh:
-        for piece in pieces:
-            fh.write(piece)
-            crc = zlib.crc32(piece, crc)
-        fh.write(_CRC.pack(crc))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for piece in pieces:
+                fh.write(piece)
+                crc = zlib.crc32(piece, crc)
+            fh.write(_CRC.pack(crc))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

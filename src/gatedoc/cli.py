@@ -9,6 +9,7 @@ lines of per-epoch metrics).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -48,14 +49,17 @@ def _write_json(obj, path):
 
 def _write_text(text, path):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _load_config(args):
-    if not args.config:
-        raise UsageError("--config is required for this command")
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
@@ -85,17 +89,6 @@ def _prepare_splits(config):
     return (*splits, vocab)
 
 
-def _prediction_record(pred):
-    return {
-        "id": pred.doc_id,
-        "predicted": pred.predicted,
-        "gold": pred.gold,
-        "probs": pred.probs,
-        "gate_scores": pred.gate_scores,
-        "gate_enabled": pred.gate_enabled,
-    }
-
-
 def cmd_train(args):
     config = _load_config(args)
     train_docs, dev_docs, test_docs, vocab = _prepare_splits(config)
@@ -114,8 +107,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
-    data = load_dataset(_require(args, "data"), config.scheme, vocab, config.limits())
+    params, config, vocab = load_checkpoint(args.checkpoint)
+    data = load_dataset(args.data, config.scheme, vocab, config.limits())
     result = evaluate(params, data.documents)
     payload = {
         "accuracy": result.accuracy,
@@ -130,40 +123,31 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
-    records = []
-    if args.text:
-        records.append(_prediction_record(explain(params, config, vocab, args.text)))
-    elif args.data:
-        data = load_dataset(args.data, config.scheme, vocab, config.limits())
-        for doc in data.documents:
-            records.append(_prediction_record(predict(doc, params)))
+    params, config, vocab = load_checkpoint(args.checkpoint)
+    if args.text is not None:
+        preds = [explain(params, config, vocab, args.text)[0]]
     else:
-        raise UsageError("predict needs --text or --data")
-    payload = {"predictions": records}
+        data = load_dataset(args.data, config.scheme, vocab, config.limits())
+        preds = [predict(doc, params) for doc in data.documents]
     if args.out:
-        _write_json(payload, args.out)
-    for rec in records:
-        print(f"{rec['id']}: class {rec['predicted']}")
+        _write_json({"predictions": [asdict(pred) for pred in preds]}, args.out)
+    for pred in preds:
+        print(f"{pred.id}: class {pred.predicted}")
     return 0
 
 
 def cmd_explain(args):
-    params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
-    if not args.text:
-        raise UsageError("explain needs --text")
-    pred = explain(params, config, vocab, args.text)
+    params, config, vocab = load_checkpoint(args.checkpoint)
+    pred, sentences = explain(params, config, vocab, args.text)
     if args.out:
-        _write_text(render_heatmap(pred), args.out)
+        _write_text(render_heatmap(pred, [text for text, _ in sentences]), args.out)
     if args.report:
         _write_json(
             {
-                "prediction": _prediction_record(pred),
+                "prediction": asdict(pred),
                 "sentences": [
-                    {"text": t, "span": list(span), "gate_score": s}
-                    for t, span, s in zip(
-                        pred.sentence_texts, pred.sentence_spans, pred.gate_scores
-                    )
+                    {"text": text, "span": list(span), "gate_score": score}
+                    for (text, span), score in zip(sentences, pred.gate_scores)
                 ],
             },
             args.report,
@@ -192,8 +176,8 @@ def cmd_ablate(args):
 
 
 def cmd_analyze(args):
-    params, config, vocab = load_checkpoint(_require(args, "checkpoint"))
-    data = load_dataset(_require(args, "data"), config.scheme, vocab, config.limits())
+    params, config, vocab = load_checkpoint(args.checkpoint)
+    data = load_dataset(args.data, config.scheme, vocab, config.limits())
     if not params.use_gate:
         raise UsageError("analyze requires a model trained with the gate enabled")
     result = evaluate(params, data.documents)
@@ -226,7 +210,7 @@ def cmd_gradcheck(args):
     ).validate()
     rng = np.random.default_rng(config.seed)
     vocab_size = 16
-    params = build_model(config, vocab_size=vocab_size, rng=rng, dtype="float64")
+    params = build_model(config, vocab_size=vocab_size, rng=rng)
     # check away from init, whose zero biases leave dead ReLU units exactly
     # on the kink, where the two one-sided derivatives disagree
     for _, t in params.named_parameters():
@@ -263,13 +247,6 @@ def cmd_gradcheck(args):
     return 3
 
 
-def _require(args, name):
-    value = getattr(args, name, None)
-    if not value:
-        raise UsageError(f"--{name} is required for this command")
-    return value
-
-
 def build_parser():
     parser = _Parser(prog="gatedoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -279,17 +256,19 @@ def build_parser():
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="write results (JSON) here")
         if config:
-            p.add_argument("--config", default=None, help="key = value config file")
+            p.add_argument("--config", required=True, help="key = value config file")
         if checkpoint:
-            p.add_argument("--checkpoint", default=None, help="checkpoint path")
-        source = p.add_mutually_exclusive_group() if data and text else p
+            p.add_argument("--checkpoint", required=True, help="checkpoint path")
+        # predict takes exactly one source; a group refuses required members
+        source = p.add_mutually_exclusive_group(required=True) if data and text else p
         if data:
-            source.add_argument("--data", default=None, help="JSON-lines dataset path")
+            source.add_argument("--data", required=source is p, help="JSON-lines dataset path")
         if text:
-            source.add_argument("--text", default=None, help="raw document text")
+            source.add_argument("--text", required=source is p, help="raw document text")
 
     p = sub.add_parser("train", help="train a model from a config")
-    common(p, seed=True, config=True, checkpoint=True)
+    common(p, seed=True, config=True)
+    p.add_argument("--checkpoint", default=None, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy of a checkpoint on a dataset")

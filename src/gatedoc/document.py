@@ -86,9 +86,9 @@ def gate(e_prime, gp):
     """Importance scores and the gated sentence matrix.
 
     Scalar mode: g_i = sigmoid(w_g . E'_i), row i scaled by g_i.
-    Vector mode: per-coordinate sigmoid gates, elementwise product; the
-    reported score is the mean gate of the row.  Returns (scores as
-    float64 per sentence, E'').
+    Vector mode: per-coordinate sigmoid gates, elementwise product.  The
+    reported score is the mean gate of the row, which in scalar mode is
+    g_i itself.  Returns (scores as float64 per sentence, E'').
     """
     z = ad.matmul(e_prime, ad.transpose(gp.w_g))  # (n, 1) or (n, width)
     g = ad.sigmoid(z)
@@ -98,8 +98,7 @@ def gate(e_prime, gp):
         gated = ad.mul(g, e_prime)
     # report in float64 from the pre-activations so scores stay inside (0, 1)
     scores = ad.sigmoid(Tensor(z.data.astype(np.float64))).data
-    scores = scores.mean(axis=1) if gp.mode == "vector" else scores[:, 0]
-    return scores, gated
+    return scores.mean(axis=1), gated
 
 
 def encode_sequence(e_dprime, cell):

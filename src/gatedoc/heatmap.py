@@ -56,22 +56,24 @@ def score_color(normalized):
     return f"rgb({level},{level},255)"
 
 
-def render_heatmap(pred):
-    """Render a Prediction (with sentence texts) to an HTML page."""
+def render_heatmap(pred, texts):
+    """Render a Prediction to an HTML page, `texts[i]` beside gate score i."""
     if not pred.gate_scores:
         raise UsageError("cannot render a prediction without gate scores")
-    if pred.sentence_texts is None or len(pred.sentence_texts) != len(pred.gate_scores):
-        raise UsageError("prediction is missing sentence texts; use explain() to build it")
+    if len(texts) != len(pred.gate_scores):
+        raise UsageError(
+            f"{len(texts)} sentence texts for {len(pred.gate_scores)} gate scores"
+        )
     normalized = minmax_normalize(pred.gate_scores)
     rows = []
-    for text, score, norm in zip(pred.sentence_texts, pred.gate_scores, normalized):
+    for text, score, norm in zip(texts, pred.gate_scores, normalized):
         rows.append(
             f'<div class="sentence" style="background-color: {score_color(float(norm))}" '
             f'data-score="{score:.6f}">'
             f'<span class="score">g={score:.4f}</span>{html.escape(text)}</div>'
         )
     meta_bits = [
-        f"document {html.escape(str(pred.doc_id))}",
+        f"document {html.escape(str(pred.id))}",
         f"predicted class {pred.predicted}",
     ]
     if pred.gold is not None:

@@ -25,22 +25,20 @@ from .errors import UsageError
 
 @dataclass
 class Prediction:
-    """One document's class probabilities and per-sentence gate scores.
+    """One document's class probabilities and per-sentence gate scores:
+    the record `gatedoc predict` and `explain --report` write as it stands.
 
-    `gate_scores[i]` belongs to the sentence at `sentence_spans[i]`; when
-    the gate variant is disabled the scores are 0.5 placeholders and
-    `gate_enabled` is False.  `sentence_texts` is filled only by
-    `analysis.explain`, which has the raw text.
+    `gate_scores[i]` belongs to the document's i-th sentence the model
+    read; when the gate variant is disabled the scores are 0.5
+    placeholders and `gate_enabled` is False.
     """
 
-    doc_id: str
+    id: str
     probs: list
     predicted: int
     gold: int | None
     gate_scores: list
     gate_enabled: bool
-    sentence_spans: list
-    sentence_texts: list | None = None
 
 
 @dataclass
@@ -178,13 +176,12 @@ def predict(doc, mp):
     result = forward(doc, mp)
     probs = result.probs.data.reshape(-1)
     return Prediction(
-        doc_id=doc.id,
+        id=doc.id,
         probs=[float(p) for p in probs],
         predicted=int(np.argmax(probs)),  # lowest index wins ties
         gold=doc.label,
         gate_scores=[float(s) for s in result.gate_scores],
         gate_enabled=mp.use_gate,
-        sentence_spans=list(doc.sentence_spans),
     )
 
 

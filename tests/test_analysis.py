@@ -20,23 +20,21 @@ class TestMinmaxNormalize:
         np.testing.assert_allclose(minmax_normalize([0.2, 0.6, 0.4]), [0.0, 1.0, 0.5])
 
 
-def _profile(texts, doc_id="doc-1"):
+def _profile(doc_id="doc-1"):
     return Prediction(
-        doc_id=doc_id,
+        id=doc_id,
         probs=[0.2, 0.7, 0.1],
         predicted=1,
         gold=0,
         gate_scores=[0.25, 0.75],
         gate_enabled=True,
-        sentence_spans=[(0, 1), (2, 3)],
-        sentence_texts=texts,
     )
 
 
 class TestRenderHeatmap:
     def test_escapes_sentence_text_and_doc_id(self):
         page = render_heatmap(
-            _profile(["<script>alert(1)</script>", "fine & dandy"], doc_id="<script>id")
+            _profile(doc_id="<script>id"), ["<script>alert(1)</script>", "fine & dandy"]
         )
         assert "<script>" not in page
         assert "&lt;script&gt;alert(1)&lt;/script&gt;" in page
@@ -44,22 +42,20 @@ class TestRenderHeatmap:
         assert "fine &amp; dandy" in page
 
     def test_lowest_score_white_highest_blue(self):
-        page = render_heatmap(_profile(["low", "high"]))
+        page = render_heatmap(_profile(), ["low", "high"])
         assert "rgb(255,255,255)\" data-score=\"0.250000\"" in page
         assert "rgb(0,0,255)\" data-score=\"0.750000\"" in page
 
-    @pytest.mark.parametrize("texts", [None, ["only one"]])
+    @pytest.mark.parametrize("texts", [[], ["only one"]])
     def test_refuses_profile_without_texts(self, texts):
-        profile = _profile(["a", "b"])
-        profile.sentence_texts = texts
         with pytest.raises(UsageError, match="sentence texts"):
-            render_heatmap(profile)
+            render_heatmap(_profile(), texts)
 
 
 def _pred(predicted, gold, gate_scores=(0.5,), gate_enabled=True):
     return Prediction(
-        doc_id="d", probs=[], predicted=predicted, gold=gold,
-        gate_scores=list(gate_scores), gate_enabled=gate_enabled, sentence_spans=[],
+        id="d", probs=[], predicted=predicted, gold=gold,
+        gate_scores=list(gate_scores), gate_enabled=gate_enabled,
     )
 
 

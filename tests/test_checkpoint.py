@@ -1,3 +1,4 @@
+import errno
 import json
 import struct
 import zlib
@@ -28,6 +29,17 @@ def _saved(tmp_path, dtype="float64", learning_rate=1e-3):
     path = tmp_path / "model.gdoc"
     save_checkpoint(params, config, vocab, path)
     return path, params, config, vocab
+
+
+def test_failed_save_leaves_no_file_behind(tmp_path, monkeypatch):
+    class FullDisk:  # the checksum is the last write
+        def pack(self, crc):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("gatedoc.checkpoint._CRC", FullDisk())
+    with pytest.raises(OSError, match="No space left"):
+        _saved(tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _header_len(blob):

@@ -10,7 +10,7 @@ import gatedoc.model
 import gatedoc.training
 from gatedoc import autodiff as ad
 from gatedoc import synthetic
-from gatedoc.cli import main
+from gatedoc.cli import _write_text, main
 
 from conftest import skewed_backward
 
@@ -49,6 +49,26 @@ def test_seed_is_refused_where_nothing_is_drawn(tmp_path, command, source):
     assert main([command, "--checkpoint", missing, source, "x", "--seed", "1"]) == 1
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["train"], "--config"),
+    (["ablate"], "--config"),
+    (["eval", "--data", "x"], "--checkpoint"),
+    (["eval", "--checkpoint", "x"], "--data"),
+    (["predict", "--text", "x"], "--checkpoint"),
+    (["explain", "--checkpoint", "x"], "--text"),
+    (["analyze", "--checkpoint", "x"], "--data"),
+])
+def test_each_required_input_is_refused_while_parsing(capsys, argv, missing):
+    assert main(argv) == 1
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+
+def test_write_text_leaves_no_tmp_when_the_write_fails(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        _write_text("bad \udcff", tmp_path / "page.html")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unexpected_exception_is_internal_fault(monkeypatch, capsys):
     def broken(path):
         raise RuntimeError("broken loader")
@@ -66,6 +86,16 @@ def test_eval_with_missing_checkpoint_is_data_error(tmp_path):
     data = _corpus(tmp_path, n_docs=4)
     missing = tmp_path / "missing.ckpt"
     assert main(["eval", "--checkpoint", str(missing), "--data", str(data)]) == 2
+
+
+@pytest.mark.parametrize("command, empty", [
+    ("eval", "--checkpoint"), ("eval", "--data"), ("predict", "--data"),
+])
+def test_empty_path_is_data_error_where_it_is_opened(trained, command, empty):
+    ckpt, data, _ = trained
+    argv = [command, "--checkpoint", str(ckpt), "--data", str(data)]
+    argv[argv.index(empty) + 1] = ""
+    assert main(argv) == 2
 
 
 def test_train_with_missing_data_file_is_data_error(tmp_path):
@@ -241,6 +271,15 @@ def test_ablate_without_seeds_is_usage_error(tmp_path, seeds):
 def test_explain_blank_text_is_usage_error(trained):
     ckpt, _, _ = trained
     assert main(["explain", "--checkpoint", str(ckpt), "--text", "   "]) == 1
+
+
+@pytest.mark.parametrize("command", ["explain", "predict"])
+def test_text_that_is_not_utf8_is_usage_error(trained, tmp_path, command):
+    ckpt, _, _ = trained
+    out = tmp_path / "out"
+    text = "Good film. Bad \udcff plot."  # how argv carries a byte that is not UTF-8
+    assert main([command, "--checkpoint", str(ckpt), "--text", text, "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_predict_without_text_or_data_is_usage_error(trained):

@@ -5,7 +5,7 @@ import pytest
 
 from gatedoc import synthetic
 from gatedoc.cli import main
-from gatedoc.config import TrainConfig, parse_config_text
+from gatedoc.config import TrainConfig, load_config, parse_config_text
 from gatedoc.errors import UsageError
 
 
@@ -86,4 +86,12 @@ def test_cli_exits_1_on_nan_learning_rate(tmp_path):
     synthetic.write_corpus(synthetic.generate_key_sentence_corpus(40, seed=0), data)
     path = tmp_path / "run.cfg"
     path.write_text(f"data = {data}\nlearning_rate = nan\nmax_epochs = 1\n", encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"d_tok = 8\n# caf\xe9\n")  # Latin-1
+    with pytest.raises(UsageError, match="cannot read config"):
+        load_config(path)
     assert main(["train", "--config", str(path)]) == 1
