@@ -5,8 +5,8 @@ products, the affine map x W + b as one node, pointwise add and mul of
 equal shapes, multiplication by a python float, sigmoid/tanh/relu, row
 gather, n-ary concat, transpose, block-scoped multi-head attention
 (one node with a hand-written backward; query blocks of their own and a
-score scale serve the decoder), a GRU run over all rows of its input
-(one node, input projections hoisted out of the step loop, and a
+score scale serve the decoder), GRU runs over sequences packed by
+length (one node, input projections hoisted out of the step loop, and a
 hand-written backward through time), row-wise layer normalisation,
 per-row scaling (the gate application), binary cross-entropy, the one
 initializer that makes every parameter (drawn, filled with a constant,
@@ -21,7 +21,9 @@ Graphs are built eagerly: every operation whose inputs require
 gradients records a `Node` holding the op kind, its input tensors and a
 backward closure with whatever activations the derivative needs.
 `backward` walks the reachable nodes once, in reverse creation order
-(creation order is topological by construction).  There is no global
+(creation order is topological by construction), and detaches each node
+from its output as it goes, so activations are freed during the walk
+and a graph is walked only once.  There is no global
 mutable state beyond the node-id counter, so independent graphs can be
 built concurrently.
 """
@@ -168,14 +170,18 @@ def backward(loss):
             loss.grad = g if loss.grad is None else loss.grad + g
         return
 
-    graph = Graph.trace(loss)
+    nodes = Graph.trace(loss).nodes
     grads = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(graph.nodes):
+    while nodes:
+        t = nodes.pop()
+        # each node is walked once: dropping it frees the activations it
+        # saved, and its inputs once no other node holds them
+        node, t.node = t.node, None
         g = grads.pop(id(t), None)
         if g is None:
             continue
-        in_grads = t.node.backward_fn(g)
-        for inp, ig in zip(t.node.inputs, in_grads):
+        in_grads = node.backward_fn(g)
+        for inp, ig in zip(node.inputs, in_grads):
             if ig is None or not inp.requires_grad:
                 continue
             if inp.node is None:
@@ -485,49 +491,81 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     return _make("attention", out, (q, k, v), bw)
 
 
-def gru(x, h0, w, u, b):
-    """A GRU run over the n rows of x from the state h0, as one node.
+def gru(x, h0, w, u, b, lengths=None):
+    """GRU runs over the rows of x, one per sequence, as one node.
 
-    `w`, `u` and `b` are the (z, r, h) triples of input weights
-    (d_in x d), recurrent weights (d x d) and biases (1 x d); h0 is
-    (1 x d).  Row i of the (n x d) output is the state after step i:
-        z = sigmoid(x_i W_z + h U_z + b_z)
-        r = sigmoid(x_i W_r + h U_r + b_r)
-        c = tanh(x_i W_h + (r * h) U_h + b_h)
+    `lengths` cuts the n rows of x into consecutive sequences (default:
+    one sequence of all n rows); h0 holds one starting state per
+    sequence.  `w`, `u` and `b` are the (z, r, h) triples of input
+    weights (d_in x d), recurrent weights (d x d) and biases (1 x d).
+    Row j of the (n x d) output is its sequence's state after reading
+    row j of x:
+        z = sigmoid(x_j W_z + h U_z + b_z)
+        r = sigmoid(x_j W_r + h U_r + b_r)
+        c = tanh(x_j W_h + (r * h) U_h + b_h)
         h' = (1 - z) * h + z * c
-    The input projections X W + b are three GEMMs before the step loop
-    (Appleyard et al. 2016, arXiv:1604.01946).  The backward pass
-    carries dh back through the steps and keeps the gradients dA of the
-    three pre-activations; after the loop dW = X^T dA, dU_z = H_prev^T dA_z,
-    dU_r = H_prev^T dA_r, dU_h = (R * H_prev)^T dA_h and
-    dX = sum of dA W^T, one GEMM each over all steps.
+    The sequences run packed by length, as a PackedSequence does: the
+    rows are reordered step-major with the longest sequences first, so
+    step i updates the leading rows of the state matrix, one for each
+    sequence longer than i.  The input projections X W + b are three
+    GEMMs before the step loop (Appleyard et al. 2016, arXiv:1604.01946).
+    The backward pass carries dh back through the steps and keeps the
+    gradients dA of the three pre-activations; after the loop
+    dW = X^T dA, dU_z = H_prev^T dA_z, dU_r = H_prev^T dA_r,
+    dU_h = (R * H_prev)^T dA_h and dX = sum of dA W^T, one GEMM each
+    over all steps.
     """
     if x.data.ndim != 2 or x.shape[0] < 1:
         raise DimensionError(f"gru: input must be 2-D with at least one row, got {x.shape}")
-    d_in, d = x.shape[1], h0.shape[-1]
-    expected = [(1, d)] + [(d_in, d)] * 3 + [(d, d)] * 3 + [(1, d)] * 3
+    n, d_in, d = x.shape[0], x.shape[1], h0.shape[-1]
+    lengths = [n] if lengths is None else [int(length) for length in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != n:
+        raise DimensionError(f"gru: sequence lengths {lengths} do not cut {n} rows")
+    expected = [(len(lengths), d)] + [(d_in, d)] * 3 + [(d, d)] * 3 + [(1, d)] * 3
     inputs = (x, h0, *w, *u, *b)
     if [t.shape for t in inputs[1:]] != expected:
         raise DimensionError(
-            f"gru: input {x.shape} / state {h0.shape} do not match "
-            f"weights {[t.shape for t in w]}, {[t.shape for t in u]}, {[t.shape for t in b]}"
+            f"gru: input {x.shape} / state {h0.shape} do not match {len(lengths)} sequences "
+            f"and weights {[t.shape for t in w]}, {[t.shape for t in u]}, {[t.shape for t in b]}"
         )
-    xd = x.data
+    # step-major order, longest sequences first (stable): the sequences
+    # still running at step i are the first a_i rows of that step
+    n_seq = len(lengths)
+    by_len = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
+    firsts = list(itertools.accumulate([0] + lengths[:-1]))
+    ending = [0] * lengths[by_len[0]]  # ending[i]: sequences of length i + 1
+    for length in lengths:
+        ending[length - 1] += 1
+    running = list(itertools.accumulate(reversed(ending)))[::-1]
+    order = [firsts[s] + i for i, a in enumerate(running) for s in by_len[:a]]
+    if order == list(range(n)):  # one sequence, or one step: index without copies
+        order = slice(None)
+    # `states` holds the sorted h0 rows, then each packed row's new state,
+    # so the states before a step are a slice: h0, or the last step's
+    steps, prev_rows, start, prev = [], [], 0, 0
+    for a in running:
+        steps.append((slice(start, start + a), slice(prev, prev + a)))
+        prev_rows.extend(range(prev, prev + a))
+        prev = n_seq + start
+        start += a
+    xd = x.data[order]
     u_z, u_r, u_h = (t.data for t in u)
     p_z, p_r, p_h = (xd @ wt.data + bt.data for wt, bt in zip(w, b))
-    n = xd.shape[0]
-    hs = np.empty((n + 1, d), dtype=xd.dtype)  # hs[i] is the state before step i
-    hs[0] = h0.data
+    states = np.empty((n_seq + n, d), dtype=xd.dtype)
+    states[:n_seq] = h0.data[by_len]
+    new_states = states[n_seq:]
     zs, rs, cs = (np.empty((n, d), dtype=xd.dtype) for _ in range(3))
-    for i in range(n):
-        h = hs[i]
-        z = zs[i] = _sigmoid(p_z[i] + h @ u_z)
-        r = rs[i] = _sigmoid(p_r[i] + h @ u_r)
-        c = cs[i] = np.tanh(p_h[i] + (r * h) @ u_h)
-        hs[i + 1] = (1.0 - z) * h + z * c
+    for now, before in steps:
+        h = states[before]
+        z = zs[now] = _sigmoid(p_z[now] + h @ u_z)
+        r = rs[now] = _sigmoid(p_r[now] + h @ u_r)
+        c = cs[now] = np.tanh(p_h[now] + (r * h) @ u_h)
+        new_states[now] = (1.0 - z) * h + z * c
+    out = np.empty_like(new_states)
+    out[order] = new_states
 
     def bw(g):
-        h_prev = hs[:-1]
+        h_prev = states[prev_rows]
         # the per-step factors that do not depend on the carried gradient
         k_z = zs * (1.0 - zs) * (cs - h_prev)  # dA_z = dh * k_z
         k_h = zs * (1.0 - cs * cs)  # dA_h = dh * k_h
@@ -535,19 +573,27 @@ def gru(x, h0, w, u, b):
         k_r = (1.0 - rs) * rh  # dA_r = (dA_h U_h^T) * k_r
         keep = 1.0 - zs
         da_z, da_r, da_h = (np.empty_like(zs) for _ in range(3))
-        dh = np.zeros(d, dtype=g.dtype)
-        for i in range(n - 1, -1, -1):
-            dh = dh + g[i]
-            a_z = da_z[i] = dh * k_z[i]
-            a_h = da_h[i] = dh * k_h[i]
+        # d_states[j] gathers dL/d states[j]: the output gradient, and the
+        # carry back from the sequence's next step, added when it is run
+        d_states = np.zeros_like(states)
+        d_new = d_states[n_seq:]
+        d_new[...] = g[order]
+        for now, before in reversed(steps):
+            dh = d_new[now]
+            a_z = da_z[now] = dh * k_z[now]
+            a_h = da_h[now] = dh * k_h[now]
             d_rh = a_h @ u_h.T
-            a_r = da_r[i] = d_rh * k_r[i]
-            dh = dh * keep[i] + d_rh * rs[i] + a_z @ u_z.T + a_r @ u_r.T
+            a_r = da_r[now] = d_rh * k_r[now]
+            d_states[before] += dh * keep[now] + d_rh * rs[now] + a_z @ u_z.T + a_r @ u_r.T
         das = (da_z, da_r, da_h)
-        dx = None
+        dx = dh0 = None
         if x.requires_grad:
-            dx = sum(da @ wt.data.T for da, wt in zip(das, w))
-        grads = [dx, dh.reshape(1, d) if h0.requires_grad else None]
+            dx = np.empty_like(xd)
+            dx[order] = sum(da @ wt.data.T for da, wt in zip(das, w))
+        if h0.requires_grad:
+            dh0 = np.empty_like(h0.data)
+            dh0[by_len] = d_states[:n_seq]
+        grads = [dx, dh0]
         grads += [_t_dot(xd, da) if wt.requires_grad else None for da, wt in zip(das, w)]
         grads += [
             _t_dot(hp, da) if ut.requires_grad else None
@@ -559,7 +605,7 @@ def gru(x, h0, w, u, b):
         ]
         return tuple(grads)
 
-    return _make("gru", hs[1:], inputs, bw)
+    return _make("gru", out, inputs, bw)
 
 
 def scale_rows(x, s):
@@ -611,22 +657,29 @@ def layer_norm(x, gain, bias):
     return _make("layer_norm", out, (x, gain, bias), bw)
 
 
-def bce_loss(probs, target):
-    """Mean binary cross-entropy of per-class probabilities vs a one-hot target.
+def bce_rows(probs, target):
+    """Each row's mean binary cross-entropy of per-class probabilities
+    (arrays) vs a one-hot target, probabilities clamped into
+    [1e-7, 1 - 1e-7] before the log."""
+    p = np.clip(probs, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+    per = -(target * np.log(p) + (1.0 - target) * np.log1p(-p))
+    return per.sum(axis=1) / probs.shape[1]
 
-    Probabilities are clamped into [1e-7, 1 - 1e-7] before the log;
-    gradients vanish on the clamped region.  The target is a constant.
+
+def bce_loss(probs, target):
+    """Mean over rows of `bce_rows`, one document per row.
+
+    Gradients vanish on the clamped region.  The target is a constant.
     """
-    if probs.data.shape != target.data.shape:
+    if probs.data.ndim != 2 or probs.data.shape != target.data.shape:
         raise DimensionError(
             f"bce_loss: probs shape {probs.shape} != target shape {target.shape}"
         )
     lo, hi = _PROB_CLAMP, 1.0 - _PROB_CLAMP
     p = np.clip(probs.data, lo, hi)
     t = target.data
-    per = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
     c = probs.data.size
-    out = np.full((1, 1), per.sum() / c, dtype=probs.data.dtype)
+    out = np.full((1, 1), bce_rows(probs.data, t).mean(), dtype=probs.data.dtype)
     inside = (probs.data > lo) & (probs.data < hi)
 
     def bw(g):

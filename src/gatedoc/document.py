@@ -1,7 +1,10 @@
 """Document encoder: learned per-sentence importance gates, a forward
 GRU over the gated sentence embeddings, and a one-step decoder whose
-context vector is the engine's `attention` with one query and an
-unscaled dot score; the decoder returns only the document embedding.
+context vector is the engine's `attention` with one query per document
+and an unscaled dot score; the decoder returns only the document
+embeddings.  Every stage takes the sentence rows of a pack of documents
+at once: the gate is row-wise, and the GRU runs and attention blocks
+are cut at the documents' sentence counts.
 
 GRU orientation, fixed throughout (and matched by the test oracles):
     z = sigmoid(W_z x + U_z h + b_z)
@@ -9,17 +12,19 @@ GRU orientation, fixed throughout (and matched by the test oracles):
     h~ = tanh(W_h x + U_h (r * h) + b_h)
     h' = (1 - z) * h + z * h~
 
-Both the encoder's recurrence over all sentence rows and the decoder's
-single step run as one fused `autodiff.gru` node: the input projections
-are computed for every row before the step loop, and the hand-written
-backward through time forms each weight gradient with one GEMM over all
-steps.  A GRU cell holds the (z, r, h) triples that op takes; its
-parameters are drawn gate by gate, and `ModelParams.named_parameters()`
-lists them in that draw order.
+Both the encoder's recurrence over each document's sentence rows and
+the decoder's single step per document run as one fused `autodiff.gru`
+node, packed by length: the input projections are computed for every
+row before the step loop, and the hand-written backward through time
+forms each weight gradient with one GEMM over all steps.  A GRU cell
+holds the (z, r, h) triples that op takes; its parameters are drawn
+gate by gate, and `ModelParams.named_parameters()` lists them in that
+draw order.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,24 +106,32 @@ def gate(e_prime, gp):
     return scores.mean(axis=1), gated
 
 
-def encode_sequence(e_dprime, cell):
-    """Forward GRU states over the gated sentence rows, from a zero state."""
-    h0 = Tensor(np.zeros((1, cell.u[0].shape[0]), dtype=e_dprime.data.dtype))
-    return ad.gru(e_dprime, h0, cell.w, cell.u, cell.b)
+def encode_sequence(e_dprime, cell, lengths=None):
+    """Forward GRU states over each document's gated sentence rows, from
+    a zero state; `lengths` counts the rows of each document (default:
+    one document of all rows)."""
+    n_docs = 1 if lengths is None else len(lengths)
+    h0 = Tensor(np.zeros((n_docs, cell.u[0].shape[0]), dtype=e_dprime.data.dtype))
+    return ad.gru(e_dprime, h0, cell.w, cell.u, cell.b, lengths)
 
 
-def decode_document(encs, dp):
-    """One-step decode: the document embedding (1 x d_g).
+def decode_document(encs, dp, lengths=None):
+    """One-step decode: one document embedding per document (docs x d_g).
 
-    dec_0 = tanh-FNN(enc_n) is both the attention query and the
-    decoder's initial state; the context vector is the engine's
-    attention of dec_0 over the encoder states with Luong et al.'s
-    unscaled dot score (arXiv:1508.04025), and the decoder input is the
-    start-symbol embedding concatenated with it.
+    `lengths` counts each document's encoder states, in order (default:
+    one document of all rows).  dec_0 = tanh-FNN(enc_n) of a document's
+    last state is both its attention query and the decoder's initial
+    state; the context vector is the engine's attention of dec_0 over
+    that document's encoder states with Luong et al.'s unscaled dot
+    score (arXiv:1508.04025), and the decoder input is the start-symbol
+    embedding concatenated with it.
     """
-    n = encs.shape[0]
-    enc_n = ad.gather_rows(encs, [n - 1])
+    lengths = [encs.shape[0]] if lengths is None else lengths
+    stops = list(itertools.accumulate(lengths))
+    blocks = list(zip([0, *stops[:-1]], stops))
+    enc_n = ad.gather_rows(encs, [stop - 1 for stop in stops])
     dec0 = ad.tanh(ad.linear(enc_n, dp.bridge_w, dp.bridge_b))
-    cnt = ad.attention(dec0, encs, encs, 1, [(0, n)], q_blocks=[(0, 1)], scale=1.0)
-    x = ad.concat((dp.start_emb, cnt), axis=1)
-    return ad.gru(x, dec0, dp.dec_cell.w, dp.dec_cell.u, dp.dec_cell.b)
+    one_each = [(i, i + 1) for i in range(len(lengths))]
+    cnt = ad.attention(dec0, encs, encs, 1, blocks, q_blocks=one_each, scale=1.0)
+    x = ad.concat((ad.gather_rows(dp.start_emb, [0] * len(lengths)), cnt), axis=1)
+    return ad.gru(x, dec0, dp.dec_cell.w, dp.dec_cell.u, dp.dec_cell.b, [1] * len(lengths))

@@ -1,6 +1,7 @@
 """Sentence encoder: a parameter-shared transformer over the
-[CLS]/[SEP] token stream that returns the rows asked for (the [SEP]
-rows, in `model.forward`), and the class similarities of those rows.
+[CLS]/[SEP] token stream of one document, or of a pack of documents
+laid end to end, that returns the rows asked for (the [SEP] rows, in
+`model.forward_pack`), and the class similarities of those rows.
 
 One transformer layer's weights are applied at every depth, so the
 parameter count is independent of the layer count.  Blocks are
@@ -8,11 +9,11 @@ pre-norm residual: x + Attn(LN(x)), then x + FFN(LN(x)).
 
 Self-attention is block scoped.  The stream is cut into contiguous row
 blocks, one per segment ([CLS], then each sentence with its [SEP]) under
-sentence scope, or a single block under document scope.  Every layer
-runs one `autodiff.attention` node that scores each block only against
-itself, so a document costs at most 4 * sum(L_i^2) scores per head
-(padding included) rather than n^2.  The last layer forms its queries,
-and everything after attention, only at the requested rows.
+sentence scope, or one block per document under document scope.  Every
+layer runs one `autodiff.attention` node that scores each block only
+against itself, so a stream costs at most 4 * sum(L_i^2) scores per
+head (padding included) rather than n^2.  The last layer forms its
+queries, and everything after attention, only at the requested rows.
 """
 
 from __future__ import annotations
@@ -104,13 +105,14 @@ def init_class_similarity(init, w_c, d_in, d_hidden, d_class, prefix):
     )
 
 
-def segments_from_seps(stream_len, sep_positions):
-    """Segment id per stream position: 0 for [CLS], i+1 for sentence i.
+def segments_from_seps(stream_len, sep_positions, first=0):
+    """Segment id per stream position: `first` for [CLS], first+i+1 for
+    sentence i.
 
     Each sentence's tokens and its closing [SEP] share a segment.
     """
-    segments = [0] * stream_len
-    seg = 1
+    segments = [first] * stream_len
+    seg = first + 1
     pos = 1
     for sep in sep_positions:
         for p in range(pos, sep + 1):
@@ -124,7 +126,7 @@ def _segment_blocks(segments):
     """(start, stop) of each run of equal segment ids; an id may form one run only."""
     seg = np.asarray(segments)
     bounds = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
-    runs, ids = len(bounds) - 1, len(np.unique(seg))
+    runs, ids = len(bounds) - 1, len(set(seg[bounds[:-1]].tolist()))
     if runs != ids:
         raise DimensionError(
             f"segment ids must form one contiguous run each: {ids} ids in {runs} runs"
@@ -149,19 +151,22 @@ def _shared_layer(x, p, blocks, rows=None):
     return ad.add(x, ff)
 
 
-def transformer_encode(stream, params, segments=None, *, rows):
+def transformer_encode(stream, params, segments=None, *, rows, positions=None):
     """Contextual embeddings at the stream positions `rows` (len(rows) x d_h).
 
     `rows` must be non-empty and strictly increasing, else
     DimensionError.  The last layer forms queries, and everything after
     attention, only at `rows`; with n_layers = 0 the result is the
-    projected token+position embeddings there.  When `segments` is
-    given (one id per position), each id must occupy one contiguous run
-    of positions, as `segments_from_seps` produces, and self-attention
-    is restricted to the run (sentence-scoped attention); ids that recur
-    after a gap raise DimensionError.  With None every position attends
-    to the whole stream.  The ops refuse a stream longer than the
-    position table, and `attention` a `segments` of another length.
+    projected token+position embeddings there.  `positions` gives each
+    stream row's position id (default 0, 1, ..., n - 1); a pack of
+    documents restarts them at each document.  When `segments` is given
+    (one id per position), each id must occupy one contiguous run of
+    positions, as `segments_from_seps` produces, and self-attention is
+    restricted to the run (sentence-scoped attention, or one run per
+    document of a pack); ids that recur after a gap raise
+    DimensionError.  With None every position attends to the whole
+    stream.  The ops refuse a position beyond the position table, and
+    `attention` a `segments` of another length.
     """
     n = len(stream)
     blocks = [(0, n)] if segments is None else _segment_blocks(segments)
@@ -169,7 +174,7 @@ def transformer_encode(stream, params, segments=None, *, rows):
     if rows.ndim != 1 or not rows.size or (np.diff(rows) <= 0).any():
         raise DimensionError(f"transformer_encode: rows {rows} empty or not strictly increasing")
     tok = ad.gather_rows(params.tok_emb, stream)
-    pos = ad.gather_rows(params.pos_emb, list(range(n)))
+    pos = ad.gather_rows(params.pos_emb, range(n) if positions is None else positions)
     x = ad.linear(ad.add(tok, pos), params.w_in, params.b_in)
     if params.n_layers == 0:
         return ad.gather_rows(x, rows)

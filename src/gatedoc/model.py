@@ -1,8 +1,9 @@
 """Full model: parameter construction with ablation switches, the
-forward pass over one tokenized document, the sigmoid classifier head,
-and `predict`, whose `Prediction` record is what every report reads.
-The forward pass appends each sentence embedding's class similarities
-with `concat`.
+forward pass over a pack of tokenized documents as one graph (one
+document is the pack of one), the sigmoid classifier head, and
+`predict`, whose `Prediction` record is what every report reads.  The
+forward pass appends each sentence embedding's class similarities with
+`concat`.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -12,6 +13,7 @@ is the initializer's own list of what it made, in draw order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +45,15 @@ class Prediction:
 
 @dataclass
 class ForwardResult:
-    """Graph-connected output of one document forward."""
+    """Graph-connected output of a forward pass over a pack of documents.
+
+    `probs` has one row per document; `gate_scores` holds one array per
+    document from `forward_pack`, and the one document's array from
+    `forward`.
+    """
 
     probs: Tensor
-    gate_scores: np.ndarray
+    gate_scores: list | np.ndarray
 
 
 @dataclass
@@ -73,6 +80,11 @@ class ModelParams:
 
     def dtype(self):
         return self.encoder.tok_emb.data.dtype
+
+    def max_stream_len(self):
+        """Rows of the position table: the longest stream, and the most
+        rows a pack of several documents holds."""
+        return self.encoder.pos_emb.shape[0]
 
 
 def build_model(config, vocab_size, rng=None, dtype=None, stored=None):
@@ -147,14 +159,43 @@ def classify_head(e_d, mp):
     return ad.sigmoid(ad.linear(h, mp.out_w2, mp.out_b2))
 
 
-def forward(doc, mp):
-    """Sentence encoder -> gated document encoder -> classifier head."""
-    segments = None
-    if mp.attention_scope == "sentence":
-        segments = encmod.segments_from_seps(len(doc.token_stream), doc.sep_positions)
-    e = encmod.transformer_encode(
-        doc.token_stream, mp.encoder, segments=segments, rows=doc.sep_positions
-    )
+def packs(docs, max_rows):
+    """Runs of consecutive documents whose token streams together hold at
+    most `max_rows` rows; a document alone always forms a pack."""
+    out, rows = [], 0
+    for doc in docs:
+        n = len(doc.token_stream)
+        if out and rows + n <= max_rows:
+            out[-1].append(doc)
+            rows += n
+        else:
+            out.append([doc])
+            rows = n
+    return out
+
+
+def forward_pack(docs, mp):
+    """Sentence encoder -> gated document encoder -> classifier head over
+    a pack of documents as one graph.
+
+    The documents' streams are laid end to end, each with its own
+    position ids; attention blocks never span two documents, and every
+    later stage works row-wise or per document, so each document's
+    output is what it would be alone, up to the rounding of other GEMM
+    shapes.
+    """
+    stream, positions, segments, rows = [], [], [], []
+    for i, doc in enumerate(docs):
+        n, base = len(doc.token_stream), len(stream)
+        stream += doc.token_stream
+        positions += range(n)
+        rows += [base + sep for sep in doc.sep_positions]
+        if mp.attention_scope == "sentence":  # the ids run on across documents
+            first = segments[-1] + 1 if segments else 0
+            segments += encmod.segments_from_seps(n, doc.sep_positions, first)
+        else:
+            segments += [i] * n
+    e = encmod.transformer_encode(stream, mp.encoder, segments, rows=rows, positions=positions)
     if mp.use_sentence_class_sim:
         c = encmod.class_similarity(e, mp.sent_sim)
         e_prime = ad.concat((e, c), axis=1)
@@ -165,29 +206,48 @@ def forward(doc, mp):
     else:
         scores = np.full(e_prime.shape[0], 0.5)
         e_dprime = e_prime
-    encs = docmod.encode_sequence(e_dprime, mp.doc_encoder.enc_cell)
-    e_d = docmod.decode_document(encs, mp.doc_encoder)
+    n_sents = [len(doc.sep_positions) for doc in docs]
+    encs = docmod.encode_sequence(e_dprime, mp.doc_encoder.enc_cell, n_sents)
+    e_d = docmod.decode_document(encs, mp.doc_encoder, n_sents)
     probs = classify_head(e_d, mp)
-    return ForwardResult(probs=probs, gate_scores=scores)
+    stops = list(itertools.accumulate(n_sents))
+    per_doc = [scores[stop - k : stop] for stop, k in zip(stops, n_sents)]
+    return ForwardResult(probs=probs, gate_scores=per_doc)
+
+
+def forward(doc, mp):
+    """`forward_pack` of one document."""
+    result = forward_pack([doc], mp)
+    return ForwardResult(probs=result.probs, gate_scores=result.gate_scores[0])
+
+
+def predict_pack(docs, mp):
+    """Forward a pack of documents into one Prediction each."""
+    result = forward_pack(docs, mp)
+    return [
+        Prediction(
+            id=doc.id,
+            probs=[float(p) for p in probs],
+            predicted=int(np.argmax(probs)),  # lowest index wins ties
+            gold=doc.label,
+            gate_scores=[float(s) for s in scores],
+            gate_enabled=mp.use_gate,
+        )
+        for doc, probs, scores in zip(docs, result.probs.data, result.gate_scores)
+    ]
 
 
 def predict(doc, mp):
     """Forward one document into its Prediction."""
-    result = forward(doc, mp)
-    probs = result.probs.data.reshape(-1)
-    return Prediction(
-        id=doc.id,
-        probs=[float(p) for p in probs],
-        predicted=int(np.argmax(probs)),  # lowest index wins ties
-        gold=doc.label,
-        gate_scores=[float(s) for s in result.gate_scores],
-        gate_enabled=mp.use_gate,
-    )
+    return predict_pack([doc], mp)[0]
 
 
 def one_hot(label, n_classes, dtype):
-    if not 0 <= label < n_classes:
-        raise UsageError(f"label {label} outside [0, {n_classes})")
-    t = np.zeros((1, n_classes), dtype=dtype)
-    t[0, label] = 1.0
+    """One-hot rows, one per label of `label` (a label or a sequence)."""
+    labels = np.atleast_1d(label)
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise UsageError(f"label {bad[0]} outside [0, {n_classes})")
+    t = np.zeros((len(labels), n_classes), dtype=dtype)
+    t[np.arange(len(labels)), labels] = 1.0
     return Tensor(t)

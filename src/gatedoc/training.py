@@ -55,19 +55,20 @@ class AblationRow:
 
 
 def evaluate(params, documents):
-    """Accuracy = correct / total over all documents, plus the predictions."""
+    """Accuracy = correct / total over all documents, plus the predictions.
+
+    The documents run one graph per pack, as in training.
+    """
     documents = list(documents)
     if not documents:
         raise UsageError("evaluate needs a non-empty dataset")
-    predictions = []
-    correct = 0
     for doc in documents:
         if doc.label is None:
             raise UsageError(f"document {doc.id!r} has no gold label")
-        pred = modmod.predict(doc, params)
-        predictions.append(pred)
-        if pred.predicted == doc.label:
-            correct += 1
+    predictions = []
+    for pack in modmod.packs(documents, params.max_stream_len()):
+        predictions.extend(modmod.predict_pack(pack, params))
+    correct = sum(pred.predicted == pred.gold for pred in predictions)
     return EvalResult(
         accuracy=correct / len(documents),
         correct=correct,
@@ -77,21 +78,22 @@ def evaluate(params, documents):
 
 
 def _batch_step(batch, params, named, optimizer, batch_index):
+    """One Adam step over a batch, run as one graph per pack; returns each
+    document's loss.  A pack's mean loss is weighted by its share of the
+    batch, so the gradients are the batch mean of the per-document ones."""
     ad.zero_grad([t for _, t in named])
-    dtype = params.dtype()
-    inv = 1.0 / len(batch)
     losses = []
-    for doc in batch:
-        result = modmod.forward(doc, params)
-        target = modmod.one_hot(doc.label, params.n_classes, dtype)
-        loss = ad.bce_loss(result.probs, target)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingError(
-                f"non-finite loss in batch {batch_index} on document {doc.id!r}"
-            )
-        losses.append(value)
-        ad.backward(ad.scale(loss, inv))
+    for pack in modmod.packs(batch, params.max_stream_len()):
+        probs = modmod.forward_pack(pack, params).probs
+        target = modmod.one_hot([doc.label for doc in pack], params.n_classes, params.dtype())
+        values = ad.bce_rows(probs.data, target.data)
+        for doc, value in zip(pack, values):
+            if not np.isfinite(value):
+                raise TrainingError(
+                    f"non-finite loss in batch {batch_index} on document {doc.id!r}"
+                )
+        losses.extend(float(value) for value in values)
+        ad.backward(ad.scale(ad.bce_loss(probs, target), len(pack) / len(batch)))
     ad.adam_step(named, optimizer)
     return losses
 

@@ -405,6 +405,90 @@ class TestGru:
             ad.gru(x, h0, w[:2], u, b)
 
 
+def _single_sequence_gru(x, h0, w, u, b, g):
+    """Output and the 11 gradients of one sequence, stepped row by row on
+    1-D states as the single-sequence op did before sequences were packed."""
+    u_z, u_r, u_h = (p.data for p in u)
+    xd, n = x.data, x.shape[0]
+    p_z, p_r, p_h = (xd @ wt.data + bt.data for wt, bt in zip(w, b))
+    hs = np.empty((n + 1, h0.shape[1]))
+    hs[0] = h0.data
+    zs, rs, cs = (np.empty((n, h0.shape[1])) for _ in range(3))
+    for i in range(n):
+        h = hs[i]
+        z = zs[i] = ad._sigmoid(p_z[i] + h @ u_z)
+        r = rs[i] = ad._sigmoid(p_r[i] + h @ u_r)
+        c = cs[i] = np.tanh(p_h[i] + (r * h) @ u_h)
+        hs[i + 1] = (1.0 - z) * h + z * c
+    h_prev = hs[:-1]
+    k_z, k_h = zs * (1.0 - zs) * (cs - h_prev), zs * (1.0 - cs * cs)
+    rh = rs * h_prev
+    k_r = (1.0 - rs) * rh
+    da_z, da_r, da_h = (np.empty_like(zs) for _ in range(3))
+    dh = np.zeros(h0.shape[1])
+    for i in range(n - 1, -1, -1):
+        dh = dh + g[i]
+        a_z = da_z[i] = dh * k_z[i]
+        a_h = da_h[i] = dh * k_h[i]
+        d_rh = a_h @ u_h.T
+        a_r = da_r[i] = d_rh * k_r[i]
+        dh = dh * (1.0 - zs[i]) + d_rh * rs[i] + a_z @ u_z.T + a_r @ u_r.T
+    das = (da_z, da_r, da_h)
+    grads = [sum(da @ wt.data.T for da, wt in zip(das, w)), dh.reshape(1, -1)]
+    grads += [ad._t_dot(xd, da) for da in das]
+    grads += [ad._t_dot(hp, da) for hp, da in zip((h_prev, h_prev, rh), das)]
+    grads += [da.sum(axis=0, keepdims=True) for da in das]
+    return hs[1:], grads
+
+
+class TestGruLengths:
+    @pytest.mark.parametrize("n, d_in, d", GRU_SHAPES)
+    def test_one_length_is_bit_identical_to_the_single_sequence_op(self, rng, n, d_in, d):
+        x, h0, w, u, b = _gru_inputs(rng, n, d_in, d)
+        inputs = [x, h0, *w, *u, *b]
+        weight = Tensor(rng.uniform(-1, 1, (n, d)))
+        want_out, want_grads = _single_sequence_gru(x, h0, w, u, b, weight.data)
+        for lengths in (None, [n]):
+            ad.zero_grad(inputs)
+            out = ad.gru(x, h0, w, u, b, lengths)
+            ad.backward(total(ad.mul(out, weight)))
+            np.testing.assert_array_equal(out.data, want_out)
+            for p, want in zip(inputs, want_grads):
+                np.testing.assert_array_equal(p.grad, want)
+
+    @pytest.mark.parametrize("lengths", [[3, 1, 2], [1, 1, 1, 1], [2, 5], [4]])
+    def test_packed_sequences_equal_separate_runs(self, rng, lengths):
+        n, d_in, d = sum(lengths), 3, 4
+        x, _, w, u, b = _gru_inputs(rng, n, d_in, d)
+        h0 = t(rng.uniform(-0.8, 0.8, (len(lengths), d)))
+        params = [x, h0, *w, *u, *b]
+        weight = Tensor(rng.uniform(-1, 1, (n, d)))
+        ad.zero_grad(params)
+        packed = ad.gru(x, h0, w, u, b, lengths)
+        ad.backward(total(ad.mul(packed, weight)))
+        got = [p.grad for p in params]
+        ad.zero_grad(params)
+        stops = np.cumsum(lengths)
+        runs = [
+            ad.gru(ad.gather_rows(x, range(stop - k, stop)), ad.gather_rows(h0, [i]), w, u, b)
+            for i, (stop, k) in enumerate(zip(stops, lengths))
+        ]
+        separate = ad.concat(runs, axis=0)
+        ad.backward(total(ad.mul(separate, weight)))
+        np.testing.assert_allclose(packed.data, separate.data, rtol=0, atol=1e-12)
+        for p, g in zip(params, got):
+            np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "lengths, h0_rows", [([3, 0, 2], 3), ([2, 2], 2), ([3, 3], 2), ([], 1), ([5], 2)]
+    )
+    def test_lengths_must_cut_the_rows(self, rng, lengths, h0_rows):
+        x, _, w, u, b = _gru_inputs(rng, 5, 3, 4)
+        h0 = t(np.zeros((h0_rows, 4)))
+        with pytest.raises(DimensionError):
+            ad.gru(x, h0, w, u, b, lengths)
+
+
 def _padded_groups(blocks):
     """(rows, valid) of each group's blocks, padded as `attention` pads them."""
     return [ad._pad_ranges([blocks[i] for i in members]) for members in ad._group_blocks(blocks)]
@@ -644,6 +728,16 @@ class TestGradCheckPerOp:
         weight = t(rng.uniform(-1, 1, (n, d)), grad=False)
         params = [x, *([h0] if h0_grad else []), *w, *u, *b]
         _check(lambda: total(ad.mul(ad.gru(x, h0, w, u, b), weight)), params)
+
+    def test_gru_packed_by_length(self, rng):
+        # three sequences whose steps run 3, 2 and 1 of them, each from
+        # its own state, which carries a gradient
+        lengths = [3, 1, 2]
+        x, _, w, u, b = _gru_inputs(rng, sum(lengths), 3, 4)
+        h0 = t(rng.uniform(-0.8, 0.8, (len(lengths), 4)))
+        weight = t(rng.uniform(-1, 1, (sum(lengths), 4)), grad=False)
+        params = [x, h0, *w, *u, *b]
+        _check(lambda: total(ad.mul(ad.gru(x, h0, w, u, b, lengths), weight)), params)
 
     def test_scale_rows(self, rng):
         x = t(rng.uniform(-1, 1, (4, 3)))

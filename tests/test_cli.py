@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-import gatedoc.analysis
 import gatedoc.cli
 import gatedoc.model
 import gatedoc.training
@@ -220,16 +219,16 @@ def test_analyze_writes_both_reports(trained, tmp_path):
 
 
 def _count_predict_calls(monkeypatch):
-    """Ids of the documents `model.predict` runs on, wherever it is called from."""
+    """Ids of the documents the model predicts, wherever it is called from:
+    `model.predict` is the pack of one of `model.predict_pack`."""
     calls = []
-    original = gatedoc.model.predict
+    original = gatedoc.model.predict_pack
 
-    def counting(doc, mp):
-        calls.append(doc.id)
-        return original(doc, mp)
+    def counting(docs, mp):
+        calls.extend(doc.id for doc in docs)
+        return original(docs, mp)
 
-    for module in (gatedoc.model, gatedoc.analysis, gatedoc.cli):
-        monkeypatch.setattr(module, "predict", counting)
+    monkeypatch.setattr(gatedoc.model, "predict_pack", counting)
     return calls
 
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedoc import autodiff as ad
+from gatedoc import synthetic, textpipe
 from gatedoc.cli import GRADCHECK_THRESHOLD
-from gatedoc.model import build_model, forward, one_hot
+from gatedoc.model import build_model, forward, forward_pack, one_hot, packs
 from gatedoc.textpipe import assemble_document
 
 from conftest import make_doc, randomize_params, tiny_config
@@ -120,6 +121,83 @@ def test_engine_matches_numpy_oracle_on_drawn_documents(variant, n_layers, n_hea
     probs, scores = oracle_forward(arrays, doc, n_layers=n_layers, n_heads=n_heads, **variant)
     np.testing.assert_allclose(result.probs.data.reshape(-1), probs, rtol=0, atol=1e-12)
     np.testing.assert_allclose(result.gate_scores, scores, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=_variant_id)
+@given(
+    sentences=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+def test_pack_equals_its_documents_one_by_one(variant, sentences, seed):
+    # one graph over the pack gives each document's own outputs, and its
+    # loss, weighted by the pack size, the per-document loss and gradient sums
+    rng = np.random.default_rng(seed)
+    config = tiny_config(max_sentences=12, max_stream_len=80, n_layers=2, **variant)
+    params = build_model(config, VOCAB_SIZE, rng=rng)
+    randomize_params(params, rng)
+    pack = [
+        make_doc(rng, k, VOCAB_SIZE, label=int(rng.integers(3)), doc_id=f"d{i}")
+        for i, k in enumerate(sentences)
+    ]
+    leaves = [t for _, t in params.named_parameters()]
+    packed = forward_pack(pack, params)
+    ad.zero_grad(leaves)
+    singles = 0.0
+    for i, doc in enumerate(pack):
+        alone = forward(doc, params)
+        np.testing.assert_allclose(packed.probs.data[i : i + 1], alone.probs.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(packed.gate_scores[i], alone.gate_scores, rtol=0, atol=1e-12)
+        loss = ad.bce_loss(alone.probs, one_hot(doc.label, config.n_classes, np.float64))
+        singles += loss.item()
+        ad.backward(loss)
+    summed = {name: t.grad.copy() for name, t in params.named_parameters()}
+    ad.zero_grad(leaves)
+    target = one_hot([doc.label for doc in pack], config.n_classes, np.float64)
+    loss = ad.scale(ad.bce_loss(packed.probs, target), float(len(pack)))
+    assert abs(loss.item() - singles) <= 1e-12
+    ad.backward(loss)
+    for name, t in params.named_parameters():
+        np.testing.assert_allclose(t.grad, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+def _sized_doc(n_rows, doc_id):
+    """A document whose token stream has `n_rows` rows (one sentence)."""
+    return textpipe.TokenizedDocument(
+        id=doc_id, sentences=[], token_stream=[0] * n_rows, sep_positions=[n_rows - 1],
+        sentence_spans=[], label=0, n_classes=3,
+    )
+
+
+@given(
+    sizes=st.lists(st.integers(2, 300), min_size=1, max_size=30),
+    max_rows=st.integers(2, 512),
+)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_packs_keep_order_and_the_row_cap(sizes, max_rows):
+    docs = [_sized_doc(n, f"d{i}") for i, n in enumerate(sizes)]
+    result = packs(docs, max_rows)
+    assert [doc for pack in result for doc in pack] == docs
+    for pack in result:
+        rows = sum(len(doc.token_stream) for doc in pack)
+        assert pack and (rows <= max_rows or len(pack) == 1)
+    # greedy: a pack closes only when the next document would not fit
+    for pack, following in zip(result, result[1:]):
+        rows = sum(len(doc.token_stream) for doc in pack)
+        assert rows + len(following[0].token_stream) > max_rows
+
+
+def test_long_documents_form_packs_of_one():
+    # the 30-sentence key-sentence documents of the long-predict benchmark
+    config = tiny_config(max_stream_len=512, max_sentences=50)
+    records = synthetic.generate_key_sentence_corpus(12, seed=3, n_distractors=29)
+    raws = [
+        textpipe.RawDocument(id=r.id, text=r.text, score=r.score) for r in records
+    ]
+    vocab = textpipe.build_vocab(raws, min_freq=1, max_size=1000)
+    docs = [textpipe.prepare_document(r, config.scheme, vocab, config.limits()) for r in raws]
+    assert all(len(doc.token_stream) > config.max_stream_len // 2 for doc in docs)
+    assert packs(docs, config.max_stream_len) == [[doc] for doc in docs]
 
 
 def test_engine_gradients_on_a_skewed_document():

@@ -1,10 +1,13 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import gatedoc.cli
-from gatedoc import synthetic, training
+from gatedoc import autodiff, model, synthetic, training
+from gatedoc.errors import TrainingError
 
 from conftest import make_doc, tiny_config
 
@@ -20,6 +23,88 @@ def test_seeded_training_is_bit_identical(rng):
     assert a.keys() == b.keys()
     for name in a:
         assert np.array_equal(a[name].data, b[name].data), name
+
+
+def _built_models(monkeypatch, edit):
+    """Have `training.train` build its model as usual, then apply `edit`."""
+    original = model.build_model
+
+    def edited(*args, **kwargs):
+        params = original(*args, **kwargs)
+        edit(params)
+        return params
+
+    monkeypatch.setattr(model, "build_model", edited)
+
+
+def test_non_finite_loss_names_the_batch_and_the_document(rng, monkeypatch):
+    # token 29 occurs only in document d0, and its embedding is NaN, so
+    # only that document's loss is non-finite; d0 is not its batch's first
+    docs = [make_doc(rng, 2, 20, label=i % 3, doc_id=f"d{i}") for i in range(8)]
+    docs[0].token_stream[1] = 29
+    _built_models(monkeypatch, lambda mp: mp.encoder.tok_emb.data.__setitem__(29, np.nan))
+    cfg = tiny_config(max_epochs=1, batch_size=3, max_stream_len=64)
+    order = list(np.random.default_rng([cfg.seed, 0]).permutation(6))
+    batch, place = divmod(order.index(0), cfg.batch_size)
+    assert place > 0
+    with pytest.raises(TrainingError, match=f"non-finite loss in batch {batch} on document 'd0'"):
+        training.train(docs[:6], docs[6:], cfg, vocab_size=30)
+
+
+def test_non_finite_gradient_names_the_parameter(rng, monkeypatch):
+    named = {}
+    _built_models(monkeypatch, lambda mp: named.update(mp.named_parameters()))
+    real_backward = autodiff.backward
+
+    def poisoned(loss):
+        real_backward(loss)
+        named["docenc.bridge_w"].grad[0, 0] = np.inf
+
+    monkeypatch.setattr(autodiff, "backward", poisoned)
+    docs = _train_docs(rng)
+    cfg = tiny_config(max_epochs=1, batch_size=2)
+    with pytest.raises(TrainingError, match=re.escape("parameter 'docenc.bridge_w'")):
+        training.train(docs[:4], docs[4:], cfg, vocab_size=20)
+
+
+def test_evaluate_runs_packs_that_match_predict(rng):
+    cfg = tiny_config(max_stream_len=40)
+    docs = [make_doc(rng, 3, 20, label=i % 3, doc_id=f"d{i}") for i in range(7)]
+    params = model.build_model(cfg, 20, rng=rng)
+    assert 1 < len(model.packs(docs, cfg.max_stream_len)) < len(docs)
+    result = training.evaluate(params, docs)
+    assert [p.id for p in result.predictions] == [doc.id for doc in docs]
+    for pred, doc in zip(result.predictions, docs):
+        alone = model.predict(doc, params)
+        np.testing.assert_allclose(pred.probs, alone.probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pred.gate_scores, alone.gate_scores, rtol=0, atol=1e-12)
+        assert (pred.predicted, pred.gold) == (alone.predicted, doc.label)
+    assert result.correct == sum(p.predicted == p.gold for p in result.predictions)
+
+
+def test_batch_step_gradient_is_the_mean_over_its_documents(rng, monkeypatch):
+    cfg = tiny_config(max_stream_len=40)
+    batch = [make_doc(rng, 3, 20, label=i % 3, doc_id=f"d{i}") for i in range(5)]
+    assert 1 < len(model.packs(batch, cfg.max_stream_len)) < len(batch)
+    params = model.build_model(cfg, 20, rng=rng)
+    named = params.named_parameters()
+    leaves = [t for _, t in named]
+    autodiff.zero_grad(leaves)
+    losses = []
+    for doc in batch:
+        target = model.one_hot(doc.label, cfg.n_classes, np.float64)
+        loss = autodiff.bce_loss(model.forward(doc, params).probs, target)
+        losses.append(loss.item())
+        autodiff.backward(autodiff.scale(loss, 1.0 / len(batch)))
+    want = {name: t.grad.copy() for name, t in named}
+    seen = {}
+    monkeypatch.setattr(
+        autodiff, "adam_step", lambda named, state: seen.update((n, t.grad) for n, t in named)
+    )
+    got = training._batch_step(batch, params, named, None, 0)
+    np.testing.assert_allclose(got, losses, rtol=0, atol=1e-12)
+    for name in want:
+        np.testing.assert_allclose(seen[name], want[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 def _scripted_dev(monkeypatch, accuracies, params_seen):
