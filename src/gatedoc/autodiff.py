@@ -22,10 +22,10 @@ gradients records a `Node` holding the op kind, its input tensors and a
 backward closure with whatever activations the derivative needs.
 `backward` walks the reachable nodes once, in reverse creation order
 (creation order is topological by construction), and detaches each node
-from its output as it goes, so activations are freed during the walk
-and a graph is walked only once.  There is no global
-mutable state beyond the node-id counter, so independent graphs can be
-built concurrently.
+from its output as it goes, so activations are freed during the walk.
+A graph is walked once: a later backward that reaches it raises.  There
+is no global mutable state beyond the node-id counter, so independent
+graphs can be built concurrently.
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ def initializer(dtype, rng=None, stored=None):
     return init
 
 
+_WALKED = Node("walked", (), None)  # stands in for a node `backward` has walked
+
+
 def _make(op, out_data, inputs, backward_fn):
     if any(t.requires_grad for t in inputs):
         return Tensor(out_data, requires_grad=True, _node=Node(op, inputs, backward_fn))
@@ -176,10 +179,12 @@ def backward(loss):
         t = nodes.pop()
         # each node is walked once: dropping it frees the activations it
         # saved, and its inputs once no other node holds them
-        node, t.node = t.node, None
+        node, t.node = t.node, _WALKED
         g = grads.pop(id(t), None)
         if g is None:
             continue
+        if node is _WALKED:
+            raise UsageError("backward through a graph that an earlier backward walked")
         in_grads = node.backward_fn(g)
         for inp, ig in zip(node.inputs, in_grads):
             if ig is None or not inp.requires_grad:
@@ -532,22 +537,19 @@ def gru(x, h0, w, u, b, lengths=None):
     # still running at step i are the first a_i rows of that step
     n_seq = len(lengths)
     by_len = sorted(range(n_seq), key=lengths.__getitem__, reverse=True)
-    firsts = list(itertools.accumulate([0] + lengths[:-1]))
     ending = [0] * lengths[by_len[0]]  # ending[i]: sequences of length i + 1
     for length in lengths:
         ending[length - 1] += 1
     running = list(itertools.accumulate(reversed(ending)))[::-1]
-    order = [firsts[s] + i for i, a in enumerate(running) for s in by_len[:a]]
-    if order == list(range(n)):  # one sequence, or one step: index without copies
-        order = slice(None)
+    order = slice(None)  # one sequence, or one step: the rows are in order
+    if n_seq > 1 and len(running) > 1:
+        firsts = list(itertools.accumulate([0] + lengths[:-1]))
+        order = [firsts[s] + i for i, a in enumerate(running) for s in by_len[:a]]
     # `states` holds the sorted h0 rows, then each packed row's new state,
     # so the states before a step are a slice: h0, or the last step's
-    steps, prev_rows, start, prev = [], [], 0, 0
-    for a in running:
-        steps.append((slice(start, start + a), slice(prev, prev + a)))
-        prev_rows.extend(range(prev, prev + a))
-        prev = n_seq + start
-        start += a
+    starts = [0, *itertools.accumulate(running)][:-1]
+    befores = [0] + [n_seq + start for start in starts[:-1]]
+    steps = [(slice(s, s + a), slice(p, p + a)) for s, a, p in zip(starts, running, befores)]
     xd = x.data[order]
     u_z, u_r, u_h = (t.data for t in u)
     p_z, p_r, p_h = (xd @ wt.data + bt.data for wt, bt in zip(w, b))
@@ -565,7 +567,7 @@ def gru(x, h0, w, u, b, lengths=None):
     out[order] = new_states
 
     def bw(g):
-        h_prev = states[prev_rows]
+        h_prev = states[[i for _, before in steps for i in range(before.start, before.stop)]]
         # the per-step factors that do not depend on the carried gradient
         k_z = zs * (1.0 - zs) * (cs - h_prev)  # dA_z = dh * k_z
         k_h = zs * (1.0 - cs * cs)  # dA_h = dh * k_h

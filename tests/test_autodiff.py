@@ -611,6 +611,15 @@ class TestBackward:
         ad.backward(ad.mul(x, t([[2.0]], grad=False)))
         assert x.grad[0, 0] == 4.0
 
+    def test_a_walked_graph_is_not_walked_again(self):
+        x = t([[3.0]])
+        y = ad.tanh(ad.mul(x, x))
+        ad.backward(ad.scale(y, 2.0))
+        with pytest.raises(UsageError, match="earlier backward"):
+            ad.backward(ad.scale(y, 0.5))  # a new loss over the walked y
+        with pytest.raises(UsageError, match="earlier backward"):
+            ad.backward(y)
+
     def test_backward_fills_only_trainable_leaves(self, rng):
         a = t(rng.standard_normal((2, 2)), name="a")
         b = t(rng.standard_normal((2, 2)), name="b")

@@ -146,7 +146,9 @@ def test_pack_equals_its_documents_one_by_one(variant, sentences, seed):
     singles = 0.0
     for i, doc in enumerate(pack):
         alone = forward(doc, params)
-        np.testing.assert_allclose(packed.probs.data[i : i + 1], alone.probs.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            packed.probs.data[i : i + 1], alone.probs.data, rtol=0, atol=1e-12
+        )
         np.testing.assert_allclose(packed.gate_scores[i], alone.gate_scores, rtol=0, atol=1e-12)
         loss = ad.bce_loss(alone.probs, one_hot(doc.label, config.n_classes, np.float64))
         singles += loss.item()
