@@ -497,7 +497,8 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
 
 
 def gru(x, h0, w, u, b, lengths=None):
-    """GRU runs over the rows of x, one per sequence, as one node.
+    """GRU runs over consecutive runs of the rows of x, one run per
+    sequence, as one node.
 
     `lengths` cuts the n rows of x into consecutive sequences (default:
     one sequence of all n rows); h0 holds one starting state per
