@@ -547,10 +547,14 @@ def gru(x, h0, w, u, b, lengths=None):
         firsts = list(itertools.accumulate([0] + lengths[:-1]))
         order = [firsts[s] + i for i, a in enumerate(running) for s in by_len[:a]]
     # `states` holds the sorted h0 rows, then each packed row's new state,
-    # so the states before a step are a slice: h0, or the last step's
+    # so the states before a step are a slice: h0, or the last step's.  A
+    # step of one sequence indexes 1-D rows, which numpy handles faster.
     starts = [0, *itertools.accumulate(running)][:-1]
     befores = [0] + [n_seq + start for start in starts[:-1]]
-    steps = [(slice(s, s + a), slice(p, p + a)) for s, a, p in zip(starts, running, befores)]
+    steps = [
+        (s, p) if a == 1 else (slice(s, s + a), slice(p, p + a))
+        for s, a, p in zip(starts, running, befores)
+    ]
     xd = x.data[order]
     u_z, u_r, u_h = (t.data for t in u)
     p_z, p_r, p_h = (xd @ wt.data + bt.data for wt, bt in zip(w, b))
@@ -568,7 +572,7 @@ def gru(x, h0, w, u, b, lengths=None):
     out[order] = new_states
 
     def bw(g):
-        h_prev = states[[i for _, before in steps for i in range(before.start, before.stop)]]
+        h_prev = states[[p + i for p, a in zip(befores, running) for i in range(a)]]
         # the per-step factors that do not depend on the carried gradient
         k_z = zs * (1.0 - zs) * (cs - h_prev)  # dA_z = dh * k_z
         k_h = zs * (1.0 - cs * cs)  # dA_h = dh * k_h
