@@ -43,6 +43,7 @@ _node_ids = itertools.count()
 _PROB_CLAMP = 1e-7  # bce_loss clamps probabilities into [1e-7, 1 - 1e-7]
 _LN_EPS = 1e-5  # added to the row variance in layer_norm
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+_ADAM_CHUNK = 1 << 15  # elements Adam updates at a time: its temporaries stay in cache
 
 
 class Node:
@@ -59,10 +60,11 @@ class Node:
 class Tensor:
     """A dense array participating in a reverse-mode differentiation graph.
 
-    `data` is never mutated by operations; optimizers replace it
-    between graph builds.  `grad` accumulates across backward calls
-    until `zero_grad` clears it, which is what batch-level gradient
-    accumulation relies on.
+    `data` is never mutated by operations; `adam_step` updates it in
+    place between graph builds, so an array taken from `data` before a
+    step holds the new values after it.  `grad` accumulates across
+    backward calls until `zero_grad` clears it, which is what
+    batch-level gradient accumulation relies on.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "name", "node", "node_id")
@@ -759,25 +761,47 @@ class OptimizerState:
 def adam_step(named, state):
     """One Adam update of each (name, Tensor) in `named` from its `.grad`.
 
-    Deterministic given inputs; raises TrainingError on a non-finite
-    gradient, naming the parameter.
+    The moments and `p.data` are updated in place, in chunks of
+    `_ADAM_CHUNK` elements, so a step allocates no parameter-sized array
+    beyond the moments made on the first one.  Each chunk runs Algorithm 1
+    of Kingma & Ba in the same expression order as the whole-array
+    `p - lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so the result is the same
+    to the bit.  Deterministic given inputs; raises TrainingError on a
+    non-finite gradient, naming the parameter, before anything of that
+    parameter is updated.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - _BETA1**t
     bc2 = 1.0 - _BETA2**t
+    lr = state.learning_rate
     for name, p in named:
-        g = p.grad
-        if not np.isfinite(g).all():
+        g = p.grad.reshape(-1)
+        chunks = [slice(i, i + _ADAM_CHUNK) for i in range(0, g.size, _ADAM_CHUNK)]
+        # the sum of squares is finite exactly when every element is, unless
+        # it overflows; only then is the slower elementwise test needed
+        with np.errstate(over="ignore"):
+            sum_sq = sum(float(np.dot(g[c], g[c])) for c in chunks)
+        if not math.isfinite(sum_sq) and not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        p.data = np.ascontiguousarray(p.data)  # reshape below must be a view
         m = state.m.get(name)
         if m is None:
-            m = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m = _BETA1 * m + (1.0 - _BETA1) * g
-        v = _BETA2 * v + (1.0 - _BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        p.data = p.data - state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
-
+            m = state.m[name] = np.zeros(p.data.shape, p.data.dtype)
+            state.v[name] = np.zeros(p.data.shape, p.data.dtype)
+        flat_p, flat_m, flat_v = p.data.reshape(-1), m.reshape(-1), state.v[name].reshape(-1)
+        num = np.empty(min(g.size, _ADAM_CHUNK), p.data.dtype)
+        den = np.empty_like(num)
+        for c in chunks:
+            gc, mc, vc, pc = g[c], flat_m[c], flat_v[c], flat_p[c]
+            nc, dc = num[: gc.size], den[: gc.size]
+            mc *= _BETA1
+            mc += np.multiply(gc, 1.0 - _BETA1, out=nc)
+            vc *= _BETA2
+            np.multiply(gc, 1.0 - _BETA2, out=nc)
+            vc += np.multiply(nc, gc, out=nc)
+            np.divide(mc, bc1, out=nc)
+            nc *= lr
+            np.sqrt(np.divide(vc, bc2, out=dc), out=dc)
+            dc += _ADAM_EPS
+            pc -= np.divide(nc, dc, out=nc)

@@ -24,7 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
 from .errors import DataError, GatedocError, UsageError
 from .heatmap import render_heatmap
-from .model import build_model, forward, one_hot, predict
+from .model import build_model, forward, one_hot, predict_all
 from .textpipe import (
     assemble_document,
     build_vocab,
@@ -128,7 +128,7 @@ def cmd_predict(args):
         preds = [explain(params, config, vocab, args.text)[0]]
     else:
         data = load_dataset(args.data, config.scheme, vocab, config.limits())
-        preds = [predict(doc, params) for doc in data.documents]
+        preds = predict_all(data.documents, params)
     if args.out:
         _write_json({"predictions": [asdict(pred) for pred in preds]}, args.out)
     for pred in preds:

@@ -1,9 +1,9 @@
 """Full model: parameter construction with ablation switches, the
 forward pass over a pack of tokenized documents as one graph (one
 document is the pack of one), the sigmoid classifier head, and
-`predict`, whose `Prediction` record is what every report reads.  The
-forward pass appends each sentence embedding's class similarities with
-`concat`.
+`predict` and `predict_all`, whose `Prediction` record is what every
+report reads.  The forward pass appends each sentence embedding's class
+similarities with `concat`.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -240,6 +240,11 @@ def predict_pack(docs, mp):
 def predict(doc, mp):
     """Forward one document into its Prediction."""
     return predict_pack([doc], mp)[0]
+
+
+def predict_all(docs, mp):
+    """One Prediction per document, in order, run one graph per pack."""
+    return [pred for pack in packs(docs, mp.max_stream_len()) for pred in predict_pack(pack, mp)]
 
 
 def one_hot(label, n_classes, dtype):

@@ -263,7 +263,8 @@ def read_raw_dataset(path, scheme):
                 if not isinstance(doc_id, str) or not isinstance(text, str) or not text:
                     raise ValueError("bad field types")
                 bucket_label(score, scheme, doc_id=doc_id)
-            except (KeyError, TypeError, ValueError, DataError) as exc:
+            # RecursionError: json.loads on a line nested too deep
+            except (KeyError, TypeError, ValueError, RecursionError, DataError) as exc:
                 skipped += 1
                 logger.warning("%s:%d skipped: %s", path, lineno, exc)
                 continue

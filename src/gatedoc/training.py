@@ -55,19 +55,14 @@ class AblationRow:
 
 
 def evaluate(params, documents):
-    """Accuracy = correct / total over all documents, plus the predictions.
-
-    The documents run one graph per pack, as in training.
-    """
+    """Accuracy = correct / total over all documents, plus the predictions."""
     documents = list(documents)
     if not documents:
         raise UsageError("evaluate needs a non-empty dataset")
     for doc in documents:
         if doc.label is None:
             raise UsageError(f"document {doc.id!r} has no gold label")
-    predictions = []
-    for pack in modmod.packs(documents, params.max_stream_len()):
-        predictions.extend(modmod.predict_pack(pack, params))
+    predictions = modmod.predict_all(documents, params)
     correct = sum(pred.predicted == pred.gold for pred in predictions)
     return EvalResult(
         accuracy=correct / len(documents),
@@ -110,7 +105,7 @@ def train(train_docs, dev_docs, config, vocab_size):
     history = []
     best_acc = -1.0
     best_epoch = -1
-    best_snapshot = None
+    snapshot = None  # the best epoch's parameters, kept while a later epoch may overwrite them
     bad_epochs = 0
     for epoch in range(config.max_epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(train_docs))
@@ -138,14 +133,20 @@ def train(train_docs, dev_docs, config, vocab_size):
                 bad_epochs += 1
             best_acc = dev.accuracy
             best_epoch = epoch
-            best_snapshot = {name: t.data.copy() for name, t in named}
+            if epoch + 1 < config.max_epochs and bad_epochs < config.patience:
+                if snapshot is None:
+                    snapshot = [t.data.copy() for _, t in named]
+                else:
+                    for buf, (_, t) in zip(snapshot, named):
+                        np.copyto(buf, t.data)
         else:
             bad_epochs += 1
         if bad_epochs >= config.patience:
             break
-    if best_snapshot is not None:
-        for name, t in named:
-            t.data = best_snapshot[name]
+    if best_epoch != epoch:
+        for buf, (_, t) in zip(snapshot, named):
+            t.data = buf
+    ad.zero_grad([t for _, t in named])  # the last step's gradients have no reader
     return TrainResult(
         params=params,
         history=history,

@@ -886,6 +886,68 @@ class TestAdam:
         with pytest.raises(TrainingError, match="exploding"):
             ad.adam_step([("exploding", p)], state)
 
+    @staticmethod
+    def _whole_array_step(p, m, v, g, t, lr):
+        """The former Adam expression over whole arrays, kept as the reference."""
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        return p - lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8), m, v
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("delta", [None, -1, 0, 1])
+    def test_in_place_steps_equal_the_whole_array_expression(self, rng, dtype, delta):
+        # a 1-element parameter, and one chunk - 1, chunk and chunk + 1 long
+        size = 1 if delta is None else ad._ADAM_CHUNK + delta
+        shapes = {"flat": (1, size), "square": (3, 4)}
+        params = {n: ad.parameter(n, rng.standard_normal(s).astype(dtype)) for n, s in shapes.items()}
+        want = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+                for n, p in params.items()}
+        state = ad.OptimizerState(learning_rate=0.01)
+        for t in (1, 2, 3):
+            for n, p in params.items():
+                g = rng.standard_normal(shapes[n]).astype(dtype)
+                if n == "square":  # a transposed gradient is not C-contiguous
+                    g = np.ascontiguousarray(g.T).T
+                p.grad = g
+                want[n] = self._whole_array_step(*want[n], g, t, 0.01)
+            ad.adam_step(list(params.items()), state)
+        for n, p in params.items():
+            assert p.data.dtype == dtype
+            assert np.array_equal(p.data, want[n][0]), n
+            assert np.array_equal(state.m[n], want[n][1]), n
+            assert np.array_equal(state.v[n], want[n][2]), n
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_leaves_the_parameter_unchanged(self, rng, bad):
+        # the bad value sits in the second chunk, after a chunk that is fine
+        size = ad._ADAM_CHUNK + 5
+        p = ad.parameter("w", rng.standard_normal((1, size)).astype(np.float32))
+        state = ad.OptimizerState(learning_rate=0.01)
+        p.grad = rng.standard_normal((1, size)).astype(np.float32)
+        ad.adam_step([("w", p)], state)
+        before = (p.data.copy(), state.m["w"].copy(), state.v["w"].copy())
+        g = rng.standard_normal((1, size)).astype(np.float32)
+        g[0, ad._ADAM_CHUNK + 2] = bad
+        p.grad = g
+        with pytest.raises(TrainingError, match="'w'"):
+            ad.adam_step([("w", p)], state)
+        assert np.array_equal(p.data, before[0])
+        assert np.array_equal(state.m["w"], before[1])
+        assert np.array_equal(state.v["w"], before[2])
+
+    def test_overflowing_sum_of_squares_is_still_a_finite_gradient(self):
+        # each 1e19 is a finite float32, but the sum of their squares is not
+        p = ad.parameter("big", np.zeros((1, 8), dtype=np.float32))
+        g = np.full((1, 8), 1e19, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(g[0], g[0]))
+        p.grad = g
+        ad.adam_step([("big", p)], ad.OptimizerState(learning_rate=0.01))
+        zeros = np.zeros_like(g)
+        want, _, _ = self._whole_array_step(zeros, zeros, zeros, g, 1, 0.01)
+        assert np.array_equal(p.data, want) and np.all(p.data < 0)
+
     def test_deterministic_given_inputs(self, rng):
         g = rng.standard_normal((2, 2))
         results = []

@@ -125,6 +125,13 @@ def test_train_writes_one_json_line_per_epoch(tmp_path, monkeypatch):
     assert [p.name for p in out_dir.iterdir()] == ["metrics.jsonl"]  # no .tmp left behind
 
 
+def test_train_skips_a_line_nested_too_deep(tmp_path):
+    corpus = _corpus(tmp_path)
+    with corpus.open("a", encoding="utf-8") as fh:
+        fh.write("[" * 100_000 + "]" * 100_000 + "\n")
+    assert main(["train", "--config", str(_config(tmp_path, corpus))]) == 0
+
+
 def test_negative_seed_is_usage_error(tmp_path):
     # refused by validation, before a numpy generator raises on it (an internal fault, 3)
     corpus = _corpus(tmp_path, n_docs=8)
@@ -175,6 +182,24 @@ def test_predict_data_writes_one_record_per_document(trained, tmp_path):
     assert len(records) == 40
     assert all(set(rec) == PREDICTION_KEYS for rec in records)
     assert records[0]["id"] == "synth-00000" and records[0]["gold"] is not None
+
+
+def test_predict_data_runs_packs(trained, tmp_path, monkeypatch):
+    ckpt, data, _ = trained
+    packs = []
+    original = gatedoc.model.predict_pack
+
+    def recording(docs, mp):
+        packs.append([doc.id for doc in docs])
+        return original(docs, mp)
+
+    monkeypatch.setattr(gatedoc.model, "predict_pack", recording)
+    out = tmp_path / "pred.json"
+    argv = ["predict", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    ids = [rec["id"] for rec in _json(out)["predictions"]]
+    assert [i for pack in packs for i in pack] == ids and len(ids) == 40
+    assert len(packs) < len(ids)
 
 
 def test_predict_text_is_one_unlabelled_record(trained, tmp_path):

@@ -317,6 +317,14 @@ class TestLoadDataset:
         loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
         assert loaded.skipped == 1
 
+    def test_line_nested_too_deep_skipped_with_count(self, tmp_path):
+        # json.loads raises RecursionError on it, not ValueError
+        path = tmp_path / "data.jsonl"
+        good = json.dumps({"id": "a", "text": "Fine movie.", "score": 4})
+        path.write_text(f"{good}\n{'[' * 100_000}{']' * 100_000}\n", encoding="utf-8")
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [d.id for d in raw.documents] == ["a"] and raw.skipped == 1
+
     def test_whitespace_only_text_is_read_then_skipped_when_prepared(self, tmp_path):
         path = tmp_path / "data.jsonl"
         _write_jsonl(

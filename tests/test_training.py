@@ -151,6 +151,30 @@ class TestEarlyStopping:
         assert same(seen[2])
         assert not same(seen[1]) and not same(seen[3])
 
+    @pytest.mark.parametrize(
+        "accuracies, max_epochs, patience",
+        [([0.5], 1, 5), ([0.5, 0.6], 2, 5), ([0.5, 0.5], 3, 1)],
+        ids=["one-epoch", "last-epoch-best", "patience-used-up"],
+    )
+    def test_best_last_epoch_returns_the_arrays_it_built(
+        self, rng, monkeypatch, accuracies, max_epochs, patience
+    ):
+        # the best epoch is the last one run, so nothing is restored
+        built = []
+        _built_models(monkeypatch, lambda mp: built.extend(t.data for _, t in mp.named_parameters()))
+        _scripted_dev(monkeypatch, accuracies, [])
+        cfg = tiny_config(max_epochs=max_epochs, patience=patience, batch_size=2)
+        docs = _train_docs(rng)
+        result = training.train(docs[:4], docs[4:], cfg, vocab_size=20)
+        assert result.best_epoch == len(result.history) - 1 == len(accuracies) - 1
+        assert all(t.data is data for (_, t), data in zip(result.params.named_parameters(), built))
+
+
+def test_returned_parameters_hold_no_gradient(rng):
+    docs = _train_docs(rng)
+    result = training.train(docs[:4], docs[4:], tiny_config(max_epochs=1, batch_size=2), 20)
+    assert all(t.grad is None for _, t in result.params.named_parameters())
+
 
 class TestAblationRun:
     def test_rows_in_variant_order_with_p_values_only_over_two_seeds(self, rng):
