@@ -61,8 +61,9 @@ class Tensor:
     """A dense array participating in a reverse-mode differentiation graph.
 
     `data` is never mutated by operations; `adam_step` updates it in
-    place between graph builds, so an array taken from `data` before a
-    step holds the new values after it.  `grad` accumulates across
+    place between graph builds, so a C-contiguous array taken from `data`
+    before a step holds the new values after it (any other is replaced by
+    a contiguous copy on the first step).  `grad` accumulates across
     backward calls until `zero_grad` clears it, which is what
     batch-level gradient accumulation relies on.
     """
@@ -763,7 +764,8 @@ def adam_step(named, state):
 
     The moments and `p.data` are updated in place, in chunks of
     `_ADAM_CHUNK` elements, so a step allocates no parameter-sized array
-    beyond the moments made on the first one.  Each chunk runs Algorithm 1
+    beyond the moments made on the first one; only a gradient or a `data`
+    that is not C-contiguous is copied once.  Each chunk runs Algorithm 1
     of Kingma & Ba in the same expression order as the whole-array
     `p - lr * (m / bc1) / (sqrt(v / bc2) + eps)`, so the result is the same
     to the bit.  Deterministic given inputs; raises TrainingError on a
@@ -776,13 +778,9 @@ def adam_step(named, state):
     bc2 = 1.0 - _BETA2**t
     lr = state.learning_rate
     for name, p in named:
-        g = p.grad.reshape(-1)
+        g = p.grad.reshape(-1)  # a copy only when the gradient is not C-contiguous
         chunks = [slice(i, i + _ADAM_CHUNK) for i in range(0, g.size, _ADAM_CHUNK)]
-        # the sum of squares is finite exactly when every element is, unless
-        # it overflows; only then is the slower elementwise test needed
-        with np.errstate(over="ignore"):
-            sum_sq = sum(float(np.dot(g[c], g[c])) for c in chunks)
-        if not math.isfinite(sum_sq) and not np.isfinite(g).all():
+        if not all(np.isfinite(g[c]).all() for c in chunks):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         p.data = np.ascontiguousarray(p.data)  # reshape below must be a view
         m = state.m.get(name)

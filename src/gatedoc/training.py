@@ -143,7 +143,7 @@ def train(train_docs, dev_docs, config, vocab_size):
             bad_epochs += 1
         if bad_epochs >= config.patience:
             break
-    if best_epoch != epoch:
+    if best_epoch != len(history) - 1:
         for buf, (_, t) in zip(snapshot, named):
             t.data = buf
     ad.zero_grad([t for _, t in named])  # the last step's gradients have no reader

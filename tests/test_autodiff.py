@@ -936,18 +936,6 @@ class TestAdam:
         assert np.array_equal(state.m["w"], before[1])
         assert np.array_equal(state.v["w"], before[2])
 
-    def test_overflowing_sum_of_squares_is_still_a_finite_gradient(self):
-        # each 1e19 is a finite float32, but the sum of their squares is not
-        p = ad.parameter("big", np.zeros((1, 8), dtype=np.float32))
-        g = np.full((1, 8), 1e19, dtype=np.float32)
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(np.dot(g[0], g[0]))
-        p.grad = g
-        ad.adam_step([("big", p)], ad.OptimizerState(learning_rate=0.01))
-        zeros = np.zeros_like(g)
-        want, _, _ = self._whole_array_step(zeros, zeros, zeros, g, 1, 0.01)
-        assert np.array_equal(p.data, want) and np.all(p.data < 0)
-
     def test_deterministic_given_inputs(self, rng):
         g = rng.standard_normal((2, 2))
         results = []

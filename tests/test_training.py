@@ -176,6 +176,14 @@ def test_returned_parameters_hold_no_gradient(rng):
     assert all(t.grad is None for _, t in result.params.named_parameters())
 
 
+def test_zero_epochs_return_an_empty_history(rng):
+    # validate() refuses max_epochs 0; a direct caller may still pass it
+    docs = _train_docs(rng)
+    cfg = replace(tiny_config(batch_size=2), max_epochs=0)
+    result = training.train(docs[:4], docs[4:], cfg, 20)
+    assert (result.history, result.best_epoch, result.best_dev_accuracy) == ([], -1, -1.0)
+
+
 class TestAblationRun:
     def test_rows_in_variant_order_with_p_values_only_over_two_seeds(self, rng):
         cfg = tiny_config(max_epochs=1, batch_size=4)
