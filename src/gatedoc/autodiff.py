@@ -17,6 +17,18 @@ through `scale` or `scale_rows`.  Each op checks the shapes it is given
 and raises DimensionError, so the model code above it does not check
 them again.
 
+Weights may be row-major or column-major.  `checkpoint.load_checkpoint`
+holds every large matrix column-major (see there), and the forward
+products of `linear`, `matmul` and `gru` go through `_mm`.  Against
+such a weight w, up to `_FEW_ROWS` rows are multiplied as (w^T x^T)^T,
+which makes w OpenBLAS's left operand: at d_h = 768 that takes 0.5-0.9x
+the time of the row-major product, and a one-document predict at full
+scale about 0.8x (2 cores).  From about 200 rows on it is slower than
+numpy's own x @ w on the column-major w, which `_mm` then runs, as it
+does for one 1-D row.  A row-major weight, which is all `build_model`
+makes, is multiplied as x @ w, so a built model's arithmetic does not
+depend on any of this.
+
 Graphs are built eagerly: every operation whose inputs require
 gradients records a `Node` holding the op kind, its input tensors and a
 backward closure with whatever activations the derivative needs.
@@ -44,6 +56,7 @@ _PROB_CLAMP = 1e-7  # bce_loss clamps probabilities into [1e-7, 1 - 1e-7]
 _LN_EPS = 1e-5  # added to the row variance in layer_norm
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 _ADAM_CHUNK = 1 << 15  # elements Adam updates at a time: its temporaries stay in cache
+_FEW_ROWS = 128  # rows up to which `_mm` makes a column-major weight the left operand
 
 
 class Node:
@@ -62,8 +75,9 @@ class Tensor:
 
     `data` is never mutated by operations; `adam_step` updates it in
     place between graph builds, so a C-contiguous array taken from `data`
-    before a step holds the new values after it (any other is replaced by
-    a contiguous copy on the first step).  `grad` accumulates across
+    before a step holds the new values after it.  Any other, such as a
+    column-major matrix from `checkpoint.load_checkpoint`, is replaced by
+    a row-major copy on the first step.  `grad` accumulates across
     backward calls until `zero_grad` clears it, which is what
     batch-level gradient accumulation relies on.
     """
@@ -215,11 +229,19 @@ def _t_dot(a, g):
     return a.T * g if a.shape[0] == 1 else a.T @ g
 
 
+def _mm(x, w):
+    """x @ w.  A column-major w times at most `_FEW_ROWS` rows is computed
+    as (w^T x^T)^T, where w^T is row-major; see the module docstring."""
+    if w.flags.c_contiguous or x.ndim == 1 or x.shape[0] > _FEW_ROWS:
+        return x @ w
+    return np.ascontiguousarray((w.T @ x.T).T)
+
+
 def matmul(a, b):
     """Standard 2-D matrix product."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data @ b.data
+    out = _mm(a.data, b.data)
 
     def bw(g):
         return (
@@ -237,7 +259,7 @@ def linear(x, w, b):
         raise DimensionError(
             f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit"
         )
-    out = x.data @ w.data + b.data
+    out = _mm(x.data, w.data) + b.data
 
     def bw(g):
         return (
@@ -560,16 +582,16 @@ def gru(x, h0, w, u, b, lengths=None):
     ]
     xd = x.data[order]
     u_z, u_r, u_h = (t.data for t in u)
-    p_z, p_r, p_h = (xd @ wt.data + bt.data for wt, bt in zip(w, b))
+    p_z, p_r, p_h = (_mm(xd, wt.data) + bt.data for wt, bt in zip(w, b))
     states = np.empty((n_seq + n, d), dtype=xd.dtype)
     states[:n_seq] = h0.data[by_len]
     new_states = states[n_seq:]
     zs, rs, cs = (np.empty((n, d), dtype=xd.dtype) for _ in range(3))
     for now, before in steps:
         h = states[before]
-        z = zs[now] = _sigmoid(p_z[now] + h @ u_z)
-        r = rs[now] = _sigmoid(p_r[now] + h @ u_r)
-        c = cs[now] = np.tanh(p_h[now] + (r * h) @ u_h)
+        z = zs[now] = _sigmoid(p_z[now] + _mm(h, u_z))
+        r = rs[now] = _sigmoid(p_r[now] + _mm(h, u_r))
+        c = cs[now] = np.tanh(p_h[now] + _mm(r * h, u_h))
         new_states[now] = (1.0 - z) * h + z * c
     out = np.empty_like(new_states)
     out[order] = new_states

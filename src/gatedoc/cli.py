@@ -33,7 +33,7 @@ from .textpipe import (
     read_raw_dataset,
     shuffle_split,
 )
-from .training import ablation_run, evaluate, train
+from .training import ablation_run, evaluate, require_labels, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -86,6 +86,7 @@ def _prepare_splits(config):
         ).documents
         for raws, name in ((train_raw, "train"), (dev_raw, "dev"), (test_raw, "test"))
     ]
+    require_labels(doc for split in splits for doc in split)  # before any training
     return (*splits, vocab)
 
 

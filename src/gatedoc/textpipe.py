@@ -244,8 +244,10 @@ def prepare_document(raw, scheme, vocab, limits):
 def read_raw_dataset(path, scheme):
     """Parse a JSON-lines file of {"id", "text", "score"} records.
 
-    Malformed lines and out-of-range scores are skipped with a counted
-    warning; an empty result is a data error.
+    A null or missing score makes an unlabelled document (score None),
+    which only prediction accepts.  Malformed lines and out-of-range
+    scores are skipped with a counted warning; an empty result is a data
+    error.
     """
     scheme_n_classes(scheme)  # raises on unknown scheme
     docs = []
@@ -259,10 +261,11 @@ def read_raw_dataset(path, scheme):
             try:
                 line.encode("utf-8")
                 obj = json.loads(line)
-                doc_id, text, score = obj["id"], obj["text"], obj["score"]
+                doc_id, text, score = obj["id"], obj["text"], obj.get("score")
                 if not isinstance(doc_id, str) or not isinstance(text, str) or not text:
                     raise ValueError("bad field types")
-                bucket_label(score, scheme, doc_id=doc_id)
+                if score is not None:
+                    bucket_label(score, scheme, doc_id=doc_id)
             # RecursionError: json.loads on a line nested too deep
             except (KeyError, TypeError, ValueError, RecursionError, DataError) as exc:
                 skipped += 1

@@ -54,14 +54,19 @@ class AblationRow:
     p_value_vs_full: float | None
 
 
+def require_labels(documents):
+    """Refuse, with UsageError, a document that has no gold label."""
+    for doc in documents:
+        if doc.label is None:
+            raise UsageError(f"document {doc.id!r} has no gold label")
+
+
 def evaluate(params, documents):
     """Accuracy = correct / total over all documents, plus the predictions."""
     documents = list(documents)
     if not documents:
         raise UsageError("evaluate needs a non-empty dataset")
-    for doc in documents:
-        if doc.label is None:
-            raise UsageError(f"document {doc.id!r} has no gold label")
+    require_labels(documents)
     predictions = modmod.predict_all(documents, params)
     correct = sum(pred.predicted == pred.gold for pred in predictions)
     return EvalResult(
@@ -99,6 +104,7 @@ def train(train_docs, dev_docs, config, vocab_size):
     dev_docs = list(dev_docs)
     if not train_docs or not dev_docs:
         raise UsageError("train needs non-empty train and dev splits")
+    require_labels(train_docs + dev_docs)
     params = modmod.build_model(config, vocab_size)
     named = params.named_parameters()
     optimizer = ad.OptimizerState(learning_rate=config.learning_rate)

@@ -74,6 +74,21 @@ class TestLinear:
         assert np.array_equal(ad._t_dot(a, g), a.T @ g)
 
 
+class TestColumnMajorProduct:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows", [1, 6, 100, ad._FEW_ROWS + 1])
+    def test_equals_the_plain_product(self, rng, order, rows):
+        w = np.asarray(rng.standard_normal((48, 80)), order=order)
+        x = rng.standard_normal((rows, 48))
+        out = ad._mm(x, w)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, x @ w, rtol=0, atol=1e-12)
+        # one 1-D row, as the step of a one-sequence GRU multiplies it
+        np.testing.assert_allclose(ad._mm(x[0], w), x[0] @ w, rtol=0, atol=1e-12)
+        if order == "C":  # a row-major weight keeps the plain product, to the bit
+            assert np.array_equal(out, x @ w)
+
+
 class TestElementwise:
     def test_scalar_identity(self):
         x = t([[2.0, 4.0, 6.0]])

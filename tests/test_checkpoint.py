@@ -2,16 +2,23 @@ import errno
 import json
 import struct
 import zlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gatedoc import checkpoint
 from gatedoc import textpipe as tp
 from gatedoc.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from gatedoc.errors import CheckpointError
 from gatedoc.model import build_model
 
 from conftest import randomize_params, tiny_config
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 HEADER_START = 12  # magic, version and header length precede the JSON header
 
@@ -237,3 +244,86 @@ def test_load_draws_no_random_init(tmp_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     loaded, _, _ = load_checkpoint(path)
     assert len(loaded.named_parameters()) == len(params.named_parameters())
+
+
+def test_large_matrices_load_column_major_with_the_same_values(tmp_path, monkeypatch):
+    # 3-row bands: several per matrix, the last one partial
+    monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 200)
+    monkeypatch.setattr(checkpoint, "_BAND_ROWS", 3)
+    path, params, config, vocab = _saved(tmp_path)
+    loaded, _, _ = load_checkpoint(path)
+    large = 0
+    for (name, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+        if b.data.size >= 200:
+            large += 1
+            assert b.data.flags.f_contiguous and not b.data.flags.c_contiguous, name
+        else:
+            assert b.data.flags.c_contiguous, name
+    assert 0 < large < len(params.named_parameters())
+    resaved = tmp_path / "resaved.gdoc"
+    save_checkpoint(loaded, config, vocab, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_band_buffer_is_never_larger_than_its_matrix(tmp_path, monkeypatch):
+    # else a crafted file's one wide row would allocate _BAND_ROWS rows of it
+    monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 0)
+    monkeypatch.setattr(checkpoint, "_BAND_ROWS", 1000)
+    path, params, _, _ = _saved(tmp_path)
+    sizes, empty = [], np.empty
+
+    def recording(shape, *args, **kwargs):
+        sizes.append(int(np.prod(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recording)
+    load_checkpoint(path)
+    assert max(sizes) == max(t.data.size for _, t in params.named_parameters())
+
+
+def test_no_desk_or_long_predict_parameter_reaches_the_column_major_size(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import FULL_SCALE, WORKLOADS, write_corpus
+
+    for name in ("desk-train", "long-predict"):
+        workload = WORKLOADS[name]
+        config = workload.config(0)
+        corpus = tmp_path / f"{name}.jsonl"
+        write_corpus(workload, 0, corpus)
+        raw = tp.read_raw_dataset(corpus, config.scheme).documents
+        vocab = tp.build_vocab(raw, min_freq=config.min_freq, max_size=config.max_vocab)
+        params = build_model(config, len(vocab))
+        largest = max(t.data.size for _, t in params.named_parameters())
+        assert largest < checkpoint._COLUMN_MAJOR_MIN, name
+    assert FULL_SCALE["d_h"] ** 2 >= checkpoint._COLUMN_MAJOR_MIN  # Table-3 weights do
+
+
+@pytest.fixture(scope="module")
+def saved_blob(tmp_path_factory):
+    """(a path to write to, the bytes of a saved checkpoint)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    path, _, _, _ = _saved(root)
+    return root / "corrupt.gdoc", path.read_bytes()
+
+
+@given(data=st.data(), column_major=st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_any_truncation_or_flipped_byte_is_refused(saved_blob, data, column_major):
+    path, blob = saved_blob
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        corrupt = bytearray(blob)
+        corrupt[data.draw(st.integers(0, len(blob) - 1), label="index")] ^= data.draw(
+            st.integers(1, 255), label="mask"
+        )
+    path.write_bytes(bytes(corrupt))
+    # with no size threshold, every matrix goes through the banded reads
+    threshold = 0 if column_major else checkpoint._COLUMN_MAJOR_MIN
+    with (
+        mock.patch.object(checkpoint, "_COLUMN_MAJOR_MIN", threshold),
+        mock.patch.object(checkpoint, "_BAND_ROWS", 3),
+        pytest.raises(CheckpointError),
+    ):
+        load_checkpoint(path)

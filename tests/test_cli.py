@@ -211,6 +211,52 @@ def test_predict_text_is_one_unlabelled_record(trained, tmp_path):
     assert (record["id"], record["gold"], len(record["gate_scores"])) == ("input", None, 3)
 
 
+def _without_scores(data, path, keep):
+    """`data` with the score of every line from `keep` on null or, in odd
+    lines, missing."""
+    rows = [json.loads(line) for line in data.read_text(encoding="utf-8").splitlines()]
+    for i, row in enumerate(rows[keep:], start=keep):
+        if i % 2:
+            del row["score"]
+        else:
+            row["score"] = None
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+def test_predict_data_on_unlabelled_documents_writes_null_gold(trained, tmp_path):
+    ckpt, data, _ = trained
+    unlabelled = _without_scores(data, tmp_path / "unlabelled.jsonl", keep=0)
+    records = {}
+    for name, path in (("labelled", data), ("unlabelled", unlabelled)):
+        out = tmp_path / f"{name}.json"
+        argv = ["predict", "--checkpoint", str(ckpt), "--data", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        records[name] = _json(out)["predictions"]
+    assert len(records["unlabelled"]) == 40
+    assert all(rec["gold"] is None for rec in records["unlabelled"])
+    for rec in records["labelled"]:
+        rec["gold"] = None
+    assert records["unlabelled"] == records["labelled"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+def test_commands_that_need_gold_labels_refuse_an_unlabelled_document(
+    trained, tmp_path, capsys, command
+):
+    ckpt, data, _ = trained
+    one_unlabelled = _without_scores(data, tmp_path / "mixed.jsonl", keep=39)
+    out = tmp_path / "out.json"
+    if command == "train":
+        argv = ["train", "--config", str(_config(tmp_path, one_unlabelled)), "--out", str(out)]
+    else:
+        argv = [command, "--checkpoint", str(ckpt), "--data", str(one_unlabelled)]
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    assert "'synth-00039' has no gold label" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_explain_writes_heatmap_and_report_aligned_to_the_text(trained, tmp_path):
     ckpt, _, _ = trained
     page, report = tmp_path / "heat.html", tmp_path / "report.json"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedoc import autodiff as ad
-from gatedoc import synthetic, textpipe
+from gatedoc import checkpoint, synthetic, textpipe
 from gatedoc.cli import GRADCHECK_THRESHOLD
 from gatedoc.model import build_model, forward, forward_pack, one_hot, packs
 from gatedoc.textpipe import assemble_document
@@ -72,6 +72,39 @@ def test_engine_matches_numpy_oracle(variant):
         )
         np.testing.assert_allclose(result.probs.data.reshape(-1), probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.gate_scores, scores, rtol=0, atol=1e-12)
+
+
+def test_column_major_checkpoint_matches_oracle_and_built_model(variant, tmp_path, monkeypatch):
+    # with no size threshold every loaded matrix is column-major; with a
+    # 4-row cut the stream's products run numpy's own x @ w on it, and the
+    # [SEP] rows and the GRU steps autodiff's transposed form
+    monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 0)
+    monkeypatch.setattr(ad, "_FEW_ROWS", 4)
+    monkeypatch.setattr(checkpoint, "_BAND_ROWS", 3)
+    config, params, rng = _model(variant)
+    words = [f"w{i}" for i in range(VOCAB_SIZE - len(textpipe.RESERVED_TOKENS))]
+    path = tmp_path / "model.gdoc"
+    checkpoint.save_checkpoint(params, config, textpipe.vocab_from_tokens(words), path)
+    loaded, _, _ = checkpoint.load_checkpoint(path)
+    matrices = [t.data for _, t in loaded.named_parameters() if min(t.shape) > 1]
+    assert matrices and not any(a.flags.c_contiguous for a in matrices)
+    arrays = {name: t.data for name, t in params.named_parameters()}
+    docs = [make_doc(rng, n_sentences, VOCAB_SIZE) for n_sentences in (1, 3)]
+    for doc in docs:
+        result, built = forward(doc, loaded), forward(doc, params)
+        probs, scores = oracle_forward(
+            arrays, doc, n_layers=config.n_layers, n_heads=config.n_heads, **variant
+        )
+        for want_probs, want_scores in ((probs, scores), (built.probs.data, built.gate_scores)):
+            np.testing.assert_allclose(
+                result.probs.data.reshape(-1), want_probs.reshape(-1), rtol=0, atol=1e-12
+            )
+            np.testing.assert_allclose(result.gate_scores, want_scores, rtol=0, atol=1e-12)
+    # a pack runs the document GRU's steps over two rows at once
+    result, built = forward_pack(docs, loaded), forward_pack(docs, params)
+    np.testing.assert_allclose(result.probs.data, built.probs.data, rtol=0, atol=1e-12)
+    for got, expected in zip(result.gate_scores, built.gate_scores):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 D_H = tiny_config().d_h

@@ -294,13 +294,32 @@ class TestLoadDataset:
 
     def test_score_of_wrong_type_skipped_with_count(self, tmp_path):
         path = tmp_path / "data.jsonl"
-        scores = [4, True, 2.5, "3", None, 0]
+        scores = [4, True, 2.5, "3", 0]
         _write_jsonl(
             path, [{"id": f"d{i}", "text": "Fine movie.", "score": s} for i, s in enumerate(scores)]
         )
         raw = tp.read_raw_dataset(path, "three_way")
         assert [d.id for d in raw.documents] == ["d0"]
         assert raw.skipped == len(scores) - 1
+
+    def test_null_or_missing_score_is_an_unlabelled_document(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        _write_jsonl(
+            path,
+            [
+                {"id": "null", "text": "Fine movie.", "score": None},
+                {"id": "missing", "text": "Fine movie."},
+                {"id": "labelled", "text": "Fine movie.", "score": 4},
+            ],
+        )
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [(d.id, d.score) for d in raw.documents] == [
+            ("null", None), ("missing", None), ("labelled", 4)
+        ]
+        assert raw.skipped == 0
+        vocab = tp.build_vocab([rd(0, "fine movie . " * 2)], min_freq=1)
+        loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+        assert [d.label for d in loaded.documents] == [None, None, 2]
 
     def test_line_that_is_not_utf8_skipped_with_count(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -7,7 +7,7 @@ import pytest
 
 import gatedoc.cli
 from gatedoc import autodiff, model, synthetic, training
-from gatedoc.errors import TrainingError
+from gatedoc.errors import TrainingError, UsageError
 
 from conftest import make_doc, tiny_config
 
@@ -182,6 +182,16 @@ def test_zero_epochs_return_an_empty_history(rng):
     cfg = replace(tiny_config(batch_size=2), max_epochs=0)
     result = training.train(docs[:4], docs[4:], cfg, 20)
     assert (result.history, result.best_epoch, result.best_dev_accuracy) == ([], -1, -1.0)
+
+
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_train_refuses_an_unlabelled_document_before_building(rng, monkeypatch, split):
+    _built_models(monkeypatch, lambda mp: pytest.fail("built a model"))
+    docs = _train_docs(rng)
+    unlabelled = 0 if split == "train" else 4
+    docs[unlabelled] = replace(docs[unlabelled], label=None)
+    with pytest.raises(UsageError, match=f"{docs[unlabelled].id!r} has no gold label"):
+        training.train(docs[:4], docs[4:], tiny_config(max_epochs=1, batch_size=2), 20)
 
 
 class TestAblationRun:
