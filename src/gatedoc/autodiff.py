@@ -35,13 +35,18 @@ backward closure with whatever activations the derivative needs.
 `backward` walks the reachable nodes once, in reverse creation order
 (creation order is topological by construction), and detaches each node
 from its output as it goes, so activations are freed during the walk.
-A graph is walked once: a later backward that reaches it raises.  There
-is no global mutable state beyond the node-id counter, so independent
+A graph is walked once: a later backward that reaches it raises.  Inside
+`no_grad` no op records a node, so an inference pass keeps no
+activations.  There is no global mutable state beyond the node-id
+counter and that recording flag, which is a context variable: it is
+local to the thread (and asyncio task) that set it, so independent
 graphs can be built concurrently.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -51,6 +56,7 @@ import numpy as np
 from .errors import CheckpointError, DimensionError, GradCheckError, TrainingError, UsageError
 
 _node_ids = itertools.count()
+_recording = contextvars.ContextVar("recording", default=True)  # False inside `no_grad`
 
 _PROB_CLAMP = 1e-7  # bce_loss clamps probabilities into [1e-7, 1 - 1e-7]
 _LN_EPS = 1e-5  # added to the row variance in layer_norm
@@ -152,8 +158,20 @@ def initializer(dtype, rng=None, stored=None):
 _WALKED = Node("walked", (), None)  # stands in for a node `backward` has walked
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops in this context record no node: their outputs
+    are constants whatever their inputs, so nothing they compute is kept
+    for a backward pass.  A thread started inside the block records."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _make(op, out_data, inputs, backward_fn):
-    if any(t.requires_grad for t in inputs):
+    if _recording.get() and any(t.requires_grad for t in inputs):
         return Tensor(out_data, requires_grad=True, _node=Node(op, inputs, backward_fn))
     return Tensor(out_data)
 

@@ -11,17 +11,20 @@ Loading draws no random init: the stored arrays, keyed by name, go to
 lacks or stores in another shape, and a stored array the config does
 not build all refuse to load.
 
-A loaded matrix of at least `_COLUMN_MAJOR_MIN` (2^19) elements is held
-column-major, made by one transposing copy as it is read (`_read_array`);
-the file's bytes stay row-major.  `autodiff` multiplies such a weight as
-OpenBLAS's left operand, which for the few rows of one document (the
-last layer's [SEP] rows, the document GRU) takes 0.5-0.9x the time at
-d_h = 768 (2 cores, 1 or 2 BLAS threads).  For a matrix of 512 x 512 or
-fewer elements the layout gains nothing reliable (0.6x to 2.3x the
-time, by shape and rows), so only Table-3-scale weights reach the size,
-and the token table, which only row gathers read.  A built model stays
-row-major: training's products of hundreds of rows gain nothing from
-the layout, and the copies would slow `build_model`.
+A loaded matrix whose narrower dimension, squared, reaches
+`_COLUMN_MAJOR_MIN` (2^19) is held column-major, made by one transposing
+copy as it is read (`_read_array`); the file's bytes stay row-major.
+`autodiff` multiplies such a weight as OpenBLAS's left operand, which
+for the few rows of one document (the last layer's [SEP] rows, the
+document GRU) takes 0.5-0.9x the time at d_h = 768 (2 cores, 1 or 2 BLAS
+threads).  For a matrix of 512 x 512 or fewer elements the layout gains
+nothing reliable (0.6x to 2.3x the time, by shape and rows), so only
+Table-3-scale weights, 768 wide or more both ways, reach the rule.  The
+token table (vocabulary x d_tok, 128 wide at full scale) does not: only
+row gathers read it, and a 110-row gather from it column-major takes
+about 5x the time.  A built model stays row-major: training's products
+of hundreds of rows gain nothing from the layout, and the copies would
+slow `build_model`.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ MAGIC = b"GDOC"
 VERSION = 2
 _PREAMBLE = struct.Struct("<4sII")  # magic, version, header length
 _CRC = struct.Struct("<I")
-_COLUMN_MAJOR_MIN = 1 << 19  # elements from which a loaded matrix is held column-major
+_COLUMN_MAJOR_MIN = 1 << 19  # a loaded matrix is held column-major from min(shape)^2 this large
 _BAND_ROWS = 256  # rows of a large matrix read and transposed at a time
 
 
@@ -88,7 +91,7 @@ def _read_array(fh, shape, dtype, crc):
     rows: copied band by band, the transpose takes about a third of the
     time of one `np.asfortranarray` of the whole matrix.
     """
-    if len(shape) != 2 or math.prod(shape) < _COLUMN_MAJOR_MIN:
+    if len(shape) != 2 or min(shape) ** 2 < _COLUMN_MAJOR_MIN:
         arr = np.empty(shape, dtype)
         fh.readinto(arr)
         return arr, zlib.crc32(arr, crc)

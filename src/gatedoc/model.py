@@ -222,8 +222,10 @@ def forward(doc, mp):
 
 
 def predict_pack(docs, mp):
-    """Forward a pack of documents into one Prediction each."""
-    result = forward_pack(docs, mp)
+    """Forward a pack of documents into one Prediction each, recording no
+    graph."""
+    with ad.no_grad():
+        result = forward_pack(docs, mp)
     return [
         Prediction(
             id=doc.id,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ _BOUNDARY_RE = re.compile(r"[.!?](?=\s+(\S))")
 # a token longer than every abbreviation cannot be one
 _ABBREVIATION_SPAN = 1 + max(len(a) for a in ABBREVIATIONS)
 
-_WORD_RE = re.compile(r"\w+|[^\w\s]")
+_PUNCT_RE = re.compile(r"[^\w\s]")  # one punctuation mark: neither a word character nor space
 
 SCHEMES = {
     # scheme -> (min score, max score, number of classes)
@@ -66,9 +67,6 @@ class Vocab:
 
     def __len__(self):
         return len(self.id_to_token)
-
-    def lookup(self, token):
-        return self.token_to_id.get(token, UNK_ID)
 
 
 @dataclass
@@ -150,14 +148,28 @@ def _ends_in_abbreviation(text, end):
     return text[max(0, end - _ABBREVIATION_SPAN) : end].split()[-1].lower() in ABBREVIATIONS
 
 
+def _spaced(match):
+    return f" {match[0]} "
+
+
 def tokenize_words(text):
-    """Lowercased word tokens; punctuation marks are their own tokens."""
-    return _WORD_RE.findall(text.lower())
+    r"""Lowercased word tokens; punctuation marks are their own tokens.
+
+    The tokens are those of ``re.findall(r"\w+|[^\w\s]", text.lower())``:
+    every character is a word character, a space, or a punctuation mark
+    (neither), so once each mark stands between spaces, splitting on
+    whitespace leaves the runs of word characters and the marks alone.
+    `str.split` and `re`'s ``\s`` call the same whitespace test
+    (``Py_UNICODE_ISSPACE``).  One substitution and one split take about
+    half the time of the alternation's ``findall``.
+    """
+    return _PUNCT_RE.sub(_spaced, text.lower()).split()
 
 
 def tokenize(text, vocab):
     """Token ids for one sentence; out-of-vocabulary words map to [UNK]."""
-    return [vocab.lookup(tok) for tok in tokenize_words(text)]
+    get = vocab.token_to_id.get
+    return [get(tok, UNK_ID) for tok in tokenize_words(text)]
 
 
 def build_vocab(corpus, min_freq=2, max_size=20000):
@@ -169,10 +181,9 @@ def build_vocab(corpus, min_freq=2, max_size=20000):
     corpus = list(corpus)
     if not corpus:
         raise UsageError("cannot build a vocabulary from an empty corpus")
-    counts = {}
+    counts = Counter()
     for doc in corpus:
-        for tok in tokenize_words(doc.text):
-            counts[tok] = counts.get(tok, 0) + 1
+        counts.update(tokenize_words(doc.text))
     kept = sorted(
         (tok for tok, c in counts.items() if c >= min_freq),
         key=lambda tok: (-counts[tok], tok),

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gatedoc import autodiff as ad
 from gatedoc.autodiff import Tensor
 from gatedoc.config import TrainConfig
 from gatedoc.textpipe import CLS_ID, SEP_ID, TokenizedDocument
+
+# every property test draws the same examples on every run and keeps no
+# example database; no deadline, since timings swing with machine load
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def tiny_config(**overrides):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ class TestElementwise:
         st.sampled_from(["add", "mul"]),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_matches_numpy_oracle(self, n, d, kind, seed):
         r = np.random.default_rng(seed)
         a = r.uniform(-1, 1, (n, d))
@@ -197,7 +198,7 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-15)
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 1), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_sums_to_one(self, n, d, axis, seed):
         x = np.random.default_rng(seed).uniform(-50, 50, (n, d))
         out = _softmax(t(x if axis == 1 else x.T)).data
@@ -527,7 +528,7 @@ class TestBlockGrouping:
         assert _padded_scores(_blocks(lengths)) <= 4 * sum(L * L for L in lengths)
 
     @given(st.lists(st.integers(1, 512), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_every_row_once_within_the_bound(self, lengths):
         blocks = _blocks(lengths)
         groups = _padded_groups(blocks)
@@ -655,6 +656,37 @@ class TestBackward:
                     assert position[id(inp)] < position[id(n)]
 
 
+class TestNoGrad:
+    def test_ops_inside_record_nothing_and_record_again_after(self):
+        x = t([[0.5, -1.0]])
+        with ad.no_grad():
+            y = ad.tanh(ad.mul(x, x))
+        assert y.node is None and not y.requires_grad
+        np.testing.assert_array_equal(y.data, ad.tanh(ad.mul(x, x)).data)
+        assert ad.tanh(x).node is not None
+
+    def test_recording_resumes_after_an_error_and_after_a_nested_block(self):
+        x = t([[0.5]])
+        with pytest.raises(ZeroDivisionError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert ad.tanh(x).node is None  # still inside the outer block
+                1 / 0
+        assert ad.tanh(x).node is not None
+
+    def test_a_thread_started_inside_records(self):
+        x = t([[0.5]])
+        made = []
+        with ad.no_grad():
+            worker = threading.Thread(target=lambda: made.append(ad.tanh(x)))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert ad.tanh(x).node is None
+        assert made[0].node is not None
+
+
 # ---------------------------------------------------------------------------
 # gradient checking: every differentiable op at rel err < 1e-5 in 64-bit
 # ---------------------------------------------------------------------------
@@ -780,7 +812,7 @@ class TestGradCheckPerOp:
         _check(lambda: ad.bce_loss(ad.sigmoid(x), target), [x])
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_random_small_tensor_chain(self, n, d, seed):
         r = np.random.default_rng(seed)
         a = t(r.uniform(-1, 1, (n, d)))

@@ -2,10 +2,12 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatedoc import synthetic
 from gatedoc.cli import main
-from gatedoc.config import TrainConfig, load_config, parse_config_text
+from gatedoc.config import _KINDS, TrainConfig, load_config, parse_config_text
 from gatedoc.errors import UsageError
 
 
@@ -95,3 +97,52 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path):
     with pytest.raises(UsageError, match="cannot read config"):
         load_config(path)
     assert main(["train", "--config", str(path)]) == 1
+
+
+_VALUE_WORDS = [
+    "true", "no", "nan", "-inf", "1e999", "1e30", "2.5", "0", "-3", "1_000", "٣",
+    "scalar", "vector", "sentence", "document", "float32", "float64", "three_way", "ten_scale",
+]
+_TYPICAL_VALUES = {
+    "int": st.integers(1, 64),
+    "float": st.floats(1e-6, 1.0),
+    "bool": st.sampled_from(["true", "false", "yes", "no"]),
+}
+# lines of the kind a config file holds, most with a value of the key's
+# type, and whatever else a line can hold
+_TYPICAL_LINE = st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda key: st.builds(
+        f"{key} = {{}}".format,
+        _TYPICAL_VALUES.get(_KINDS[key], st.sampled_from(_VALUE_WORDS)),
+    )
+)
+_ANY_LINE = st.one_of(
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted(_KINDS)),
+        st.sampled_from(_VALUE_WORDS) | st.integers().map(str) | st.floats().map(repr)
+        | st.text(max_size=12),
+    ),
+    st.builds("{}={}".format, st.text(max_size=6), st.text(max_size=6)),
+    st.text(max_size=20),
+)
+_CONFIG_TEXTS = (
+    st.tuples(st.lists(_TYPICAL_LINE, max_size=6), st.lists(_ANY_LINE, max_size=2))
+    .flatmap(lambda lines: st.permutations(lines[0] + lines[1]))
+    .map("\n".join)
+)
+
+
+@given(_CONFIG_TEXTS)
+@settings(max_examples=300)
+def test_any_config_text_is_a_valid_config_or_a_usage_error(text):
+    try:
+        config = _from_text(text)
+    except UsageError:
+        return
+    for name, kind in _KINDS.items():
+        value = getattr(config, name)
+        if kind == "str | None":
+            assert value is None or isinstance(value, str), name
+        else:
+            assert type(value).__name__ == kind, name

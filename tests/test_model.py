@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from gatedoc import autodiff as ad
 from gatedoc import checkpoint, synthetic, textpipe
 from gatedoc.cli import GRADCHECK_THRESHOLD
-from gatedoc.model import build_model, forward, forward_pack, one_hot, packs
+from gatedoc.model import (
+    build_model, forward, forward_pack, one_hot, packs, predict, predict_all, predict_pack,
+)
 from gatedoc.textpipe import assemble_document
 
 from conftest import make_doc, randomize_params, tiny_config
@@ -107,6 +109,27 @@ def test_column_major_checkpoint_matches_oracle_and_built_model(variant, tmp_pat
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
+def test_predict_records_no_graph_and_equals_a_recorded_forward(variant, monkeypatch):
+    config, params, rng = _model(variant)
+    docs = [make_doc(rng, n_sentences, VOCAB_SIZE) for n_sentences in (1, 3)]
+    assert packs(docs, params.max_stream_len()) == [docs]
+    alone = [forward(doc, params) for doc in docs]
+    packed = forward_pack(docs, params)
+    made = []
+    monkeypatch.setattr(ad, "Node", lambda *args: made.append(args[0]))
+    preds = [predict(doc, params) for doc in docs]
+    preds_pack, preds_all = predict_pack(docs, params), predict_all(docs, params)
+    assert made == []
+    for pred, result in zip(preds, alone):
+        assert pred.probs == result.probs.data[0].tolist()
+        assert pred.gate_scores == result.gate_scores.tolist()
+    assert preds_pack == preds_all
+    for pred, probs, scores in zip(preds_pack, packed.probs.data, packed.gate_scores):
+        assert pred.probs == probs.tolist() and pred.gate_scores == scores.tolist()
+    forward(docs[0], params)  # outside predict the same ops record
+    assert made
+
+
 D_H = tiny_config().d_h
 
 
@@ -143,7 +166,7 @@ def _filled_doc(rng, lengths, **overrides):
     lengths=sentence_lengths(),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 def test_engine_matches_numpy_oracle_on_drawn_documents(variant, n_layers, n_heads, lengths, seed):
     rng = np.random.default_rng(seed)
     config, doc = _filled_doc(rng, lengths, n_layers=n_layers, n_heads=n_heads, **variant)
@@ -161,7 +184,7 @@ def test_engine_matches_numpy_oracle_on_drawn_documents(variant, n_layers, n_hea
     sentences=st.lists(st.integers(1, 12), min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@settings(max_examples=6)
 def test_pack_equals_its_documents_one_by_one(variant, sentences, seed):
     # one graph over the pack gives each document's own outputs, and its
     # loss, weighted by the pack size, the per-document loss and gradient sums
@@ -208,7 +231,7 @@ def _sized_doc(n_rows, doc_id):
     sizes=st.lists(st.integers(2, 300), min_size=1, max_size=30),
     max_rows=st.integers(2, 512),
 )
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 def test_packs_keep_order_and_the_row_cap(sizes, max_rows):
     docs = [_sized_doc(n, f"d{i}") for i, n in enumerate(sizes)]
     result = packs(docs, max_rows)

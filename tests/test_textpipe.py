@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,11 @@ from gatedoc.errors import DataError, UsageError
 from gatedoc.model import build_model
 
 from conftest import tiny_config
+
+
+# the tokenizer's specification: runs of word characters, and every other
+# non-space character on its own
+WORD_RE = re.compile(r"\w+|[^\w\s]")
 
 
 def rd(i, text, score=1):
@@ -80,7 +86,7 @@ class TestSegmentation:
             max_size=60,
         )
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_spans_tile_nonwhitespace(self, text):
         if not text.strip():
             return
@@ -157,6 +163,18 @@ class TestTokenize:
         vocab = tp.build_vocab([rd(0, "x x")], min_freq=1)
         assert tp.tokenize("", vocab) == []
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", " ", "It's 3.50$!", "a_b-c\u00a0d\u2028e\x1cf", "ÉCOLE…«ça»", "İ", "٣٤ ١٢!"],
+    )
+    def test_words_are_the_specification_regex(self, text):
+        assert tp.tokenize_words(text) == WORD_RE.findall(text.lower())
+
+    @given(st.text(max_size=80))
+    @settings(max_examples=200)
+    def test_any_text_tokenizes_as_the_specification_regex(self, text):
+        assert tp.tokenize_words(text) == WORD_RE.findall(text.lower())
+
 
 # ---------------------------------------------------------------------------
 # stream assembly
@@ -211,7 +229,7 @@ class TestAssemble:
             max_size=10,
         )
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_structural_invariants(self, sentence_ids):
         if not any(sentence_ids):
             return
@@ -247,7 +265,6 @@ class TestBucketLabel:
             tp.bucket_label(1, "five_way")
 
     @given(st.integers(1, 4))
-    @settings(deadline=None)
     def test_three_way_monotone(self, score):
         assert tp.bucket_label(score, "three_way") <= tp.bucket_label(score + 1, "three_way")
 
@@ -372,6 +389,111 @@ class TestLoadDataset:
         vocab = tp.build_vocab([rd(0, "x x")], min_freq=1)
         with pytest.raises(OSError):
             tp.load_dataset(tmp_path / "missing.jsonl", "three_way", vocab, tp.Limits())
+
+
+# ---------------------------------------------------------------------------
+# malformed input: whatever a line holds, the reader skips and counts it
+# ---------------------------------------------------------------------------
+
+_OMIT = object()  # a record without a "score" key
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _good_record(draw):
+    record = {"id": draw(st.text(max_size=8)), "text": draw(st.text(min_size=1, max_size=30))}
+    score = draw(st.sampled_from([_OMIT, None, 1, 2, 3, 4, 5]))
+    if score is not _OMIT:
+        record["score"] = score
+    return record
+
+
+def _dumped(record, ensure_ascii=True):
+    return json.dumps(record, ensure_ascii=ensure_ascii).encode("utf-8")
+
+
+@st.composite
+def _good_line(draw):
+    record = draw(_good_record())
+    doc = tp.RawDocument(id=record["id"], text=record["text"], score=record.get("score"))
+    return _dumped(record, draw(st.booleans())), doc
+
+
+@st.composite
+def _bad_line(draw):
+    """A line the reader must skip: one of the ways a record can be malformed."""
+    record = draw(_good_record())
+    kind = draw(
+        st.sampled_from(
+            ["not a record", "wrong field", "missing field", "huge number", "deep nesting",
+             "not utf-8", "cut short"]
+        )
+    )
+    if kind == "not a record":
+        value = draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+        return _dumped(value, draw(st.booleans()))
+    if kind == "wrong field":
+        field = draw(st.sampled_from(["id", "text", "score"]))
+        wrong = _JSON_VALUES.filter(lambda v: not isinstance(v, str))
+        if field == "text":
+            wrong = wrong | st.just("")
+        elif field == "score":  # neither null nor an integer in 1..5
+            wrong = _JSON_VALUES.filter(lambda v: v is not None and v not in range(1, 6))
+            wrong = wrong | st.sampled_from([True, 3.0, "3"])
+        record[field] = draw(wrong)
+        return _dumped(record)
+    if kind == "missing field":
+        del record[draw(st.sampled_from(["id", "text"]))]
+        return _dumped(record)
+    if kind == "huge number":  # out of range, past the integer-string limit, or inf
+        record["score"] = 0
+        number = draw(st.sampled_from(["9" * 40, "1" + "0" * 5000, "-" + "7" * 5000, "1e999"]))
+        return _dumped(record).replace(b'"score": 0', b'"score": ' + number.encode())
+    if kind == "deep nesting":
+        depth = draw(st.integers(1, 5000))
+        return b"[" * depth + b"]" * depth
+    line = _dumped(record)
+    if kind == "not utf-8":  # a byte >= 0x80 between two ASCII bytes is never valid UTF-8
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + line[at:]
+    return line[: draw(st.integers(1, len(line) - 1))]  # cut short: the "}" is gone
+
+
+_LINES = st.lists(
+    st.one_of(
+        _good_line().map(lambda g: ("good", *g)),
+        _bad_line().map(lambda b: ("bad", b, None)),
+        st.sampled_from([b"", b"  ", b"\t", "\u3000".encode()]).map(lambda b: ("blank", b, None)),
+    ),
+    max_size=12,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "data.jsonl"
+
+
+@given(lines=_LINES, crlf=st.booleans(), final_newline=st.booleans())
+@settings(max_examples=200)
+def test_reader_returns_the_good_records_in_order_and_counts_the_bad(
+    fuzz_path, lines, crlf, final_newline
+):
+    end = b"\r\n" if crlf else b"\n"
+    fuzz_path.write_bytes(end.join(line for _, line, _ in lines) + (end if final_newline else b""))
+    good = [doc for kind, _, doc in lines if kind == "good"]
+    if not good:
+        with pytest.raises(DataError, match="no valid documents"):
+            tp.read_raw_dataset(fuzz_path, "three_way")
+        return
+    raw = tp.read_raw_dataset(fuzz_path, "three_way")
+    assert raw.documents == good
+    assert raw.skipped == sum(kind == "bad" for kind, _, _ in lines)
 
 
 class TestSplitAndBatch:
