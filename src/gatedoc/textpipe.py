@@ -38,7 +38,7 @@ _BOUNDARY_RE = re.compile(r"[.!?](?=\s+(\S))")
 # a token longer than every abbreviation cannot be one
 _ABBREVIATION_SPAN = 1 + max(len(a) for a in ABBREVIATIONS)
 
-_PUNCT_RE = re.compile(r"[^\w\s]")  # one punctuation mark: neither a word character nor space
+_PUNCT_RE = re.compile(r"[^\w\s]")  # a punctuation mark: neither a word character nor whitespace
 
 SCHEMES = {
     # scheme -> (min score, max score, number of classes)

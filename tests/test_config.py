@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import asdict
 
 import pytest
@@ -104,9 +105,9 @@ _VALUE_WORDS = [
     "scalar", "vector", "sentence", "document", "float32", "float64", "three_way", "ten_scale",
 ]
 _TYPICAL_VALUES = {
-    "int": st.integers(1, 64),
-    "float": st.floats(1e-6, 1.0),
-    "bool": st.sampled_from(["true", "false", "yes", "no"]),
+    "int": st.integers(1, 64) | st.sampled_from(["0", "-3", "2.5", "1e30", "nan"]),
+    "float": st.floats(1e-6, 1.0) | st.sampled_from(["0", "nan", "inf", "-inf", "1e999"]),
+    "bool": st.sampled_from(["true", "false", "yes", "no", "1"]),
 }
 # lines of the kind a config file holds, most with a value of the key's
 # type, and whatever else a line can hold
@@ -146,3 +147,5 @@ def test_any_config_text_is_a_valid_config_or_a_usage_error(text):
             assert value is None or isinstance(value, str), name
         else:
             assert type(value).__name__ == kind, name
+        if kind == "float":
+            assert math.isfinite(value), name
