@@ -52,7 +52,8 @@ def minmax_normalize(scores):
 
 def explain(params, config, vocab, text):
     """The unlabelled Prediction for raw text, and the (text, span) of each
-    sentence the model read, in gate-score order."""
+    sentence the model read, in document order: sentence i is the one
+    `gate_scores[i]` scores."""
     if not text or not text.strip():
         raise UsageError("explain needs non-empty text")
     try:

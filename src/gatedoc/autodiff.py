@@ -8,14 +8,14 @@ gather, n-ary concat, transpose, block-scoped multi-head attention
 score scale serve the decoder), GRU runs over sequences packed by
 length (one node, input projections hoisted out of the step loop, and a
 hand-written backward through time), row-wise layer normalisation,
-per-row scaling (the gate application), binary cross-entropy, the one
-initializer that makes every parameter (drawn, filled with a constant,
-or taken from a checkpoint's arrays) and lists each one it makes, a
-fourth-order central-difference gradient checker and an Adam optimizer.
-No op broadcasts: a bias row enters only through `linear`, a scalar only
-through `scale` or `scale_rows`.  Each op checks the shapes it is given
-and raises DimensionError, so the model code above it does not check
-them again.
+binary cross-entropy, the one initializer that makes every parameter
+(drawn, filled with a constant, or taken from a checkpoint's arrays) and
+lists each one it makes, a fourth-order central-difference gradient
+checker and an Adam optimizer.  No op broadcasts but `mul`, whose second
+operand may be a column as tall as the first, scaling its rows (the gate
+application); a bias row enters only through `linear`, a scalar only
+through `scale`.  Each op checks the shapes it is given and raises
+DimensionError, so the model code above it does not check them again.
 
 Weights may be row-major or column-major.  `checkpoint.load_checkpoint`
 holds every large matrix column-major (see there), and the forward
@@ -130,8 +130,9 @@ def initializer(dtype, rng=None, stored=None):
     draws nothing: it pops the array stored under `name`, which the leaf
     then holds (converted when its dtype is not `dtype`), and refuses a
     missing name or another shape with CheckpointError.  Whatever is
-    left in the map was never asked for.  `init.made` lists every
-    (name, leaf) made so far, in call order.
+    left in the map was never asked for.  A leaf too large to allocate
+    is a UsageError, since its size comes from the config.  `init.made`
+    lists every (name, leaf) made so far, in call order.
     """
     def init(name, rows, cols, fill=None):
         if stored is not None:
@@ -142,11 +143,18 @@ def initializer(dtype, rng=None, stored=None):
                 raise CheckpointError(
                     f"parameter {name!r}: stored shape {data.shape} != expected {(rows, cols)}"
                 )
-        elif fill is not None:
-            data = np.full((rows, cols), fill, dtype=dtype)
         else:
-            limit = math.sqrt(6.0 / (rows + cols))
-            data = rng.uniform(-limit, limit, size=(rows, cols))
+            try:
+                if fill is not None:
+                    data = np.full((rows, cols), fill, dtype=dtype)
+                else:
+                    limit = math.sqrt(6.0 / (rows + cols))
+                    data = rng.uniform(-limit, limit, size=(rows, cols))
+            # numpy refuses a size past its index range, the OS one past memory
+            except (ValueError, OverflowError, MemoryError) as exc:
+                raise UsageError(
+                    f"parameter {name!r} of shape {(rows, cols)} is too large to allocate"
+                ) from exc
         leaf = parameter(name, np.asarray(data, dtype=dtype))
         init.made.append((name, leaf))
         return leaf
@@ -305,12 +313,19 @@ def add(a, b):
 
 
 def mul(a, b):
-    """Pointwise product of two tensors of one shape."""
-    _same_shape("mul", a, b)
+    """Pointwise product of two tensors of one shape, or of a 2-D `a` and
+    a column `b` as tall as it, which scales row i of `a` by b[i] (the
+    gate application)."""
     ad, bd = a.data, b.data
+    column = ad.ndim == 2 and bd.shape == (ad.shape[0], 1)
+    if not column:
+        _same_shape("mul", a, b)
 
     def bw(g):
-        return (g * bd if a.requires_grad else None, g * ad if b.requires_grad else None)
+        gb = None
+        if b.requires_grad:
+            gb = (g * ad).sum(axis=1, keepdims=True) if column else g * ad
+        return (g * bd if a.requires_grad else None, gb)
 
     return _make("mul", ad * bd, (a, b), bw)
 
@@ -656,24 +671,6 @@ def gru(x, h0, w, u, b, lengths=None):
         return tuple(grads)
 
     return _make("gru", out, inputs, bw)
-
-
-def scale_rows(x, s):
-    """Scale row i of a 2-D tensor by the scalar s[i] (the gate application)."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"scale_rows needs a 2-D tensor, got shape {x.shape}")
-    n = x.shape[0]
-    if s.shape not in ((n,), (n, 1)):
-        raise DimensionError(f"scale_rows: scale shape {s.shape} does not match {n} rows")
-    col = s.data.reshape(n, 1)
-    out = x.data * col
-
-    def bw(g):
-        gx = g * col if x.requires_grad else None
-        gs = (g * x.data).sum(axis=1).reshape(s.shape) if s.requires_grad else None
-        return (gx, gs)
-
-    return _make("scale_rows", out, (x, s), bw)
 
 
 def layer_norm(x, gain, bias):

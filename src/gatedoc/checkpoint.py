@@ -56,8 +56,24 @@ def _array_dtype(config):
     return np.dtype(config.dtype).newbyteorder("<")
 
 
+def write_atomic(pieces, path):
+    """Write the byte pieces to `path` whole or not at all: they go to a
+    temp file that replaces `path` only once written, and that is removed
+    if anything raises."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(params, config, vocab, path):
-    """Write model + config + vocab; atomic via temp file and rename."""
+    """Write model + config + vocab through `write_atomic`."""
     named = params.named_parameters()
     dtype = _array_dtype(config)
     header = {
@@ -68,20 +84,10 @@ def save_checkpoint(params, config, vocab, path):
     pieces = [_PREAMBLE.pack(MAGIC, VERSION, len(hb)), hb]
     pieces += [np.ascontiguousarray(t.data, dtype=dtype) for _, t in named]
     pieces.append("\n".join(vocab.id_to_token[len(RESERVED_TOKENS) :]).encode("utf-8"))
-
-    tmp = f"{path}.tmp"
     crc = 0
-    try:
-        with open(tmp, "wb") as fh:
-            for piece in pieces:
-                fh.write(piece)
-                crc = zlib.crc32(piece, crc)
-            fh.write(_CRC.pack(crc))
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    write_atomic([*pieces, _CRC.pack(crc)], path)
 
 
 def _read_array(fh, shape, dtype, crc):

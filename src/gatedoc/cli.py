@@ -9,10 +9,8 @@ lines of per-epoch metrics).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
-import os
 import sys
 from dataclasses import asdict
 
@@ -20,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .analysis import error_histogram, explain, stddev_report
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import TrainConfig, load_config
 from .errors import DataError, GatedocError, UsageError
 from .heatmap import render_heatmap
@@ -48,15 +46,7 @@ def _write_json(obj, path):
 
 
 def _write_text(text, path):
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    write_atomic([text.encode("utf-8")], path)
 
 
 def _load_config(args):

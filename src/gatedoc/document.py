@@ -96,11 +96,7 @@ def gate(e_prime, gp):
     g_i itself.  Returns (scores as float64 per sentence, E'').
     """
     z = ad.matmul(e_prime, ad.transpose(gp.w_g))  # (n, 1) or (n, width)
-    g = ad.sigmoid(z)
-    if gp.mode == "scalar":
-        gated = ad.scale_rows(e_prime, g)
-    else:
-        gated = ad.mul(g, e_prime)
+    gated = ad.mul(e_prime, ad.sigmoid(z))
     # report in float64 from the pre-activations so scores stay inside (0, 1)
     scores = ad.sigmoid(Tensor(z.data.astype(np.float64))).data
     return scores.mean(axis=1), gated

@@ -1,9 +1,10 @@
 """Full model: parameter construction with ablation switches, the
 forward pass over a pack of tokenized documents as one graph (one
-document is the pack of one), the sigmoid classifier head, and
-`predict` and `predict_all`, whose `Prediction` record is what every
-report reads.  The forward pass appends each sentence embedding's class
-similarities with `concat`.
+document is the pack of one), the sigmoid classifier head, and the one
+prediction loop, `predict_all`, which runs the forward pass pack by pack
+without recording a graph and makes the `Prediction` record every report
+reads; `predict` is its call on one document.  The forward pass appends
+each sentence embedding's class similarities with `concat`.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -221,32 +222,30 @@ def forward(doc, mp):
     return ForwardResult(probs=result.probs, gate_scores=result.gate_scores[0])
 
 
-def predict_pack(docs, mp):
-    """Forward a pack of documents into one Prediction each, recording no
-    graph."""
-    with ad.no_grad():
-        result = forward_pack(docs, mp)
-    return [
-        Prediction(
-            id=doc.id,
-            probs=[float(p) for p in probs],
-            predicted=int(np.argmax(probs)),  # lowest index wins ties
-            gold=doc.label,
-            gate_scores=[float(s) for s in scores],
-            gate_enabled=mp.use_gate,
-        )
-        for doc, probs, scores in zip(docs, result.probs.data, result.gate_scores)
-    ]
-
-
 def predict(doc, mp):
     """Forward one document into its Prediction."""
-    return predict_pack([doc], mp)[0]
+    return predict_all([doc], mp)[0]
 
 
 def predict_all(docs, mp):
-    """One Prediction per document, in order, run one graph per pack."""
-    return [pred for pack in packs(docs, mp.max_stream_len()) for pred in predict_pack(pack, mp)]
+    """One Prediction per document, in order: one `forward_pack` per pack,
+    recording no graph."""
+    preds = []
+    for pack in packs(docs, mp.max_stream_len()):
+        with ad.no_grad():
+            result = forward_pack(pack, mp)
+        preds += [
+            Prediction(
+                id=doc.id,
+                probs=[float(p) for p in probs],
+                predicted=int(np.argmax(probs)),  # lowest index wins ties
+                gold=doc.label,
+                gate_scores=[float(s) for s in scores],
+                gate_enabled=mp.use_gate,
+            )
+            for doc, probs, scores in zip(pack, result.probs.data, result.gate_scores)
+        ]
+    return preds
 
 
 def one_hot(label, n_classes, dtype):

@@ -275,6 +275,7 @@ def read_raw_dataset(path, scheme):
                 doc_id, text, score = obj["id"], obj["text"], obj.get("score")
                 if not isinstance(doc_id, str) or not isinstance(text, str) or not text:
                     raise ValueError("bad field types")
+                (doc_id + text).encode("utf-8")  # a JSON escape can make a lone surrogate
                 if score is not None:
                     bucket_label(score, scheme, doc_id=doc_id)
             # RecursionError: json.loads on a line nested too deep

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from gatedoc import autodiff as ad
 from gatedoc.autodiff import Tensor
 from gatedoc.config import TrainConfig
-from gatedoc.textpipe import CLS_ID, SEP_ID, TokenizedDocument
+from gatedoc.textpipe import CLS_ID, SEP_ID, RawDocument, TokenizedDocument
 
 # every property test draws the same examples on every run and keeps no
 # example database; no deadline, since timings swing with machine load
@@ -95,3 +98,90 @@ def zero_params(params):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# JSON-lines files as (kind, line bytes, RawDocument or None) lists: good
+# records, blank lines, and every way the reader must skip a line
+_OMIT = object()  # a record without a "score" key
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _good_record(draw):
+    record = {"id": draw(st.text(max_size=8)), "text": draw(st.text(min_size=1, max_size=30))}
+    score = draw(st.sampled_from([_OMIT, None, 1, 2, 3, 4, 5]))
+    if score is not _OMIT:
+        record["score"] = score
+    return record
+
+
+def _dumped(record, ensure_ascii=True):
+    return json.dumps(record, ensure_ascii=ensure_ascii).encode("utf-8")
+
+
+@st.composite
+def _good_line(draw):
+    record = draw(_good_record())
+    doc = RawDocument(id=record["id"], text=record["text"], score=record.get("score"))
+    return _dumped(record, draw(st.booleans())), doc
+
+
+@st.composite
+def _bad_line(draw):
+    """A line the reader must skip: one of the ways a record can be malformed."""
+    record = draw(_good_record())
+    kind = draw(
+        st.sampled_from(
+            ["not a record", "wrong field", "missing field", "huge number", "deep nesting",
+             "not utf-8", "lone surrogate", "cut short"]
+        )
+    )
+    if kind == "not a record":
+        value = draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+        return _dumped(value, draw(st.booleans()))
+    if kind == "wrong field":
+        field = draw(st.sampled_from(["id", "text", "score"]))
+        wrong = _JSON_VALUES.filter(lambda v: not isinstance(v, str))
+        if field == "text":
+            wrong = wrong | st.just("")
+        elif field == "score":  # neither null nor an integer in 1..5
+            wrong = _JSON_VALUES.filter(lambda v: v is not None and v not in range(1, 6))
+            wrong = wrong | st.sampled_from([True, 3.0, "3"])
+        record[field] = draw(wrong)
+        return _dumped(record)
+    if kind == "missing field":
+        del record[draw(st.sampled_from(["id", "text"]))]
+        return _dumped(record)
+    if kind == "huge number":  # out of range, past the integer-string limit, or inf
+        record["score"] = 0
+        number = draw(st.sampled_from(["9" * 40, "1" + "0" * 5000, "-" + "7" * 5000, "1e999"]))
+        return _dumped(record).replace(b'"score": 0', b'"score": ' + number.encode())
+    if kind == "deep nesting":  # from 1000 levels json.loads raises RecursionError
+        depth = draw(st.integers(1, 20) | st.integers(1000, 100_000))
+        return b"[" * depth + b"]" * depth
+    if kind == "lone surrogate":  # a JSON escape that decodes to text UTF-8 cannot encode
+        field = draw(st.sampled_from(["id", "text"]))
+        at = draw(st.integers(0, len(record[field])))
+        surrogate = chr(draw(st.integers(0xD800, 0xDFFF)))
+        record[field] = record[field][:at] + surrogate + record[field][at:]
+        return _dumped(record)
+    line = _dumped(record)
+    if kind == "not utf-8":  # a byte >= 0x80 between two ASCII bytes is never valid UTF-8
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + line[at:]
+    return line[: draw(st.integers(1, len(line) - 1))]  # cut short: the "}" is gone
+
+
+JSONL_LINES = st.lists(
+    st.one_of(
+        _good_line().map(lambda g: ("good", *g)),
+        _bad_line().map(lambda b: ("bad", b, None)),
+        st.sampled_from([b"", b"  ", b"\t", "\u3000".encode()]).map(lambda b: ("blank", b, None)),
+    ),
+    max_size=12,
+)

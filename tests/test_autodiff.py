@@ -117,11 +117,14 @@ class TestElementwise:
                 op(x, row)
 
     def test_incompatible_shapes(self):
+        # mul takes a column as tall as x, (2, 1), and add does not
         x = t(np.ones((2, 3)))
-        for shape in ((3, 2), (1, 1)):
+        for shape in ((3, 2), (1, 1), (3, 1), (2,)):
             for op in (ad.add, ad.mul):
                 with pytest.raises(DimensionError):
                     op(x, t(np.ones(shape)))
+        with pytest.raises(DimensionError):
+            ad.add(x, t(np.ones((2, 1))))
 
     @given(
         st.integers(1, 5),
@@ -563,11 +566,11 @@ class TestBceLoss:
             ad.bce_loss(t([[0.5, 0.5]]), t([[1.0]], grad=False))
 
 
-class TestScaleRowsAndGatherAndNorm:
-    def test_scale_rows_matches_loop(self, rng):
+class TestMulByColumnAndGatherAndNorm:
+    def test_mul_by_column_matches_loop(self, rng):
         x = rng.standard_normal((4, 3))
         s = rng.uniform(0.1, 0.9, (4, 1))
-        out = ad.scale_rows(t(x), t(s))
+        out = ad.mul(t(x), t(s))
         for i in range(4):
             np.testing.assert_allclose(out.data[i], x[i] * s[i, 0], atol=1e-15)
 
@@ -720,11 +723,11 @@ class TestGradCheckPerOp:
         b = t(rng.uniform(-1, 1, (1, 2)))
         _check(lambda: total(ad.tanh(ad.linear(x, w, b))), [x, w, b])
 
-    @pytest.mark.parametrize("kind", ["add", "mul"])
-    def test_elementwise_same_shape(self, rng, kind):
+    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    def test_elementwise_same_shape(self, rng, op):
         a = t(rng.uniform(-1, 1, (3, 4)))
         b = t(rng.uniform(-1, 1, (3, 4)))
-        _check(lambda: total(ad.tanh(getattr(ad, kind)(a, b))), [a, b])
+        _check(lambda: total(ad.tanh(op(a, b))), [a, b])
 
     def test_scale(self, rng):
         x = t(rng.uniform(-1, 1, (3, 4)))
@@ -795,10 +798,10 @@ class TestGradCheckPerOp:
         params = [x, h0, *w, *u, *b]
         _check(lambda: total(ad.mul(ad.gru(x, h0, w, u, b, lengths), weight)), params)
 
-    def test_scale_rows(self, rng):
+    def test_mul_by_column(self, rng):
         x = t(rng.uniform(-1, 1, (4, 3)))
         s = t(rng.uniform(0.2, 0.8, (4, 1)))
-        _check(lambda: total(ad.tanh(ad.scale_rows(x, s))), [x, s])
+        _check(lambda: total(ad.tanh(ad.mul(x, s))), [x, s])
 
     def test_layer_norm(self, rng):
         x = t(rng.uniform(-1, 1, (3, 5)))

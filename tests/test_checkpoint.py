@@ -39,15 +39,33 @@ def _saved(tmp_path, dtype="float64", learning_rate=1e-3):
     return path, params, config, vocab
 
 
-def test_failed_save_leaves_no_file_behind(tmp_path, monkeypatch):
-    class FullDisk:  # the checksum is the last write
-        def pack(self, crc):
+def test_write_atomic_leaves_no_tmp_when_a_piece_fails(tmp_path):
+    def pieces():
+        yield b"first"
+        raise RuntimeError("second piece")
+
+    with pytest.raises(RuntimeError):
+        checkpoint.write_atomic(pieces(), tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_save_keeps_the_previous_checkpoint_and_no_tmp(tmp_path, monkeypatch):
+    path, _, _, _ = _saved(tmp_path)
+    before = path.read_bytes()
+    write = checkpoint.write_atomic
+
+    def full_disk_at_the_third_piece(pieces, target):
+        def written():
+            yield from pieces[:2]
+            assert Path(f"{target}.tmp").exists()
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    monkeypatch.setattr("gatedoc.checkpoint._CRC", FullDisk())
+        write(written(), target)
+
+    monkeypatch.setattr(checkpoint, "write_atomic", full_disk_at_the_third_piece)
     with pytest.raises(OSError, match="No space left"):
-        _saved(tmp_path)
-    assert list(tmp_path.iterdir()) == []
+        _saved(tmp_path, dtype="float32")
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
 def _header_len(blob):

@@ -1,17 +1,21 @@
 """Exit-code contract: 0 ok, 1 usage, 2 data, 3 internal."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gatedoc.cli
 import gatedoc.model
 import gatedoc.training
 from gatedoc import autodiff as ad
 from gatedoc import synthetic
-from gatedoc.cli import _write_text, main
+from gatedoc.cli import main
 
-from conftest import skewed_backward
+from conftest import JSONL_LINES, skewed_backward
 
 
 def _corpus(tmp_path, n_docs=40):
@@ -60,12 +64,6 @@ def test_seed_is_refused_where_nothing_is_drawn(tmp_path, command, source):
 def test_each_required_input_is_refused_while_parsing(capsys, argv, missing):
     assert main(argv) == 1
     assert f"the following arguments are required: {missing}" in capsys.readouterr().err
-
-
-def test_write_text_leaves_no_tmp_when_the_write_fails(tmp_path):
-    with pytest.raises(UnicodeEncodeError):
-        _write_text("bad \udcff", tmp_path / "page.html")
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_unexpected_exception_is_internal_fault(monkeypatch, capsys):
@@ -140,6 +138,15 @@ def test_negative_seed_is_usage_error(tmp_path):
     assert main(["gradcheck", "--seed", "-1"]) == 1
 
 
+@pytest.mark.parametrize("d_h", ["1e300", str(2**62)])
+def test_a_width_too_large_to_allocate_is_usage_error(tmp_path, capsys, d_h):
+    # both sizes pass validation and are refused by numpy before it allocates
+    config = _config(tmp_path, _corpus(tmp_path, n_docs=10), d_h=d_h)
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "too large to allocate" in err
+
+
 # --- inference commands on a checkpoint trained for one epoch ---------------
 
 TEXT = "The plot was thin. Yet the acting is superb!  Mr. Smith shines in 2.5 hours."
@@ -187,13 +194,13 @@ def test_predict_data_writes_one_record_per_document(trained, tmp_path):
 def test_predict_data_runs_packs(trained, tmp_path, monkeypatch):
     ckpt, data, _ = trained
     packs = []
-    original = gatedoc.model.predict_pack
+    original = gatedoc.model.forward_pack
 
     def recording(docs, mp):
         packs.append([doc.id for doc in docs])
         return original(docs, mp)
 
-    monkeypatch.setattr(gatedoc.model, "predict_pack", recording)
+    monkeypatch.setattr(gatedoc.model, "forward_pack", recording)
     out = tmp_path / "pred.json"
     argv = ["predict", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out)]
     assert main(argv) == 0
@@ -291,15 +298,15 @@ def test_analyze_writes_both_reports(trained, tmp_path):
 
 def _count_predict_calls(monkeypatch):
     """Ids of the documents the model predicts, wherever it is called from:
-    `model.predict` is the pack of one of `model.predict_pack`."""
+    every prediction runs `model.forward_pack`."""
     calls = []
-    original = gatedoc.model.predict_pack
+    original = gatedoc.model.forward_pack
 
     def counting(docs, mp):
         calls.extend(doc.id for doc in docs)
         return original(docs, mp)
 
-    monkeypatch.setattr(gatedoc.model, "predict_pack", counting)
+    monkeypatch.setattr(gatedoc.model, "forward_pack", counting)
     return calls
 
 
@@ -377,3 +384,97 @@ def test_gradcheck_passes_and_names_the_worst_entry(tmp_path):
 def test_gradcheck_catches_one_percent_tanh_error(monkeypatch):
     monkeypatch.setattr(ad, "tanh", skewed_backward(ad.tanh))
     assert main(["gradcheck", "--seed", "0"]) == 3
+
+
+# --- fuzzed inputs: exit 0, 1 or 2, never a traceback -------------------------
+
+
+def _run(argv):
+    """`main(argv)` with a strict UTF-8 stdout, as on a UTF-8 terminal:
+    (exit code, stderr)."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@given(
+    lines=JSONL_LINES,
+    command=st.sampled_from(["eval", "predict", "analyze"]),
+    gated=st.booleans(),
+)
+@settings(max_examples=100)
+def test_any_data_file_exits_0_1_or_2_without_a_traceback(
+    trained, fuzz_dir, lines, command, gated
+):
+    ckpt, _, ungated = trained
+    data = fuzz_dir / "data.jsonl"
+    data.write_bytes(b"\n".join(line for _, line, _ in lines))
+    code, err = _run([
+        command, "--checkpoint", str(ckpt if gated else ungated), "--data", str(data),
+        "--out", str(fuzz_dir / "out.json"),
+    ])
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+
+
+def test_an_id_utf8_cannot_encode_is_a_skipped_line(trained, tmp_path):
+    # json.loads decodes the escape to a lone surrogate, which a UTF-8 stdout refuses
+    ckpt, data, _ = trained
+    good = data.read_text(encoding="utf-8").splitlines()[:2]
+    path, out = tmp_path / "data.jsonl", tmp_path / "pred.json"
+    bad = '{"id": "\\udcff", "text": "Fine.", "score": 3}'
+    path.write_text("\n".join([good[0], bad, good[1]]), encoding="utf-8")
+    code, err = _run(["predict", "--checkpoint", str(ckpt), "--data", str(path), "--out", str(out)])
+    assert (code, "Traceback" in err, len(_json(out)["predictions"])) == (0, False, 2)
+
+
+# widths a model can be built with cheaply, and sizes numpy refuses outright
+_WIDTH = st.integers(1, 16) | st.sampled_from(["1e300", str(2**62)])
+
+
+@st.composite
+def _train_config_text(draw):
+    """A config over the 10-document corpus whose every example builds at
+    most a few MB: some fields at the defaults, others drawn."""
+    drawn = {
+        **{name: _WIDTH for name in (
+            "d_tok", "d_h", "n_heads", "d_class", "d_class_hidden", "d_g", "d_out_hidden",
+            "max_stream_len",
+        )},
+        "n_layers": st.integers(1, 3),
+        "batch_size": st.integers(-1, 8),
+        "patience": st.integers(0, 2),
+        "seed": st.integers(-1, 3),
+        "max_sentences": st.integers(0, 8),
+        "min_freq": st.integers(0, 3),
+        "max_vocab": st.integers(0, 50),
+        "learning_rate": st.sampled_from(["0.01", "0", "-1", "nan", "inf", "1e-300"]),
+        "scheme": st.sampled_from(["three_way", "ten_scale", "other"]),
+        "gate_mode": st.sampled_from(["scalar", "vector", "other"]),
+        "attention_scope": st.sampled_from(["sentence", "document", "other"]),
+        "dtype": st.sampled_from(["float32", "float64", "float16"]),
+        **{name: st.sampled_from(["true", "false", "1"]) for name in (
+            "use_gate", "use_sentence_class_sim", "use_document_class_sim",
+        )},
+    }
+    chosen = draw(st.sets(st.sampled_from(sorted(drawn))))
+    values = {name: draw(drawn[name]) for name in sorted(chosen)}
+    values["max_epochs"] = draw(st.integers(1, 2))
+    return "".join(f"{name} = {value}\n" for name, value in values.items())
+
+
+@given(text=_train_config_text())
+@settings(max_examples=50)
+def test_any_train_config_exits_0_1_or_2_without_a_traceback(fuzz_dir, text):
+    corpus = fuzz_dir / "corpus.jsonl"
+    if not corpus.exists():
+        synthetic.write_corpus(synthetic.generate_key_sentence_corpus(10, seed=0), corpus)
+    config = fuzz_dir / "run.cfg"
+    config.write_text(f"data = {corpus}\n{text}", encoding="utf-8")
+    code, err = _run(["train", "--config", str(config)])
+    assert code in (0, 1, 2) and "Traceback" not in err, err

@@ -300,7 +300,7 @@ class TestGateInfluenceInvariant:
         def run(e_prime):
             scores, _ = doc.gate(Tensor(e_prime), gp)
             scores[1] = 0.0  # close sentence 1's gate
-            gated = ad.scale_rows(Tensor(e_prime), Tensor(scores))
+            gated = ad.mul(Tensor(e_prime), Tensor(scores[:, None]))
             encs = doc.encode_sequence(gated, dp.enc_cell)
             e_d = doc.decode_document(encs, dp)
             return e_d.data

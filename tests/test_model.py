@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 from dataclasses import is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gatedoc import autodiff as ad
 from gatedoc import checkpoint, synthetic, textpipe
 from gatedoc.cli import GRADCHECK_THRESHOLD
 from gatedoc.model import (
-    build_model, forward, forward_pack, one_hot, packs, predict, predict_all, predict_pack,
+    build_model, forward, forward_pack, one_hot, packs, predict, predict_all,
 )
 from gatedoc.textpipe import assemble_document
 
@@ -118,13 +119,12 @@ def test_predict_records_no_graph_and_equals_a_recorded_forward(variant, monkeyp
     made = []
     monkeypatch.setattr(ad, "Node", lambda *args: made.append(args[0]))
     preds = [predict(doc, params) for doc in docs]
-    preds_pack, preds_all = predict_pack(docs, params), predict_all(docs, params)
+    preds_all = predict_all(docs, params)
     assert made == []
     for pred, result in zip(preds, alone):
         assert pred.probs == result.probs.data[0].tolist()
         assert pred.gate_scores == result.gate_scores.tolist()
-    assert preds_pack == preds_all
-    for pred, probs, scores in zip(preds_pack, packed.probs.data, packed.gate_scores):
+    for pred, probs, scores in zip(preds_all, packed.probs.data, packed.gate_scores):
         assert pred.probs == probs.tolist() and pred.gate_scores == scores.tolist()
     forward(docs[0], params)  # outside predict the same ops record
     assert made
@@ -381,3 +381,20 @@ def test_every_engine_op_has_a_caller():
         loss = ad.scale(ad.bce_loss(forward(doc, params).probs, target), 0.5)
         seen |= {t.node.op for t in ad.Graph.trace(loss).nodes}
     assert seen == _recorded_op_kinds()
+
+
+def test_every_engine_op_has_a_gradient_test():
+    # each function of `autodiff` that records a node, by name
+    ops = {
+        fn.name for fn in ast.parse(inspect.getsource(ad)).body
+        if isinstance(fn, ast.FunctionDef)
+        and any(getattr(node.func, "id", None) == "_make"
+                for node in ast.walk(fn) if isinstance(node, ast.Call))
+    }
+    tests = ast.parse(Path(__file__).with_name("test_autodiff.py").read_text())
+    (per_op,) = [c for c in tests.body if getattr(c, "name", None) == "TestGradCheckPerOp"]
+    used = {
+        node.attr for node in ast.walk(per_op)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ad"
+    }
+    assert "mul" in ops and ops <= used, f"ops without a gradient test: {ops - used}"
