@@ -17,6 +17,14 @@ application); a bias row enters only through `linear`, a scalar only
 through `scale`.  Each op checks the shapes it is given and raises
 DimensionError, so the model code above it does not check them again.
 
+Outside the GEMMs, most of an op's time goes to numpy passes over small
+arrays, so the kernels make few of them: results are formed in place
+where the inputs are not needed again, a row reduction over a few dozen
+entries (layer norm's means, attention's softmax sums) is a GEMV against
+a constant vector, and attention gathers and scatters each operand once,
+head-major.  Ops build their outputs without `Tensor`'s conversion,
+since each already returns a float array in its inputs' dtype.
+
 Weights may be row-major or column-major.  `checkpoint.load_checkpoint`
 holds every large matrix column-major (see there), and the forward
 products of `linear`, `matmul` and `gru` go through `_mm`.  Against
@@ -90,7 +98,7 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "name", "node", "node_id")
 
-    def __init__(self, data, requires_grad=False, name=None, _node=None):
+    def __init__(self, data, requires_grad=False, name=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
@@ -98,17 +106,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
         self.name = name
-        self.node = _node
+        self.node = None
         self.node_id = next(_node_ids)
 
     @property
     def shape(self):
         return self.data.shape
-
-    def item(self):
-        if self.data.size != 1:
-            raise UsageError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -179,9 +182,14 @@ def no_grad():
 
 
 def _make(op, out_data, inputs, backward_fn):
-    if _recording.get() and any(t.requires_grad for t in inputs):
-        return Tensor(out_data, requires_grad=True, _node=Node(op, inputs, backward_fn))
-    return Tensor(out_data)
+    """The output of an op: `out_data` is already a float array in its
+    inputs' dtype, so the Tensor is built without `__init__`'s checks."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.grad, t.name = out_data, None, None
+    t.requires_grad = _recording.get() and any(i.requires_grad for i in inputs)
+    t.node = Node(op, inputs, backward_fn) if t.requires_grad else None
+    t.node_id = next(_node_ids)
+    return t
 
 
 @dataclass
@@ -285,7 +293,8 @@ def linear(x, w, b):
         raise DimensionError(
             f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit"
         )
-    out = _mm(x.data, w.data) + b.data
+    out = _mm(x.data, w.data)
+    out += b.data
 
     def bw(g):
         return (
@@ -396,7 +405,13 @@ def concat(tensors, axis=0):
 
 
 def gather_rows(x, indices):
-    """Rows of a 2-D tensor at `indices`; backward scatter-adds (repeats sum)."""
+    """Rows of a 2-D tensor at `indices`; backward scatter-adds (repeats sum).
+
+    The backward scatter-adds element by element, through flat indices
+    into the gradient's buffer: numpy runs `np.add.at` on a 1-D array
+    about 4x faster than row by row on a 2-D one, and adds each element's
+    rows in the same order, so the result is the same.
+    """
     if x.data.ndim != 2:
         raise DimensionError(f"gather_rows needs a 2-D tensor, got shape {x.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -407,8 +422,10 @@ def gather_rows(x, indices):
     out = x.data[idx]
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
+        full = np.zeros(x.shape, x.data.dtype)  # C order, so its flat view is a view
+        cols = x.shape[1]
+        flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+        np.add.at(full.reshape(-1), flat, g.reshape(-1))
         return (full,)
 
     return _make("gather", out, (x,), bw)
@@ -480,14 +497,19 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     and dV rows are exactly 0.
     The queries of range i attend only to the keys of block i: per block
     and head, softmax(scale Q K^T) V, where `scale` defaults to
-    1/sqrt(d_k).  Blocks are batched by key length group (`_group_blocks`)
-    into contiguous head-major (n_group x heads x L x d_k) copies, the
-    group's key and query ranges each padded to their longest.  Padded
-    keys score -inf, padded query rows carry no gradient, and only real
-    rows are written: the output and dQ at the query rows, dK and dV at
-    the key rows.  The backward pass keeps the attention weights P and
-    applies dV = P^T G, dS = scale P * (dP - rowsum(dP * P)), dQ = dS K,
-    dK = dS^T Q.
+    1/sqrt(d_k).  Blocks are batched by key length group (`_group_blocks`),
+    the group's key and query ranges each padded to their longest.  Each
+    operand is gathered once into a head-major (heads x n_group x L x d_k)
+    array by indexing its (rows x heads x d_k) view, and the output and
+    the gradients are scattered back through the same view.  Padded keys
+    score -inf, padded query rows carry no gradient, and only real rows
+    are written: the output and dQ at the query rows, dK and dV at the
+    key rows.  The scores become the weights P in place; the softmax
+    denominators and the backward's rowsum(dP * P) are GEMVs against a
+    ones vector, and each row max is taken over the leading axis of a
+    copy with the keys first, since numpy reduces a short last axis
+    slowly.  The backward pass keeps P and applies dV = P^T G,
+    dS = scale P * (dP - rowsum(dP * P)), dQ = dS K, dK = dS^T Q.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or v.shape != k.shape or q.shape[1] != k.shape[1]:
         raise DimensionError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not fit")
@@ -503,17 +525,18 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     if scale is None:
         scale = 1.0 / math.sqrt(d_k)
 
-    def heads(x, rows):
-        g, L = rows.shape
-        return np.ascontiguousarray(x[rows].reshape(g, L, n_heads, d_k).transpose(0, 2, 1, 3))
+    def heads(x, rows):  # (heads x group x L x d_k), through the (rows x heads x d_k) view
+        return x.reshape(-1, n_heads, d_k).transpose(1, 0, 2)[:, rows]
 
     def put_rows(dest, xh, rows, valid):
-        g, _, L, _ = xh.shape
-        flat = xh.transpose(0, 2, 1, 3).reshape(g * L, d)
+        view = dest.reshape(-1, n_heads, d_k).transpose(1, 0, 2)
         if valid is None:
-            dest[rows.reshape(-1)] = flat
+            view[:, rows] = xh
         else:
-            dest[rows[valid]] = flat[valid.reshape(-1)]
+            view[:, rows[valid]] = xh[:, valid]
+
+    def row_sums(a):  # over the last axis, as one GEMV
+        return (a.reshape(-1, a.shape[-1]) @ np.ones(a.shape[-1], a.dtype)).reshape(a.shape[:-1])
 
     if q_blocks is not None:  # a block without queries adds nothing
         kept = [i for i, (start, stop) in enumerate(q_blocks) if stop > start]
@@ -525,12 +548,13 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
         if q_blocks is not None:
             qrows, qvalid = _pad_ranges([q_blocks[i] for i in members])
         qh, kh, vh = heads(q.data, qrows), heads(k.data, krows), heads(v.data, krows)
-        s = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+        p = qh @ kh.transpose(0, 1, 3, 2)  # the scores, made the weights P in place
+        p *= scale
         if kvalid is not None:
-            np.copyto(s, -np.inf, where=~kvalid[:, None, None, :])
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        p = s / s.sum(axis=-1, keepdims=True)
+            np.copyto(p, -np.inf, where=~kvalid[None, :, None, :])
+        p -= np.ascontiguousarray(np.moveaxis(p, -1, 0)).max(axis=0)[..., None]
+        np.exp(p, out=p)
+        p /= row_sums(p)[..., None]
         put_rows(out, p @ vh, qrows, qvalid)
         saved.append((qrows, qvalid, krows, kvalid, qh, kh, vh, p))
 
@@ -540,9 +564,11 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
         for qrows, qvalid, krows, kvalid, qh, kh, vh, p in saved:
             gh = heads(g, qrows)
             if qvalid is not None:
-                gh *= qvalid[:, None, :, None]  # padded query rows carry no gradient
-            dp = gh @ vh.transpose(0, 1, 3, 2)
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+                gh *= qvalid[None, :, :, None]  # padded query rows carry no gradient
+            ds = gh @ vh.transpose(0, 1, 3, 2)  # dP, made dS in place
+            ds -= row_sums(ds * p)[..., None]
+            ds *= p
+            ds *= scale
             if dq is not None:
                 put_rows(dq, ds @ kh, qrows, qvalid)
             if dk is not None:
@@ -622,9 +648,15 @@ def gru(x, h0, w, u, b, lengths=None):
     zs, rs, cs = (np.empty((n, d), dtype=xd.dtype) for _ in range(3))
     for now, before in steps:
         h = states[before]
-        z = zs[now] = _sigmoid(p_z[now] + _mm(h, u_z))
-        r = rs[now] = _sigmoid(p_r[now] + _mm(h, u_r))
-        c = cs[now] = np.tanh(p_h[now] + _mm(r * h, u_h))
+        a = _mm(h, u_z)
+        a += p_z[now]
+        z = zs[now] = _sigmoid(a)
+        a = _mm(h, u_r)
+        a += p_r[now]
+        r = rs[now] = _sigmoid(a)
+        a = _mm(r * h, u_h)
+        a += p_h[now]
+        c = cs[now] = np.tanh(a)
         new_states[now] = (1.0 - z) * h + z * c
     out = np.empty_like(new_states)
     out[order] = new_states
@@ -674,7 +706,13 @@ def gru(x, h0, w, u, b, lengths=None):
 
 
 def layer_norm(x, gain, bias):
-    """Row-wise layer normalisation of a 2-D tensor."""
+    """Row-wise layer normalisation of a 2-D tensor: (x - mean) /
+    sqrt(var + 1e-5) * gain + bias, per row.
+
+    numpy reduces rows of a few dozen entries slowly, so every row mean
+    (the mean and variance, and the two means of the backward pass) is a
+    GEMV against a constant 1/d vector.
+    """
     if x.data.ndim != 2:
         raise DimensionError(f"layer_norm needs a 2-D tensor, got shape {x.shape}")
     d = x.shape[1]
@@ -682,21 +720,20 @@ def layer_norm(x, gain, bias):
         raise DimensionError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} are not (1, {d}) rows"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    avg = np.full(d, 1.0 / d, dtype=x.data.dtype)
+    xhat = x.data - (x.data @ avg)[:, None]  # centred, then scaled in place
+    inv = (1.0 / np.sqrt(np.square(xhat) @ avg + _LN_EPS))[:, None]
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bw(g):
         dxhat = g * gain.data
         dx = None
         if x.requires_grad:
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
-            )
+            dx = dxhat - (dxhat @ avg)[:, None]
+            dx -= xhat * ((dxhat * xhat) @ avg)[:, None]
+            dx *= inv
         dgain = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
         dbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
         return (dx, dgain, dbias)
@@ -818,7 +855,10 @@ def adam_step(named, state):
         g = p.grad.reshape(-1)  # a copy only when the gradient is not C-contiguous
         chunks = [slice(i, i + _ADAM_CHUNK) for i in range(0, g.size, _ADAM_CHUNK)]
         if not all(np.isfinite(g[c]).all() for c in chunks):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            raise TrainingError(
+                f"non-finite gradient for parameter {name!r}; a smaller learning_rate "
+                f"than {lr} may keep it finite"
+            )
         p.data = np.ascontiguousarray(p.data)  # reshape below must be a view
         m = state.m.get(name)
         if m is None:

@@ -12,6 +12,11 @@ from dataclasses import dataclass, fields
 from .errors import UsageError
 from .textpipe import Limits, scheme_n_classes
 
+# The one shared layer makes depth cost time and activations, not
+# parameters, so only a cap stops a huge n_layers from running the
+# machine out of memory.  The paper uses 12.
+MAX_LAYERS = 64
+
 
 @dataclass
 class TrainConfig:
@@ -85,6 +90,8 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_layers > MAX_LAYERS:
+            raise UsageError(f"n_layers must be at most {MAX_LAYERS}, got {self.n_layers}")
         if self.seed < 0:  # numpy's generators refuse negative seeds
             raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.d_h % self.n_heads != 0:

@@ -112,13 +112,10 @@ def segments_from_seps(stream_len, sep_positions, first=0):
     Each sentence's tokens and its closing [SEP] share a segment.
     """
     segments = [first] * stream_len
-    seg = first + 1
     pos = 1
-    for sep in sep_positions:
-        for p in range(pos, sep + 1):
-            segments[p] = seg
+    for seg, sep in enumerate(sep_positions, first + 1):
+        segments[pos : sep + 1] = [seg] * (sep + 1 - pos)
         pos = sep + 1
-        seg += 1
     return segments
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, DataError (and its
-subclasses) -> 2, everything else -> 3.
+The CLI maps these onto exit codes: UsageError (and its subclass
+TrainingError) -> 1, DataError (and its subclasses) -> 2, everything
+else -> 3.
 """
 
 
@@ -25,8 +26,13 @@ class CheckpointError(DataError):
     """A checkpoint file is unreadable, truncated, or corrupt."""
 
 
-class TrainingError(GatedocError):
-    """Training hit a non-finite loss or gradient."""
+class TrainingError(UsageError):
+    """Training hit a non-finite loss or gradient.
+
+    The engine is pinned by the float64 oracle and the gradient checks,
+    so a divergence comes from the run's settings, most often too large
+    a learning_rate, or from its data.
+    """
 
 
 class GradCheckError(GatedocError):

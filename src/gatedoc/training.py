@@ -90,7 +90,8 @@ def _batch_step(batch, params, named, optimizer, batch_index):
         for doc, value in zip(pack, values):
             if not np.isfinite(value):
                 raise TrainingError(
-                    f"non-finite loss in batch {batch_index} on document {doc.id!r}"
+                    f"non-finite loss in batch {batch_index} on document {doc.id!r}; "
+                    f"a smaller learning_rate than {optimizer.learning_rate} may keep it finite"
                 )
         losses.extend(float(value) for value in values)
         ad.backward(ad.scale(ad.bce_loss(probs, target), len(pack) / len(batch)))

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -61,6 +63,16 @@ def make_doc(rng, n_sentences, vocab_size, n_classes=3, label=0, doc_id="doc"):
         label=label,
         n_classes=n_classes,
     )
+
+
+def recording_functions():
+    """Names of the functions of `autodiff` that record a node (call `_make`)."""
+    return {
+        fn.name for fn in ast.parse(inspect.getsource(ad)).body
+        if isinstance(fn, ast.FunctionDef)
+        and any(getattr(node.func, "id", None) == "_make"
+                for node in ast.walk(fn) if isinstance(node, ast.Call))
+    }
 
 
 def total(x):

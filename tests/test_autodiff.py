@@ -12,7 +12,7 @@ from gatedoc.errors import (
     CheckpointError, DimensionError, GradCheckError, TrainingError, UsageError,
 )
 
-from conftest import total
+from conftest import recording_functions, total
 
 
 def t(data, grad=True, name=None):
@@ -233,6 +233,28 @@ def _dense_attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     return np.concatenate(heads, axis=1)
 
 
+def _dense_attention_grads(q, k, v, g, n_heads, blocks, q_blocks=None, scale=None):
+    """(dQ, dK, dV) of sum(g * attention), by the textbook softmax
+    derivative, block by block and head by head."""
+    dk = q.shape[1] // n_heads
+    scale = 1 / math.sqrt(dk) if scale is None else scale
+    grads = [np.zeros_like(x) for x in (q, k, v)]
+    for (k_start, k_stop), (q_start, q_stop) in zip(blocks, q_blocks or blocks):
+        keys, queries = slice(k_start, k_stop), slice(q_start, q_stop)
+        for h in range(n_heads):
+            cols = slice(h * dk, (h + 1) * dk)
+            qb, kb, vb, gb = q[queries, cols], k[keys, cols], v[keys, cols], g[queries, cols]
+            s = qb @ kb.T * scale
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            dp = gb @ vb.T
+            ds = p * (dp - (dp * p).sum(axis=1, keepdims=True)) * scale
+            grads[0][queries, cols] = ds @ kb
+            grads[1][keys, cols] = ds.T @ qb
+            grads[2][keys, cols] = p.T @ gb
+    return grads
+
+
 # (n_heads, block lengths): one block; similar lengths padded into one
 # group, with a length-1 block; lengths too skewed for one group, split
 # into two power-of-two groups, one of them padded.  Then queries other
@@ -277,6 +299,24 @@ class TestAttention:
         np.testing.assert_allclose(
             out.data, _dense_attention(q, k, v, *args), rtol=0, atol=1e-12
         )
+
+    # blocks too skewed for one group (the power-of-two branch), with a
+    # padded group; padded query ranges; query ranges of no rows
+    @pytest.mark.parametrize("n_heads, lengths", [
+        (3, [1, 1, 1, 1, 1, 1, 7, 5]),
+        (3, ([1, 1, 1, 1, 1, 1, 7, 5], [1, 2, 1, 1, 1, 1, 3, 1], None)),
+        (3, ([1, 1, 1, 1, 1, 1, 1, 7, 5, 6], [1, 1, 1, 0, 1, 1, 1, 2, 3, 0], None)),
+    ])
+    def test_gradients_match_dense_per_block_reference(self, rng, n_heads, lengths):
+        q, k, v, args = _attention_args(rng, n_heads, lengths, 4 * n_heads, -2.0, 2.0)
+        assert len(ad._group_blocks(args[1])) == 2
+        g = rng.uniform(-1, 1, q.shape)
+        leaves = t(q), t(k), t(v)
+        out = ad.attention(*leaves, *args)
+        np.testing.assert_allclose(out.data, _dense_attention(q, k, v, *args), rtol=0, atol=1e-12)
+        ad.backward(total(ad.mul(out, t(g, grad=False))))
+        for leaf, want in zip(leaves, _dense_attention_grads(q, k, v, g, *args)):
+            np.testing.assert_allclose(leaf.grad, want, rtol=0, atol=1e-12)
 
     def test_float32_in_float32_out(self, rng):
         q, k, v = (Tensor(rng.uniform(-1, 1, (6, 4)).astype(np.float32)) for _ in range(3))
@@ -547,19 +587,20 @@ class TestBceLoss:
     def test_perfect_prediction_is_tiny(self):
         probs = t([[1.0, 0.0, 0.0]])
         target = t([[1.0, 0.0, 0.0]], grad=False)
-        assert ad.bce_loss(probs, target).item() < 1e-6
+        assert float(ad.bce_loss(probs, target).data.reshape(())) < 1e-6
 
     def test_maximum_entropy_is_ln2(self):
         probs = t([[0.5, 0.5]])
         target = t([[1.0, 0.0]], grad=False)
-        assert abs(ad.bce_loss(probs, target).item() - math.log(2.0)) < 1e-12
+        loss = float(ad.bce_loss(probs, target).data.reshape(()))
+        assert abs(loss - math.log(2.0)) < 1e-12
 
     def test_against_direct_summation_oracle(self, rng):
         p = rng.uniform(0.05, 0.95, (1, 7))
         labels = rng.integers(0, 2, (1, 7)).astype(np.float64)
         expected = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))
         out = ad.bce_loss(t(p), t(labels, grad=False))
-        assert abs(out.item() - expected) < 1e-12
+        assert abs(float(out.data.reshape(())) - expected) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -578,6 +619,20 @@ class TestMulByColumnAndGatherAndNorm:
         table = rng.standard_normal((6, 3))
         out = ad.gather_rows(t(table), [1, 1, 4])
         np.testing.assert_array_equal(out.data, table[[1, 1, 4]])
+
+    # repeats out of order, one index, none
+    @pytest.mark.parametrize("indices", [[4, 1, 4, 0, 1, 4, 2, 4, 4, 1], [3], []])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_rows_backward_equals_add_at(self, rng, dtype, indices):
+        # a column-major table: the scatter must not write into a flattened copy
+        table = Tensor(np.asfortranarray(rng.standard_normal((6, 8)), dtype), requires_grad=True)
+        out = ad.gather_rows(table, indices)
+        # magnitudes apart, so that another order of the sums rounds differently
+        g = (rng.standard_normal(out.shape) * 10.0 ** rng.integers(-3, 4, out.shape)).astype(dtype)
+        (got,) = out.node.backward_fn(g)
+        want = np.zeros(table.shape, dtype)
+        np.add.at(want, np.asarray(indices, dtype=np.intp), g)
+        assert got.dtype == dtype and np.array_equal(got, want)
 
     def test_gather_out_of_range(self):
         with pytest.raises(DimensionError):
@@ -604,6 +659,49 @@ class TestMulByColumnAndGatherAndNorm:
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
+
+
+def _every_op(rng, dtype):
+    """One output of each function of `autodiff` that records a node, by
+    name, and the leaves they read, all of `dtype`."""
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True))
+        return leaves[-1]
+
+    x, y = leaf(4, 6), leaf(4, 6)
+    gru_triples = [tuple(leaf(*shape) for _ in range(3)) for shape in ((6, 5), (5, 5), (1, 5))]
+    outputs = {
+        "matmul": ad.matmul(x, leaf(6, 3)),
+        "linear": ad.linear(x, leaf(6, 3), leaf(1, 3)),
+        "add": ad.add(x, y),
+        "mul": ad.mul(x, leaf(4, 1)),
+        "scale": ad.scale(x, 0.5),
+        "sigmoid": ad.sigmoid(x),
+        "tanh": ad.tanh(x),
+        "relu": ad.relu(x),
+        "concat": ad.concat((x, y), axis=1),
+        "gather_rows": ad.gather_rows(x, [3, 0, 3]),
+        "transpose": ad.transpose(x),
+        "attention": ad.attention(x, y, y, 2, [(0, 1), (1, 4)]),
+        "gru": ad.gru(x, leaf(1, 5), *gru_triples),
+        "layer_norm": ad.layer_norm(x, leaf(1, 6), leaf(1, 6)),
+        "bce_loss": ad.bce_loss(ad.sigmoid(x), Tensor(np.eye(4, 6, dtype=dtype))),
+    }
+    return outputs, leaves
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_op_keeps_its_inputs_dtype(rng, dtype):
+    # ops build their outputs without Tensor's conversion, so nothing else
+    # keeps a float32 graph in float32
+    outputs, leaves = _every_op(rng, dtype)
+    assert set(outputs) == recording_functions()
+    for name, out in outputs.items():
+        assert type(out.data) is np.ndarray and out.data.dtype == dtype, name
+        ad.backward(total(out))
+    assert all(leaf.grad.dtype == dtype for leaf in leaves)
 
 
 class TestBackward:
@@ -803,10 +901,12 @@ class TestGradCheckPerOp:
         s = t(rng.uniform(0.2, 0.8, (4, 1)))
         _check(lambda: total(ad.tanh(ad.mul(x, s))), [x, s])
 
-    def test_layer_norm(self, rng):
-        x = t(rng.uniform(-1, 1, (3, 5)))
-        g = t(rng.uniform(0.5, 1.5, (1, 5)))
-        b = t(rng.uniform(-0.5, 0.5, (1, 5)))
+    # rows of 5; width 1, where every normalised entry is 0; a single row
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 1), (1, 5)], ids=["3x5", "3x1", "1x5"])
+    def test_layer_norm(self, rng, shape):
+        x = t(rng.uniform(-1, 1, shape))
+        g = t(rng.uniform(0.5, 1.5, (1, shape[1])))
+        b = t(rng.uniform(-0.5, 0.5, (1, shape[1])))
         _check(lambda: total(ad.tanh(ad.layer_norm(x, g, b))), [x, g, b])
 
     def test_bce_loss(self, rng):

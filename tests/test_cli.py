@@ -147,6 +147,20 @@ def test_a_width_too_large_to_allocate_is_usage_error(tmp_path, capsys, d_h):
     assert "Traceback" not in err and "too large to allocate" in err
 
 
+@pytest.mark.parametrize("field, value", [("learning_rate", "1e30"), ("n_layers", "1000000")])
+def test_a_config_that_validates_yet_cannot_train_is_usage_error(
+    tmp_path, capsys, monkeypatch, field, value
+):
+    # a learning rate that diverges at once; a depth refused by validation,
+    # before any parameter is made
+    if field == "n_layers":
+        monkeypatch.setattr(gatedoc.model, "build_model", None)
+    config = _config(tmp_path, _corpus(tmp_path), **{field: value})
+    assert main(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and field in err, err
+
+
 # --- inference commands on a checkpoint trained for one epoch ---------------
 
 TEXT = "The plot was thin. Yet the acting is superb!  Mr. Smith shines in 2.5 hours."
@@ -422,6 +436,30 @@ def test_any_data_file_exits_0_1_or_2_without_a_traceback(
     assert code in (0, 1, 2) and "Traceback" not in err, err
 
 
+# pieces of raw text: sentences, abbreviations, numbers, runs of
+# punctuation and whitespace, control characters, a lone surrogate (how
+# argv carries a byte that is not UTF-8), other scripts, and anything
+_TEXT_PIECES = st.sampled_from([
+    "Good film.", "The plot was thin", "Bad!", "Mr.", "e.g.", "2.5", "...", "?!", " ", "  ",
+    "\n", "\t", "\r\n", "\x00", "\x1b", "\u200b", "\ufeff", "\udcff", "é", "日本語。", "😀",
+]) | st.text(max_size=6)
+_TEXTS = st.lists(_TEXT_PIECES, max_size=12).map("".join)
+
+
+@given(text=_TEXTS, command=st.sampled_from(["predict", "explain"]), gated=st.booleans())
+@settings(max_examples=100)
+def test_any_text_exits_0_1_or_2_without_a_traceback(trained, fuzz_dir, text, command, gated):
+    ckpt, _, ungated = trained
+    argv = [
+        command, "--checkpoint", str(ckpt if gated else ungated), "--text", text,
+        "--out", str(fuzz_dir / "out"),
+    ]
+    if command == "explain":
+        argv += ["--report", str(fuzz_dir / "report.json")]
+    code, err = _run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+
+
 def test_an_id_utf8_cannot_encode_is_a_skipped_line(trained, tmp_path):
     # json.loads decodes the escape to a lone surrogate, which a UTF-8 stdout refuses
     ckpt, data, _ = trained
@@ -446,14 +484,14 @@ def _train_config_text(draw):
             "d_tok", "d_h", "n_heads", "d_class", "d_class_hidden", "d_g", "d_out_hidden",
             "max_stream_len",
         )},
-        "n_layers": st.integers(1, 3),
+        "n_layers": st.integers(1, 3) | st.sampled_from(["1000000", "1e300"]),
         "batch_size": st.integers(-1, 8),
         "patience": st.integers(0, 2),
         "seed": st.integers(-1, 3),
         "max_sentences": st.integers(0, 8),
         "min_freq": st.integers(0, 3),
         "max_vocab": st.integers(0, 50),
-        "learning_rate": st.sampled_from(["0.01", "0", "-1", "nan", "inf", "1e-300"]),
+        "learning_rate": st.sampled_from(["0.01", "0", "-1", "nan", "inf", "1e-300", "1e30"]),
         "scheme": st.sampled_from(["three_way", "ten_scale", "other"]),
         "gate_mode": st.sampled_from(["scalar", "vector", "other"]),
         "attention_scope": st.sampled_from(["sentence", "document", "other"]),

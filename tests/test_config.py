@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gatedoc import synthetic
 from gatedoc.cli import main
-from gatedoc.config import _KINDS, TrainConfig, load_config, parse_config_text
+from gatedoc.config import _KINDS, MAX_LAYERS, TrainConfig, load_config, parse_config_text
 from gatedoc.errors import UsageError
 
 
@@ -82,6 +82,13 @@ def test_cli_exits_1_on_bad_value_type(tmp_path, line):
 def test_from_dict_rejects_non_finite_float(value):
     with pytest.raises(UsageError, match="learning_rate must be finite"):
         TrainConfig.from_dict({"learning_rate": value})
+
+
+def test_n_layers_is_capped():
+    assert TrainConfig(n_layers=MAX_LAYERS).validate().n_layers == MAX_LAYERS
+    for value in (MAX_LAYERS + 1, 1e300):
+        with pytest.raises(UsageError, match=f"n_layers must be at most {MAX_LAYERS}"):
+            TrainConfig.from_dict({"n_layers": value})
 
 
 def test_cli_exits_1_on_nan_learning_rate(tmp_path):

@@ -18,7 +18,7 @@ from gatedoc.model import (
 )
 from gatedoc.textpipe import assemble_document
 
-from conftest import make_doc, randomize_params, tiny_config
+from conftest import make_doc, randomize_params, recording_functions, tiny_config
 from forward_oracle import oracle_forward
 
 VOCAB_SIZE = 20
@@ -207,13 +207,13 @@ def test_pack_equals_its_documents_one_by_one(variant, sentences, seed):
         )
         np.testing.assert_allclose(packed.gate_scores[i], alone.gate_scores, rtol=0, atol=1e-12)
         loss = ad.bce_loss(alone.probs, one_hot(doc.label, config.n_classes, np.float64))
-        singles += loss.item()
+        singles += float(loss.data.reshape(()))
         ad.backward(loss)
     summed = {name: t.grad.copy() for name, t in params.named_parameters()}
     ad.zero_grad(leaves)
     target = one_hot([doc.label for doc in pack], config.n_classes, np.float64)
     loss = ad.scale(ad.bce_loss(packed.probs, target), float(len(pack)))
-    assert abs(loss.item() - singles) <= 1e-12
+    assert abs(float(loss.data.reshape(())) - singles) <= 1e-12
     ad.backward(loss)
     for name, t in params.named_parameters():
         np.testing.assert_allclose(t.grad, summed[name], rtol=0, atol=1e-12, err_msg=name)
@@ -384,13 +384,7 @@ def test_every_engine_op_has_a_caller():
 
 
 def test_every_engine_op_has_a_gradient_test():
-    # each function of `autodiff` that records a node, by name
-    ops = {
-        fn.name for fn in ast.parse(inspect.getsource(ad)).body
-        if isinstance(fn, ast.FunctionDef)
-        and any(getattr(node.func, "id", None) == "_make"
-                for node in ast.walk(fn) if isinstance(node, ast.Call))
-    }
+    ops = recording_functions()
     tests = ast.parse(Path(__file__).with_name("test_autodiff.py").read_text())
     (per_op,) = [c for c in tests.body if getattr(c, "name", None) == "TestGradCheckPerOp"]
     used = {

@@ -94,7 +94,7 @@ def test_batch_step_gradient_is_the_mean_over_its_documents(rng, monkeypatch):
     for doc in batch:
         target = model.one_hot(doc.label, cfg.n_classes, np.float64)
         loss = autodiff.bce_loss(model.forward(doc, params).probs, target)
-        losses.append(loss.item())
+        losses.append(float(loss.data.reshape(())))
         autodiff.backward(autodiff.scale(loss, 1.0 / len(batch)))
     want = {name: t.grad.copy() for name, t in named}
     seen = {}
