@@ -1,30 +1,33 @@
 """Binary checkpoint persistence.
 
 Layout: magic ``GDOC``, version u32, header-length u32, a UTF-8 JSON
-header (config snapshot, parameter names and shapes), the parameter
-arrays as little-endian ``config.dtype`` in header order, the
+header (config snapshot; each parameter's name, shape and order), the
+parameter arrays as little-endian ``config.dtype`` in header order, the
 vocabulary (one non-reserved token per line), then a CRC32 of every
-byte before it.
+byte before it.  An array of order ``"C"`` is stored row-major.  One of
+order ``"F"`` is stored as the row-major bytes of its transpose, so it
+is read with one `readinto` in that shape and held column-major as the
+`.T` view.  The file describes itself: the loader applies no layout rule.
 
 Loading draws no random init: the stored arrays, keyed by name, go to
 `build_model(stored=...)`.  A checksum mismatch, a parameter the file
-lacks or stores in another shape, and a stored array the config does
-not build all refuse to load.
+lacks or stores in another shape or an unknown order, and a stored
+array the config does not build all refuse to load.
 
-A loaded matrix whose narrower dimension, squared, reaches
-`_COLUMN_MAJOR_MIN` (2^19) is held column-major, made by one transposing
-copy as it is read (`_read_array`); the file's bytes stay row-major.
-`autodiff` multiplies such a weight as OpenBLAS's left operand, which
-for the few rows of one document (the last layer's [SEP] rows, the
-document GRU) takes 0.5-0.9x the time at d_h = 768 (2 cores, 1 or 2 BLAS
-threads).  For a matrix of 512 x 512 or fewer elements the layout gains
-nothing reliable (0.6x to 2.3x the time, by shape and rows), so only
-Table-3-scale weights, 768 wide or more both ways, reach the rule.  The
-token table (vocabulary x d_tok, 128 wide at full scale) does not: only
-row gathers read it, and a 110-row gather from it column-major takes
-about 5x the time.  A built model stays row-major: training's products
-of hundreds of rows gain nothing from the layout, and the copies would
-slow `build_model`.
+The saver gives order ``"F"`` to a matrix whose narrower dimension,
+squared, reaches `_COLUMN_MAJOR_MIN` (2^19).  `autodiff` multiplies
+such a weight as OpenBLAS's left operand, which for the few rows of one
+document (the last layer's [SEP] rows, the document GRU) takes 0.5-0.9x
+the time at d_h = 768 (2 cores, 1 or 2 BLAS threads).  For a matrix of
+512 x 512 or fewer elements the layout gains nothing reliable (0.6x to
+2.3x the time, by shape and rows), so only Table-3-scale weights, 768
+wide or more both ways, reach the rule.  The token table (vocabulary x
+d_tok, 128 wide at full scale) does not: only row gathers read it, and a
+110-row gather from it column-major takes about 5x the time.  A built
+model stays row-major: training's products of hundreds of rows gain
+nothing from the layout, and the copies would slow `build_model`.  So
+saving a built model pays one transposing copy per order-"F" matrix,
+and resaving a loaded one pays none.
 """
 
 from __future__ import annotations
@@ -45,11 +48,10 @@ from .model import build_model
 from .textpipe import RESERVED_TOKENS, vocab_from_tokens
 
 MAGIC = b"GDOC"
-VERSION = 2
+VERSION = 3
 _PREAMBLE = struct.Struct("<4sII")  # magic, version, header length
 _CRC = struct.Struct("<I")
-_COLUMN_MAJOR_MIN = 1 << 19  # a loaded matrix is held column-major from min(shape)^2 this large
-_BAND_ROWS = 256  # rows of a large matrix read and transposed at a time
+_COLUMN_MAJOR_MIN = 1 << 19  # the saver stores a matrix as order "F" from min(shape)^2 this large
 
 
 def _array_dtype(config):
@@ -74,15 +76,15 @@ def write_atomic(pieces, path):
 
 def save_checkpoint(params, config, vocab, path):
     """Write model + config + vocab through `write_atomic`."""
-    named = params.named_parameters()
     dtype = _array_dtype(config)
-    header = {
-        "config": asdict(config),
-        "params": [{"name": name, "shape": list(t.data.shape)} for name, t in named],
-    }
-    hb = json.dumps(header, sort_keys=True).encode("utf-8")
-    pieces = [_PREAMBLE.pack(MAGIC, VERSION, len(hb)), hb]
-    pieces += [np.ascontiguousarray(t.data, dtype=dtype) for _, t in named]
+    specs, arrays = [], []
+    for name, t in params.named_parameters():
+        a = t.data
+        order = "F" if a.ndim == 2 and min(a.shape) ** 2 >= _COLUMN_MAJOR_MIN else "C"
+        specs.append({"name": name, "order": order, "shape": list(a.shape)})
+        arrays.append(np.ascontiguousarray(a.T if order == "F" else a, dtype=dtype))
+    hb = json.dumps({"config": asdict(config), "params": specs}, sort_keys=True).encode("utf-8")
+    pieces = [_PREAMBLE.pack(MAGIC, VERSION, len(hb)), hb, *arrays]
     pieces.append("\n".join(vocab.id_to_token[len(RESERVED_TOKENS) :]).encode("utf-8"))
     crc = 0
     for piece in pieces:
@@ -90,35 +92,23 @@ def save_checkpoint(params, config, vocab, path):
     write_atomic([*pieces, _CRC.pack(crc)], path)
 
 
-def _read_array(fh, shape, dtype, crc):
-    """The next stored array of `shape`, and the CRC summed over its bytes.
-
-    A large matrix goes column-major through a buffer of `_BAND_ROWS`
-    rows: copied band by band, the transpose takes about a third of the
-    time of one `np.asfortranarray` of the whole matrix.
-    """
-    if len(shape) != 2 or min(shape) ** 2 < _COLUMN_MAJOR_MIN:
-        arr = np.empty(shape, dtype)
-        fh.readinto(arr)
-        return arr, zlib.crc32(arr, crc)
-    arr = np.empty(shape, dtype, order="F")
-    band = np.empty((min(_BAND_ROWS, shape[0]), shape[1]), dtype)  # never larger than arr
-    for start in range(0, shape[0], _BAND_ROWS):
-        rows = band[: shape[0] - start]
-        fh.readinto(rows)
-        crc = zlib.crc32(rows, crc)
-        arr[start : start + _BAND_ROWS] = rows
-    return arr, crc
+def _read_array(fh, shape, order, dtype, crc):
+    """The next stored array, and the CRC summed over its bytes: one
+    `readinto`, in the transposed shape for order "F"."""
+    transposed = order == "F"
+    arr = np.empty(shape[::-1] if transposed else shape, dtype)
+    fh.readinto(arr)
+    return (arr.T if transposed else arr), zlib.crc32(arr, crc)
 
 
 def load_checkpoint(path):
     """Load (ModelParams, TrainConfig, Vocab); refuse corrupt files.
 
     Each stored array is read straight into the array its parameter takes
-    over (a large matrix, in bands that are copied column-major), and the
-    CRC is summed piece by piece, so the file is never held in memory
-    whole.  Each length is checked against the file size before
-    anything is allocated for it.
+    over (an order-"F" matrix, into its transpose, whose `.T` view is
+    held), and the CRC is summed piece by piece, so the file is never
+    held in memory whole.  Each length is checked against the file size
+    before anything is allocated for it.
     """
     stored = {}
     try:
@@ -141,11 +131,13 @@ def load_checkpoint(path):
             config = TrainConfig.from_dict(header["config"])
             dtype = _array_dtype(config)
             for spec in header["params"]:
-                name, shape = spec["name"], tuple(spec["shape"])
+                name, shape, order = spec["name"], tuple(spec["shape"]), spec["order"]
+                if order not in ("C", "F"):
+                    raise CheckpointError(f"parameter {name!r} has order {order!r}, not C or F")
                 offset += math.prod(shape) * dtype.itemsize
                 if offset > end:
                     raise CheckpointError(f"parameter {name!r} runs past the end of the file")
-                stored[name], crc = _read_array(fh, shape, dtype, crc)
+                stored[name], crc = _read_array(fh, shape, order, dtype, crc)
             vocab_bytes, crc_bytes = fh.read(end - offset), fh.read()
         if zlib.crc32(vocab_bytes, crc) != _CRC.unpack(crc_bytes)[0]:
             raise CheckpointError("checksum mismatch: checkpoint is truncated or corrupt")

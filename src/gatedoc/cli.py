@@ -168,9 +168,9 @@ def cmd_ablate(args):
 
 def cmd_analyze(args):
     params, config, vocab = load_checkpoint(args.checkpoint)
-    data = load_dataset(args.data, config.scheme, vocab, config.limits())
     if not params.use_gate:
         raise UsageError("analyze requires a model trained with the gate enabled")
+    data = load_dataset(args.data, config.scheme, vocab, config.limits())
     result = evaluate(params, data.documents)
     report = stddev_report(result.predictions)
     hist = error_histogram(result.predictions)

@@ -1,5 +1,4 @@
 import errno
-import io
 import json
 import struct
 import zlib
@@ -140,6 +139,23 @@ def test_version_1_file_refused(tmp_path):
         load_checkpoint(path)
 
 
+def test_version_2_file_refused(tmp_path):
+    # a tiny model stores every array as order "C": without the order
+    # fields and under version 2, this is the file version 2 wrote
+    path, _, _, _ = _saved(tmp_path)
+
+    def unordered(specs, arrays):
+        for spec in specs:
+            del spec["order"]
+
+    _rewritten(path, unordered)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 4, 2)
+    _write_with_crc(path, bytes(blob[:-4]))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
 def test_missing_file_refused(tmp_path):
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "absent.gdoc")
@@ -181,7 +197,7 @@ def _drop(specs, arrays):
 
 
 def _add(specs, arrays):
-    specs.append({"name": "head.extra", "shape": [1, 2]})
+    specs.append({"name": "head.extra", "order": "C", "shape": [1, 2]})
     arrays.append(np.zeros(2).tobytes())
 
 
@@ -215,6 +231,21 @@ def test_parameter_mismatch_refused(tmp_path, edit):
     path, _, _, _ = _saved(tmp_path)
     _rewritten(path, edit)
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("order", [None, "X", ["F"]], ids=["missing", "X", "list"])
+def test_unknown_order_refused(tmp_path, order):
+    path, _, _, _ = _saved(tmp_path)
+
+    def reorder(specs, arrays):
+        if order is None:
+            del specs[0]["order"]
+        else:
+            specs[0]["order"] = order
+
+    _rewritten(path, reorder)
+    with pytest.raises(CheckpointError, match="order"):
         load_checkpoint(path)
 
 
@@ -266,10 +297,9 @@ def test_load_draws_no_random_init(tmp_path, monkeypatch):
 
 
 def test_large_matrices_load_column_major_with_the_same_values(tmp_path, monkeypatch):
-    # 3-row bands: several per matrix, the last one partial; with the
-    # threshold at 6^2, the 8-wide matrices are large and the 4-wide not
+    # with the threshold at 6^2, the 8-wide matrices are saved as order
+    # "F" and the 4-wide not
     monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 36)
-    monkeypatch.setattr(checkpoint, "_BAND_ROWS", 3)
     path, params, config, vocab = _saved(tmp_path)
     loaded, _, _ = load_checkpoint(path)
     large = 0
@@ -284,22 +314,6 @@ def test_large_matrices_load_column_major_with_the_same_values(tmp_path, monkeyp
     resaved = tmp_path / "resaved.gdoc"
     save_checkpoint(loaded, config, vocab, resaved)
     assert resaved.read_bytes() == path.read_bytes()
-
-
-def test_band_buffer_is_never_larger_than_its_matrix(tmp_path, monkeypatch):
-    # else a crafted file's one wide row would allocate _BAND_ROWS rows of it
-    monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 0)
-    monkeypatch.setattr(checkpoint, "_BAND_ROWS", 1000)
-    path, params, _, _ = _saved(tmp_path)
-    sizes, empty = [], np.empty
-
-    def recording(shape, *args, **kwargs):
-        sizes.append(int(np.prod(shape)))
-        return empty(shape, *args, **kwargs)
-
-    monkeypatch.setattr(np, "empty", recording)
-    load_checkpoint(path)
-    assert max(sizes) == max(t.data.size for _, t in params.named_parameters())
 
 
 def test_no_desk_or_long_predict_parameter_reaches_the_column_major_size(tmp_path, monkeypatch):
@@ -319,20 +333,25 @@ def test_no_desk_or_long_predict_parameter_reaches_the_column_major_size(tmp_pat
     assert FULL_SCALE["d_h"] ** 2 >= checkpoint._COLUMN_MAJOR_MIN  # Table-3 weights do
 
 
-def test_full_scale_layout_leaves_the_token_table_row_major(monkeypatch):
-    # every Table-3 matrix 768 wide or more both ways loads column-major;
-    # the token table, which only row gathers read, does not
+def test_full_scale_layout_leaves_the_token_table_row_major(tmp_path, monkeypatch):
+    # the saver stores every Table-3 matrix 768 wide or more both ways as
+    # order "F", which loads column-major; the token table, which only row
+    # gathers read, it stores as "C"
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import FULL_SCALE
 
-    config = tiny_config(**FULL_SCALE)
-    params = build_model(config, 16_600, dtype="float32")
+    config = tiny_config(**FULL_SCALE, dtype="float32")
+    words = [f"w{i}" for i in range(16_600 - len(tp.RESERVED_TOKENS))]
+    vocab = tp.vocab_from_tokens(words)
+    params = build_model(config, len(vocab))
+    path = tmp_path / "full.gdoc"
+    save_checkpoint(params, config, vocab, path)
+    loaded, _, _ = load_checkpoint(path)
     column_major = set()
-    for name, t in params.named_parameters():
-        arr, _ = checkpoint._read_array(io.BytesIO(t.data.tobytes()), t.shape, t.data.dtype, 0)
-        np.testing.assert_array_equal(arr, t.data, err_msg=name)
-        if not arr.flags.c_contiguous:
-            assert arr.flags.f_contiguous, name
+    for (name, built), (_, got) in zip(params.named_parameters(), loaded.named_parameters()):
+        np.testing.assert_array_equal(got.data, built.data, err_msg=name)
+        if not got.data.flags.c_contiguous:
+            assert got.data.flags.f_contiguous, name
             column_major.add(name)
     assert column_major == {
         name for name, t in params.named_parameters() if min(t.shape) >= FULL_SCALE["d_h"]
@@ -343,17 +362,27 @@ def test_full_scale_layout_leaves_the_token_table_row_major(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def saved_blob(tmp_path_factory):
-    """(a path to write to, the bytes of a saved checkpoint)."""
+def saved_blobs(tmp_path_factory):
+    """(a path to write to, {column_major: the bytes of a saved checkpoint}).
+
+    With no size threshold at save, every matrix is stored as order "F".
+    """
     root = tmp_path_factory.mktemp("fuzz")
-    path, _, _, _ = _saved(root)
-    return root / "corrupt.gdoc", path.read_bytes()
+    blobs = {}
+    for column_major in (False, True):
+        threshold = 0 if column_major else checkpoint._COLUMN_MAJOR_MIN
+        with mock.patch.object(checkpoint, "_COLUMN_MAJOR_MIN", threshold):
+            path, _, _, _ = _saved(root)
+        blobs[column_major] = path.read_bytes()
+        assert (b'"order": "F"' in blobs[column_major]) == column_major
+    return root / "corrupt.gdoc", blobs
 
 
 @given(data=st.data(), column_major=st.booleans())
 @settings(max_examples=200)
-def test_any_truncation_or_flipped_byte_is_refused(saved_blob, data, column_major):
-    path, blob = saved_blob
+def test_any_truncation_or_flipped_byte_is_refused(saved_blobs, data, column_major):
+    path, blobs = saved_blobs
+    blob = blobs[column_major]
     if data.draw(st.booleans(), label="truncate"):
         corrupt = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
     else:
@@ -362,11 +391,5 @@ def test_any_truncation_or_flipped_byte_is_refused(saved_blob, data, column_majo
             st.integers(1, 255), label="mask"
         )
     path.write_bytes(bytes(corrupt))
-    # with no size threshold, every matrix goes through the banded reads
-    threshold = 0 if column_major else checkpoint._COLUMN_MAJOR_MIN
-    with (
-        mock.patch.object(checkpoint, "_COLUMN_MAJOR_MIN", threshold),
-        mock.patch.object(checkpoint, "_BAND_ROWS", 3),
-        pytest.raises(CheckpointError),
-    ):
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)

@@ -338,6 +338,14 @@ def test_analyze_without_gate_is_usage_error(trained, monkeypatch):
     assert calls == []  # refused before the model runs
 
 
+def test_analyze_without_gate_refuses_before_reading_the_data(trained, tmp_path, capsys):
+    _, _, ckpt = trained
+    absent = tmp_path / "absent.jsonl"
+    assert main(["analyze", "--checkpoint", str(ckpt), "--data", str(absent)]) == 1
+    err = capsys.readouterr().err
+    assert "gate enabled" in err and "Traceback" not in err
+
+
 def test_ablate_writes_four_rows_with_p_values(tmp_path):
     config = _config(tmp_path, _corpus(tmp_path))
     out = tmp_path / "ablate.json"

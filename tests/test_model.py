@@ -78,12 +78,12 @@ def test_engine_matches_numpy_oracle(variant):
 
 
 def test_column_major_checkpoint_matches_oracle_and_built_model(variant, tmp_path, monkeypatch):
-    # with no size threshold every loaded matrix is column-major; with a
-    # 4-row cut the stream's products run numpy's own x @ w on it, and the
-    # [SEP] rows and the GRU steps autodiff's transposed form
+    # with no size threshold every matrix is saved as order "F" and loads
+    # column-major; with a 4-row cut the stream's products run numpy's own
+    # x @ w on it, and the [SEP] rows and the GRU steps autodiff's
+    # transposed form
     monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 0)
     monkeypatch.setattr(ad, "_FEW_ROWS", 4)
-    monkeypatch.setattr(checkpoint, "_BAND_ROWS", 3)
     config, params, rng = _model(variant)
     words = [f"w{i}" for i in range(VOCAB_SIZE - len(textpipe.RESERVED_TOKENS))]
     path = tmp_path / "model.gdoc"
