@@ -22,8 +22,8 @@ arrays, so the kernels make few of them: results are formed in place
 where the inputs are not needed again, a row reduction over a few dozen
 entries (layer norm's means, attention's softmax sums) is a GEMV against
 a constant vector, and attention gathers and scatters each operand once,
-head-major.  Ops build their outputs without `Tensor`'s conversion,
-since each already returns a float array in its inputs' dtype.
+head-major.  `Tensor` holds its data as given: every caller passes a
+float32 or float64 array, and each op returns one in its inputs' dtype.
 
 Weights may be row-major or column-major.  `checkpoint.load_checkpoint`
 holds every large matrix column-major (see there), and the forward
@@ -43,12 +43,12 @@ backward closure with whatever activations the derivative needs.
 `backward` walks the reachable nodes once, in reverse creation order
 (creation order is topological by construction), and detaches each node
 from its output as it goes, so activations are freed during the walk.
-A graph is walked once: a later backward that reaches it raises.  Inside
-`no_grad` no op records a node, so an inference pass keeps no
-activations.  There is no global mutable state beyond the node-id
-counter and that recording flag, which is a context variable: it is
-local to the thread (and asyncio task) that set it, so independent
-graphs can be built concurrently.
+A graph is walked once: a later backward that reaches it raises, as
+does one from a loss that recorded no node.  Inside `no_grad` no op
+records a node, so an inference pass keeps no activations.  The only
+global mutable state is the node-id counter and that recording flag, a
+context variable local to the thread (and asyncio task) that set it, so
+independent graphs can be built concurrently.
 """
 
 from __future__ import annotations
@@ -99,10 +99,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "name", "node", "node_id")
 
     def __init__(self, data, requires_grad=False, name=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data)
         self.requires_grad = requires_grad
         self.grad = None
         self.name = name
@@ -182,8 +179,7 @@ def no_grad():
 
 
 def _make(op, out_data, inputs, backward_fn):
-    """The output of an op: `out_data` is already a float array in its
-    inputs' dtype, so the Tensor is built without `__init__`'s checks."""
+    """An op's output; it records a node if recording and an input requires grad."""
     t = Tensor.__new__(Tensor)
     t.data, t.grad, t.name = out_data, None, None
     t.requires_grad = _recording.get() and any(i.requires_grad for i in inputs)
@@ -219,10 +215,7 @@ def backward(loss):
     if loss.data.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
     if loss.node is None:
-        if loss.requires_grad:
-            g = np.ones_like(loss.data)
-            loss.grad = g if loss.grad is None else loss.grad + g
-        return
+        raise UsageError("backward needs a loss that recorded a graph")
 
     nodes = Graph.trace(loss).nodes
     grads = {id(loss): np.ones_like(loss.data)}

@@ -33,6 +33,7 @@ and resaving a loaded one pays none.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -65,8 +66,7 @@ def write_atomic(pieces, path):
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for piece in pieces:
-                fh.write(piece)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -74,22 +74,28 @@ def write_atomic(pieces, path):
         raise
 
 
+def _with_crc(pieces):
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+        yield piece
+    yield _CRC.pack(crc)
+
+
 def save_checkpoint(params, config, vocab, path):
     """Write model + config + vocab through `write_atomic`."""
     dtype = _array_dtype(config)
-    specs, arrays = [], []
+    specs, views = [], []
     for name, t in params.named_parameters():
         a = t.data
         order = "F" if a.ndim == 2 and min(a.shape) ** 2 >= _COLUMN_MAJOR_MIN else "C"
         specs.append({"name": name, "order": order, "shape": list(a.shape)})
-        arrays.append(np.ascontiguousarray(a.T if order == "F" else a, dtype=dtype))
+        views.append(a.T if order == "F" else a)
     hb = json.dumps({"config": asdict(config), "params": specs}, sort_keys=True).encode("utf-8")
-    pieces = [_PREAMBLE.pack(MAGIC, VERSION, len(hb)), hb, *arrays]
-    pieces.append("\n".join(vocab.id_to_token[len(RESERVED_TOKENS) :]).encode("utf-8"))
-    crc = 0
-    for piece in pieces:
-        crc = zlib.crc32(piece, crc)
-    write_atomic([*pieces, _CRC.pack(crc)], path)
+    head = [_PREAMBLE.pack(MAGIC, VERSION, len(hb)), hb]
+    arrays = (np.ascontiguousarray(v, dtype=dtype) for v in views)  # each made as it is written
+    vocab_bytes = "\n".join(vocab.id_to_token[len(RESERVED_TOKENS) :]).encode("utf-8")
+    write_atomic(_with_crc(itertools.chain(head, arrays, [vocab_bytes])), path)
 
 
 def _read_array(fh, shape, order, dtype, crc):

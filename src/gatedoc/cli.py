@@ -148,6 +148,8 @@ def cmd_explain(args):
 
 
 def cmd_ablate(args):
+    if args.seeds < 1:  # refused before any data is read
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     config = _load_config(args)
     train_docs, dev_docs, test_docs, vocab = _prepare_splits(config)
     seeds = [config.seed + i for i in range(args.seeds)]

@@ -169,7 +169,7 @@ def parse_config_text(text):
 def load_config(path):
     """Read a ``key = value`` config file into a validated TrainConfig."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc

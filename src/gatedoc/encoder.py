@@ -152,18 +152,17 @@ def transformer_encode(stream, params, segments=None, *, rows, positions=None):
     """Contextual embeddings at the stream positions `rows` (len(rows) x d_h).
 
     `rows` must be non-empty and strictly increasing, else
-    DimensionError.  The last layer forms queries, and everything after
-    attention, only at `rows`; with n_layers = 0 the result is the
-    projected token+position embeddings there.  `positions` gives each
-    stream row's position id (default 0, 1, ..., n - 1); a pack of
-    documents restarts them at each document.  When `segments` is given
-    (one id per position), each id must occupy one contiguous run of
-    positions, as `segments_from_seps` produces, and self-attention is
-    restricted to the run (sentence-scoped attention, or one run per
-    document of a pack); ids that recur after a gap raise
-    DimensionError.  With None every position attends to the whole
-    stream.  The ops refuse a position beyond the position table, and
-    `attention` a `segments` of another length.
+    DimensionError.  The shared layer runs `params.n_layers` (>= 1) times;
+    the last run forms queries, and everything after attention, only at
+    `rows`.  `positions` gives each stream row's position id (default 0,
+    1, ..., n - 1); a pack of documents restarts them at each document.
+    When `segments` is given (one id per position), each id must occupy
+    one contiguous run of positions, as `segments_from_seps` produces,
+    and self-attention is restricted to the run (sentence-scoped
+    attention, or one run per document of a pack); ids that recur after
+    a gap raise DimensionError.  With None every position attends to the
+    whole stream.  The ops refuse a position beyond the position table,
+    and `attention` a `segments` of another length.
     """
     n = len(stream)
     blocks = [(0, n)] if segments is None else _segment_blocks(segments)
@@ -173,8 +172,6 @@ def transformer_encode(stream, params, segments=None, *, rows, positions=None):
     tok = ad.gather_rows(params.tok_emb, stream)
     pos = ad.gather_rows(params.pos_emb, range(n) if positions is None else positions)
     x = ad.linear(ad.add(tok, pos), params.w_in, params.b_in)
-    if params.n_layers == 0:
-        return ad.gather_rows(x, rows)
     for _ in range(params.n_layers - 1):
         x = _shared_layer(x, params, blocks)
     return _shared_layer(x, params, blocks, rows)

@@ -5,9 +5,10 @@ same five distractor sentences at the same positions and differ only in
 the key sentence (positive pool vs negative pool), so distractor content
 carries exactly zero label information, on the population and on any
 split.  Each distractor is a loud alternation of one positive and one
-negative token.  At desk scale (5 epochs, seeds 0-2) the trained gates
-score key sentences above distractors, yet the model without a gate
-reaches the same test accuracy: this corpus does not show the gate helps.
+negative token.  At desk scale (5 epochs, seeds 0-4) the model without a
+gate reaches the same test accuracy.  A trained model detects the keys
+of one class, which varies by seed: that class's key gets the top gate
+in 69-100% of its documents, the other class's in about 0%.
 
 Records carry the key sentence's index so tests can compare gate scores
 of key vs distractor sentences.  Labels use the three_way scheme:

@@ -263,9 +263,9 @@ def read_raw_dataset(path, scheme):
     scheme_n_classes(scheme)  # raises on unknown scheme
     docs = []
     skipped = 0
-    # bytes that are not UTF-8 are read as lone surrogates, so that only
-    # their line fails (at the encode) instead of the whole file
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # a leading BOM is dropped; bytes that are not UTF-8 are read as lone
+    # surrogates, so that only their line fails (at the encode), not the file
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -694,8 +694,8 @@ def _every_op(rng, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_every_op_keeps_its_inputs_dtype(rng, dtype):
-    # ops build their outputs without Tensor's conversion, so nothing else
-    # keeps a float32 graph in float32
+    # neither Tensor nor _make converts data, so nothing else keeps a
+    # float32 graph in float32
     outputs, leaves = _every_op(rng, dtype)
     assert set(outputs) == recording_functions()
     for name, out in outputs.items():
@@ -721,6 +721,16 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(UsageError):
             ad.backward(t([[1.0, 2.0]]))
+
+    def test_a_loss_that_recorded_no_graph_is_refused(self):
+        x = t([[2.0]], name="x")
+        with ad.no_grad():
+            inside = ad.mul(x, x)
+        constant = ad.mul(t([[2.0]], grad=False), t([[3.0]], grad=False))
+        for loss in (x, constant, inside):
+            with pytest.raises(UsageError, match="recorded a graph"):
+                ad.backward(loss)
+        assert x.grad is None
 
     def test_grad_accumulates_across_calls(self):
         x = t([[1.0]], name="x")

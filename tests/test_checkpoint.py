@@ -1,6 +1,8 @@
 import errno
+import itertools
 import json
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -55,7 +57,7 @@ def test_failed_save_keeps_the_previous_checkpoint_and_no_tmp(tmp_path, monkeypa
 
     def full_disk_at_the_third_piece(pieces, target):
         def written():
-            yield from pieces[:2]
+            yield from itertools.islice(pieces, 2)
             assert Path(f"{target}.tmp").exists()
             raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -65,6 +67,23 @@ def test_failed_save_keeps_the_previous_checkpoint_and_no_tmp(tmp_path, monkeypa
     with pytest.raises(OSError, match="No space left"):
         _saved(tmp_path, dtype="float32")
     assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
+
+
+def test_a_save_makes_each_stored_copy_as_it_is_written(tmp_path, monkeypatch):
+    # every matrix is stored order "F", so each is written from a copy
+    monkeypatch.setattr(checkpoint, "_COLUMN_MAJOR_MIN", 0)
+    config = tiny_config(d_h=64, d_g=64, d_out_hidden=64, d_class_hidden=64)
+    vocab = _vocab()
+    params = build_model(config, len(vocab))
+    sizes = [t.data.nbytes for _, t in params.named_parameters()]
+    assert sum(sizes) > 6 * max(sizes)
+    tracemalloc.start()
+    try:
+        save_checkpoint(params, config, vocab, tmp_path / "model.gdoc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * max(sizes)
 
 
 def _header_len(blob):
@@ -213,6 +232,18 @@ def test_config_that_does_not_validate_refused(tmp_path):
     assert edited != blob and len(edited) == len(blob)
     _write_with_crc(path, edited[:-4])
     with pytest.raises(CheckpointError, match="n_heads"):
+        load_checkpoint(path)
+
+
+def test_zero_layer_config_refused(tmp_path):
+    # the layers share one set of weights, so only validation stops a
+    # zero-layer checkpoint: the encoder has no path without a layer
+    path, _, _, _ = _saved(tmp_path)
+    blob = path.read_bytes()
+    edited = blob.replace(b'"n_layers": 1', b'"n_layers": 0')
+    assert edited != blob and len(edited) == len(blob)
+    _write_with_crc(path, edited[:-4])
+    with pytest.raises(CheckpointError, match="n_layers must be positive"):
         load_checkpoint(path)
 
 

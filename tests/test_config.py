@@ -91,6 +91,12 @@ def test_n_layers_is_capped():
             TrainConfig.from_dict({"n_layers": value})
 
 
+def test_zero_layers_is_refused():
+    # transformer_encode runs at least one layer; this check keeps it so
+    with pytest.raises(UsageError, match="n_layers must be positive"):
+        _from_text("n_layers = 0\n")
+
+
 def test_cli_exits_1_on_nan_learning_rate(tmp_path):
     data = tmp_path / "corpus.jsonl"
     synthetic.write_corpus(synthetic.generate_key_sentence_corpus(40, seed=0), data)
@@ -105,6 +111,13 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path):
     with pytest.raises(UsageError, match="cannot read config"):
         load_config(path)
     assert main(["train", "--config", str(path)]) == 1
+
+
+def test_a_config_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("\ufeffd_h = 16\nn_heads = 4\n".encode("utf-8"))
+    config = load_config(path)
+    assert (config.d_h, config.n_heads) == (16, 4)
 
 
 _VALUE_WORDS = [

@@ -22,13 +22,6 @@ def _params(rng, vocab_size=12, d_tok=4, d_h=4, n_heads=1, n_layers=1, max_len=1
 
 
 class TestTransformerEncode:
-    def test_zero_layers_is_projected_embeddings(self, rng):
-        p = _params(rng, n_layers=0)
-        stream = [2, 5, 7, 3]
-        out = enc.transformer_encode(stream, p, rows=range(4))
-        expected = (p.tok_emb.data[stream] + p.pos_emb.data[:4]) @ p.w_in.data + p.b_in.data
-        np.testing.assert_allclose(out.data, expected, atol=1e-14)
-
     def test_positional_sensitivity(self, rng):
         p = _params(rng)
         base = enc.transformer_encode([2, 5, 7, 3], p, rows=range(4)).data
@@ -87,7 +80,7 @@ class TestTransformerEncode:
     # rows of one sentence and a row that is not a [SEP]
     @pytest.mark.parametrize("rows", [[3, 5, 9], [0, 1, 3, 8]])
     @pytest.mark.parametrize("segments", [None, [0, 1, 1, 1, 2, 2, 3, 3, 3, 3]])
-    @pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_requested_rows_equal_those_of_a_full_encode(self, rng, n_layers, segments, rows):
         p = _params(rng, d_h=4, n_heads=2, n_layers=n_layers)
         stream = [2, 5, 6, 3, 7, 3, 8, 9, 10, 3]

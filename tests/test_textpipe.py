@@ -346,6 +346,17 @@ class TestLoadDataset:
         raw = tp.read_raw_dataset(path, "three_way")
         assert [d.id for d in raw.documents] == ["a", "b"] and raw.skipped == 1
 
+    def test_a_leading_byte_order_mark_costs_no_record(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        lines = [json.dumps({"id": i, "text": "Fine movie.", "score": 4}) for i in "abc"]
+        path.write_bytes(("\ufeff" + "\n".join(lines)).encode("utf-8"))
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [d.id for d in raw.documents] == ["a", "b", "c"] and raw.skipped == 0
+        # only the file's first bytes are a byte-order mark; one later is a bad line
+        path.write_bytes(("\ufeff" + "\n\ufeff".join(lines)).encode("utf-8"))
+        raw = tp.read_raw_dataset(path, "three_way")
+        assert [d.id for d in raw.documents] == ["a"] and raw.skipped == 2
+
     def test_malformed_json_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "text": "Good.", "score": 2}\nnot json\n')
