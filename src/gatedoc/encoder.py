@@ -4,13 +4,13 @@ laid end to end, that returns the rows asked for (the [SEP] rows, in
 `model.forward_pack`), and the class similarities of those rows.
 
 One transformer layer's weights are applied at every depth, so the
-parameter count is independent of the layer count.  Blocks are
+parameter count is independent of the layer count.  Layers are
 pre-norm residual: x + Attn(LN(x)), then x + FFN(LN(x)).
 
-Self-attention is block scoped.  The stream is cut into contiguous row
-blocks, one per segment ([CLS], then each sentence with its [SEP]) under
-sentence scope, or one block per document under document scope.  Every
-layer runs one `autodiff.attention` node that scores each block only
+Self-attention is block scoped: `model.forward_pack` cuts the stream
+into row blocks ([CLS] and each sentence with its [SEP], or each
+document), and `autodiff.attention` refuses blocks that do not tile it.
+Every layer runs one `attention` node that scores each block only
 against itself, so a stream costs at most 4 * sum(L_i^2) scores per
 head (padding included) rather than n^2.  The last layer forms its
 queries, and everything after attention, only at the requested rows.
@@ -105,32 +105,6 @@ def init_class_similarity(init, w_c, d_in, d_hidden, d_class, prefix):
     )
 
 
-def segments_from_seps(stream_len, sep_positions, first=0):
-    """Segment id per stream position: `first` for [CLS], first+i+1 for
-    sentence i.
-
-    Each sentence's tokens and its closing [SEP] share a segment.
-    """
-    segments = [first] * stream_len
-    pos = 1
-    for seg, sep in enumerate(sep_positions, first + 1):
-        segments[pos : sep + 1] = [seg] * (sep + 1 - pos)
-        pos = sep + 1
-    return segments
-
-
-def _segment_blocks(segments):
-    """(start, stop) of each run of equal segment ids; an id may form one run only."""
-    seg = np.asarray(segments)
-    bounds = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
-    runs, ids = len(bounds) - 1, len(set(seg[bounds[:-1]].tolist()))
-    if runs != ids:
-        raise DimensionError(
-            f"segment ids must form one contiguous run each: {ids} ids in {runs} runs"
-        )
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def _shared_layer(x, p, blocks, rows=None):
     """One layer; given `rows`, queried and returned only at those rows."""
     a = ad.layer_norm(x, p.ln1_g, p.ln1_b)
@@ -148,29 +122,25 @@ def _shared_layer(x, p, blocks, rows=None):
     return ad.add(x, ff)
 
 
-def transformer_encode(stream, params, segments=None, *, rows, positions=None):
+def transformer_encode(stream, params, *, blocks, rows, positions):
     """Contextual embeddings at the stream positions `rows` (len(rows) x d_h).
 
-    `rows` must be non-empty and strictly increasing, else
-    DimensionError.  The shared layer runs `params.n_layers` (>= 1) times;
-    the last run forms queries, and everything after attention, only at
-    `rows`.  `positions` gives each stream row's position id (default 0,
-    1, ..., n - 1); a pack of documents restarts them at each document.
-    When `segments` is given (one id per position), each id must occupy
-    one contiguous run of positions, as `segments_from_seps` produces,
-    and self-attention is restricted to the run (sentence-scoped
-    attention, or one run per document of a pack); ids that recur after
-    a gap raise DimensionError.  With None every position attends to the
-    whole stream.  The ops refuse a position beyond the position table,
-    and `attention` a `segments` of another length.
+    Self-attention is restricted to `blocks`, the (start, stop) row
+    ranges that `model.forward_pack` makes: [CLS] and each sentence with
+    its [SEP] under sentence scope, or each document under document
+    scope.  `attention` refuses blocks that do not tile the stream.
+    `positions`, required, holds each row's position id; a pack restarts
+    them at each document.  `rows` must be non-empty and strictly
+    increasing, else DimensionError.  The shared layer runs
+    `params.n_layers` (>= 1) times; the last run forms queries, and
+    everything after attention, only at `rows`.  The ops refuse a
+    position beyond the position table, and `positions` of another length.
     """
-    n = len(stream)
-    blocks = [(0, n)] if segments is None else _segment_blocks(segments)
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 1 or not rows.size or (np.diff(rows) <= 0).any():
         raise DimensionError(f"transformer_encode: rows {rows} empty or not strictly increasing")
     tok = ad.gather_rows(params.tok_emb, stream)
-    pos = ad.gather_rows(params.pos_emb, range(n) if positions is None else positions)
+    pos = ad.gather_rows(params.pos_emb, positions)
     x = ad.linear(ad.add(tok, pos), params.w_in, params.b_in)
     for _ in range(params.n_layers - 1):
         x = _shared_layer(x, params, blocks)

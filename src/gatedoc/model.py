@@ -180,23 +180,28 @@ def forward_pack(docs, mp):
     a pack of documents as one graph.
 
     The documents' streams are laid end to end, each with its own
-    position ids; attention blocks never span two documents, and every
-    later stage works row-wise or per document, so each document's
-    output is what it would be alone, up to the rounding of other GEMM
-    shapes.
+    position ids, and cut into attention blocks: [CLS] and each sentence
+    with its [SEP] under sentence scope, or each document.  No block
+    spans two documents (`attention` refuses blocks that do not tile the
+    stream), and every later stage works row-wise or per document, so
+    each document's output is what it would be alone, up to the rounding
+    of other GEMM shapes.
     """
-    stream, positions, segments, rows = [], [], [], []
-    for i, doc in enumerate(docs):
+    stream, positions, blocks, rows = [], [], [], []
+    for doc in docs:
         n, base = len(doc.token_stream), len(stream)
         stream += doc.token_stream
         positions += range(n)
-        rows += [base + sep for sep in doc.sep_positions]
-        if mp.attention_scope == "sentence":  # the ids run on across documents
-            first = segments[-1] + 1 if segments else 0
-            segments += encmod.segments_from_seps(n, doc.sep_positions, first)
+        seps = [base + sep for sep in doc.sep_positions]
+        rows += seps
+        if mp.attention_scope == "sentence":
+            edges = [base, base + 1] + [sep + 1 for sep in seps]
+            blocks += zip(edges, edges[1:])
         else:
-            segments += [i] * n
-    e = encmod.transformer_encode(stream, mp.encoder, segments, rows=rows, positions=positions)
+            blocks.append((base, base + n))
+    e = encmod.transformer_encode(
+        stream, mp.encoder, blocks=blocks, rows=rows, positions=positions
+    )
     if mp.use_sentence_class_sim:
         c = encmod.class_similarity(e, mp.sent_sim)
         e_prime = ad.concat((e, c), axis=1)

@@ -24,14 +24,16 @@ def _params(rng, vocab_size=12, d_tok=4, d_h=4, n_heads=1, n_layers=1, max_len=1
 class TestTransformerEncode:
     def test_positional_sensitivity(self, rng):
         p = _params(rng)
-        base = enc.transformer_encode([2, 5, 7, 3], p, rows=range(4)).data
-        swapped = enc.transformer_encode([2, 7, 5, 3], p, rows=range(4)).data
+        kw = dict(blocks=[(0, 4)], rows=range(4), positions=range(4))
+        base = enc.transformer_encode([2, 5, 7, 3], p, **kw).data
+        swapped = enc.transformer_encode([2, 7, 5, 3], p, **kw).data
         assert np.abs(base - swapped).max() > 1e-8
 
     def test_single_head_matches_brute_force(self, rng):
         p = _params(rng, d_h=4, n_heads=1, n_layers=1)
         stream = [2, 6, 8, 9, 3]
-        out = enc.transformer_encode(stream, p, rows=range(5)).data
+        kw = dict(blocks=[(0, 5)], rows=range(5), positions=range(5))
+        out = enc.transformer_encode(stream, p, **kw).data
 
         # step-by-step straight-line recomputation
         def ln(x, g, b):
@@ -58,41 +60,36 @@ class TestTransformerEncode:
     def test_sentence_scope_isolates_sentences(self, rng):
         p = _params(rng, n_layers=2, n_heads=2, d_h=4)
         # [CLS] a a [SEP] b b [SEP]
-        segments = [0, 1, 1, 1, 2, 2, 2]
-        rows = range(7)
-        base = enc.transformer_encode([2, 5, 6, 3, 7, 8, 3], p, segments, rows=rows).data
-        changed = enc.transformer_encode([2, 5, 6, 3, 9, 10, 3], p, segments, rows=rows).data
+        kw = dict(blocks=[(0, 1), (1, 4), (4, 7)], rows=range(7), positions=range(7))
+        base = enc.transformer_encode([2, 5, 6, 3, 7, 8, 3], p, **kw).data
+        changed = enc.transformer_encode([2, 5, 6, 3, 9, 10, 3], p, **kw).data
         np.testing.assert_array_equal(base[:4], changed[:4])  # sentence 1 untouched
         assert np.abs(base[4:] - changed[4:]).max() > 1e-10
 
-    def test_segment_ids_must_be_contiguous_runs(self, rng):
-        p = _params(rng)
-        # blocks cannot let positions 0 and 3 attend to each other across the 1s
-        with pytest.raises(DimensionError, match="contiguous"):
-            enc.transformer_encode([2, 5, 6, 3], p, segments=[0, 1, 1, 0], rows=[3])
-
     def test_stream_too_long_rejected(self, rng):
         p = _params(rng, max_len=8)
+        kw = dict(blocks=[(0, 9)], rows=[8], positions=range(9))
         with pytest.raises(DimensionError):
-            enc.transformer_encode(list(range(9)), p, rows=[8])
+            enc.transformer_encode(list(range(9)), p, **kw)
 
     # the [SEP] rows, one per block under sentence scope; then [CLS], two
     # rows of one sentence and a row that is not a [SEP]
     @pytest.mark.parametrize("rows", [[3, 5, 9], [0, 1, 3, 8]])
-    @pytest.mark.parametrize("segments", [None, [0, 1, 1, 1, 2, 2, 3, 3, 3, 3]])
+    @pytest.mark.parametrize("blocks", [[(0, 10)], [(0, 1), (1, 4), (4, 6), (6, 10)]])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
-    def test_requested_rows_equal_those_of_a_full_encode(self, rng, n_layers, segments, rows):
+    def test_requested_rows_equal_those_of_a_full_encode(self, rng, n_layers, blocks, rows):
         p = _params(rng, d_h=4, n_heads=2, n_layers=n_layers)
         stream = [2, 5, 6, 3, 7, 3, 8, 9, 10, 3]
-        full = enc.transformer_encode(stream, p, segments, rows=range(len(stream))).data
-        pruned = enc.transformer_encode(stream, p, segments, rows=rows).data
+        kw = dict(blocks=blocks, positions=range(len(stream)))
+        full = enc.transformer_encode(stream, p, rows=range(len(stream)), **kw).data
+        pruned = enc.transformer_encode(stream, p, rows=rows, **kw).data
         np.testing.assert_allclose(pruned, full[rows], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("rows", [[3, 1], [1, 1, 3], []])
     def test_rows_must_be_strictly_increasing(self, rng, rows):
         p = _params(rng)
         with pytest.raises(DimensionError, match="strictly increasing"):
-            enc.transformer_encode([2, 5, 6, 3], p, rows=rows)
+            enc.transformer_encode([2, 5, 6, 3], p, blocks=[(0, 4)], rows=rows, positions=range(4))
 
     def test_parameter_count_independent_of_depth(self, rng):
         def size(n_layers):
@@ -101,10 +98,6 @@ class TestTransformerEncode:
             return sum(t.data.size for _, t in init.made)
 
         assert size(1) == size(4)
-
-    def test_segments_from_seps(self):
-        segs = enc.segments_from_seps(7, [3, 6])
-        assert segs == [0, 1, 1, 1, 2, 2, 2]
 
 
 class TestExtract:

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from gatedoc import autodiff as ad
 from gatedoc import checkpoint, synthetic, textpipe
 from gatedoc.cli import GRADCHECK_THRESHOLD
+from gatedoc.errors import DimensionError
 from gatedoc.model import (
     build_model, forward, forward_pack, one_hot, packs, predict, predict_all,
 )
-from gatedoc.textpipe import assemble_document
+from gatedoc.textpipe import CLS_ID, SEP_ID, assemble_document
 
 from conftest import make_doc, randomize_params, recording_functions, tiny_config
 from forward_oracle import oracle_forward
@@ -297,6 +298,21 @@ def test_last_layer_runs_only_at_the_sep_rows(scope):
                 rows[name].append(out.shape[0])
     n, k = len(doc.token_stream), len(doc.sep_positions)
     assert rows == {"wv": [n, n], **dict.fromkeys(weights[1:], [n, k])}
+
+
+def test_a_stream_past_its_last_sep_is_refused_under_sentence_scope():
+    # the trailing row is in no block, so the blocks do not tile the stream,
+    # whether the document is a pack's last or is followed by another
+    config = tiny_config(attention_scope="sentence")
+    params = build_model(config, VOCAB_SIZE, rng=np.random.default_rng(0))
+    trailing = textpipe.TokenizedDocument(
+        id="trailing", sentences=[], token_stream=[CLS_ID, 5, 6, SEP_ID, 7],
+        sep_positions=[3], sentence_spans=[], label=0, n_classes=3,
+    )
+    following = make_doc(np.random.default_rng(1), 2, VOCAB_SIZE)
+    for pack, match in [([trailing], "cover 4 of 5"), ([trailing, following], "follow row 4")]:
+        with pytest.raises(DimensionError, match=match):
+            forward_pack(pack, params)
 
 
 def test_parameter_keys_are_tensor_names(variant):
