@@ -2,20 +2,20 @@
 
 Covers exactly what the gated document classifier needs: 2-D matrix
 products, the affine map x W + b as one node, pointwise add and mul of
-equal shapes, multiplication by a python float, sigmoid/tanh/relu, row
-gather, n-ary concat, transpose, block-scoped multi-head attention
-(one node with a hand-written backward; query blocks of their own and a
-score scale serve the decoder), GRU runs over sequences packed by
-length (one node, input projections hoisted out of the step loop, and a
-hand-written backward through time), row-wise layer normalisation,
-binary cross-entropy, the one initializer that makes every parameter
-(drawn, filled with a constant, or taken from a checkpoint's arrays) and
-lists each one it makes, a fourth-order central-difference gradient
-checker and an Adam optimizer.  No op broadcasts but `mul`, whose second
-operand may be a column as tall as the first, scaling its rows (the gate
-application); a bias row enters only through `linear`, a scalar only
-through `scale`.  Each op checks the shapes it is given and raises
-DimensionError, so the model code above it does not check them again.
+equal shapes, sigmoid/tanh/relu, row gather, an n-ary concat that joins
+columns, transpose, block-scoped multi-head attention (one node with a
+hand-written backward; query blocks of their own and a score scale
+serve the decoder), GRU runs over sequences packed by length (one node,
+input projections hoisted out of the step loop, and a hand-written
+backward through time), row-wise layer normalisation, binary
+cross-entropy, the one initializer that makes every parameter (drawn,
+filled with a constant, or taken from a checkpoint's arrays) and lists
+each one it makes, a fourth-order central-difference gradient checker
+and an Adam optimizer.  No op broadcasts but `mul`, whose second operand
+may be a column as tall as the first, scaling its rows (the gate
+application); a bias row enters only through `linear`.  Each op checks
+the shapes it is given and raises DimensionError, so the model code
+above it does not check them again.
 
 Outside the GEMMs, most of an op's time goes to numpy passes over small
 arrays, so the kernels make few of them: results are formed in place
@@ -332,16 +332,6 @@ def mul(a, b):
     return _make("mul", ad * bd, (a, b), bw)
 
 
-def scale(x, c):
-    """Multiply by a python float, preserving dtype."""
-    factor = x.data.dtype.type(c)
-
-    def bw(g):
-        return (g * factor,)
-
-    return _make("scale", x.data * factor, (x,), bw)
-
-
 def _sigmoid(x):
     # exp(min(x, 0)) / (1 + exp(-|x|)) never exponentiates a positive
     # argument; it equals 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below
@@ -375,23 +365,17 @@ def relu(x):
     return _make("relu", np.maximum(x.data, 0), (x,), bw)
 
 
-def concat(tensors, axis=0):
-    """Concatenate tensors along `axis`; backward splits at the recorded boundaries."""
+def concat(tensors):
+    """2-D tensors of one height side by side; backward splits the columns."""
     tensors = tuple(tensors)
-    first = tensors[0]
-    ndim = first.data.ndim
-    if not 0 <= axis < ndim:
-        raise DimensionError(f"concat: axis {axis} out of range for shape {first.shape}")
-    for t in tensors[1:]:
-        if t.data.ndim != ndim:
-            raise DimensionError(f"concat: rank mismatch {first.shape} vs {t.shape}")
-        if any(ax != axis and first.shape[ax] != t.shape[ax] for ax in range(ndim)):
-            raise DimensionError(f"concat: incompatible shapes {first.shape} and {t.shape}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum([t.shape[axis] for t in tensors[:-1]])
+    rows = tensors[0].shape[:1]
+    if any(t.data.ndim != 2 or t.shape[:1] != rows for t in tensors):
+        raise DimensionError(f"concat: incompatible shapes {[t.shape for t in tensors]}")
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    bounds = np.cumsum([t.shape[1] for t in tensors[:-1]])
 
     def bw(g):
-        parts = np.split(g, bounds, axis=axis)
+        parts = np.split(g, bounds, axis=1)
         return tuple(p if t.requires_grad else None for p, t in zip(parts, tensors))
 
     return _make("concat", out, tensors, bw)
@@ -573,16 +557,15 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     return _make("attention", out, (q, k, v), bw)
 
 
-def gru(x, h0, w, u, b, lengths=None):
+def gru(x, h0, w, u, b, lengths):
     """GRU runs over consecutive runs of the rows of x, one run per
     sequence, as one node.
 
-    `lengths` cuts the n rows of x into consecutive sequences (default:
-    one sequence of all n rows); h0 holds one starting state per
-    sequence.  `w`, `u` and `b` are the (z, r, h) triples of input
-    weights (d_in x d), recurrent weights (d x d) and biases (1 x d).
-    Row j of the (n x d) output is its sequence's state after reading
-    row j of x:
+    `lengths` cuts the n rows of x into consecutive sequences; h0 holds
+    one starting state per sequence.  `w`, `u` and `b` are the (z, r, h)
+    triples of input weights (d_in x d), recurrent weights (d x d) and
+    biases (1 x d).  Row j of the (n x d) output is its sequence's state
+    after reading row j of x:
         z = sigmoid(x_j W_z + h U_z + b_z)
         r = sigmoid(x_j W_r + h U_r + b_r)
         c = tanh(x_j W_h + (r * h) U_h + b_h)
@@ -601,7 +584,7 @@ def gru(x, h0, w, u, b, lengths=None):
     if x.data.ndim != 2 or x.shape[0] < 1:
         raise DimensionError(f"gru: input must be 2-D with at least one row, got {x.shape}")
     n, d_in, d = x.shape[0], x.shape[1], h0.shape[-1]
-    lengths = [n] if lengths is None else [int(length) for length in lengths]
+    lengths = [int(length) for length in lengths]
     if not lengths or min(lengths) < 1 or sum(lengths) != n:
         raise DimensionError(f"gru: sequence lengths {lengths} do not cut {n} rows")
     expected = [(len(lengths), d)] + [(d_in, d)] * 3 + [(d, d)] * 3 + [(1, d)] * 3

@@ -57,16 +57,13 @@ def _load_config(args):
 
 
 def _prepare_splits(config):
-    """Raw corpus -> (train, dev, test) tokenized docs + vocab built on train."""
-    if config.train_data:
-        train_raw = read_raw_dataset(config.train_data, config.scheme).documents
-        dev_raw = read_raw_dataset(config.dev_data, config.scheme).documents
-        test_raw = read_raw_dataset(config.test_data, config.scheme).documents
-    elif config.data:
-        full = read_raw_dataset(config.data, config.scheme).documents
-        train_raw, dev_raw, test_raw = shuffle_split(full, config.seed)
-    else:
-        raise UsageError("config needs either data or train_data/dev_data/test_data")
+    """Raw corpus -> (train, dev, test) tokenized docs + vocab built on train;
+    a data key the run would ignore is refused before any file is read."""
+    given = [k for k in ("data", "train_data", "dev_data", "test_data") if getattr(config, k)]
+    if given not in (["data"], ["train_data", "dev_data", "test_data"]):
+        raise UsageError(f"config needs data or train_data, dev_data and test_data, not {given}")
+    read = [read_raw_dataset(getattr(config, k), config.scheme).documents for k in given]
+    train_raw, dev_raw, test_raw = shuffle_split(read[0], config.seed) if config.data else read
     if not train_raw or not dev_raw or not test_raw:
         raise DataError("one of the train/dev/test splits is empty")
     vocab = build_vocab(train_raw, min_freq=config.min_freq, max_size=config.max_vocab)

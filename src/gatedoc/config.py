@@ -1,7 +1,7 @@
 """Run configuration: desk-scale defaults, full-scale values selectable.
 
 Config files are flat ``key = value`` UTF-8 text with ``#`` comments.
-Unknown keys are rejected so typos fail loudly at load time.
+Unknown and repeated keys are rejected so typos fail loudly at load time.
 """
 
 from __future__ import annotations
@@ -100,8 +100,6 @@ class TrainConfig:
             raise UsageError("max_stream_len must leave room for [CLS] and one [SEP]")
         if self.d_out_hidden < 0:
             raise UsageError("d_out_hidden must be >= 0 (0 selects the default)")
-        if self.train_data and not (self.dev_data and self.test_data):
-            raise UsageError("train_data requires dev_data and test_data")
         return self
 
     @classmethod
@@ -152,7 +150,7 @@ def _parse_value(kind, raw):
 
 
 def parse_config_text(text):
-    values = {}
+    values, first_lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -162,6 +160,9 @@ def parse_config_text(text):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if not key or not raw:
             raise UsageError(f"config line {lineno}: empty key or value")
+        first = first_lines.setdefault(key, lineno)
+        if first != lineno:
+            raise UsageError(f"config line {lineno}: {key!r} given twice, first on line {first}")
         values[key] = _parse_value(_KINDS.get(key), raw)
     return values
 

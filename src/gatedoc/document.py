@@ -102,32 +102,28 @@ def gate(e_prime, gp):
     return scores.mean(axis=1), gated
 
 
-def encode_sequence(e_dprime, cell, lengths=None):
+def encode_sequence(e_dprime, cell, lengths):
     """Forward GRU states over each document's gated sentence rows, from
-    a zero state; `lengths` counts the rows of each document (default:
-    one document of all rows)."""
-    n_docs = 1 if lengths is None else len(lengths)
-    h0 = Tensor(np.zeros((n_docs, cell.u[0].shape[0]), dtype=e_dprime.data.dtype))
+    a zero state; `lengths` counts the rows of each document, in order."""
+    h0 = Tensor(np.zeros((len(lengths), cell.u[0].shape[0]), dtype=e_dprime.data.dtype))
     return ad.gru(e_dprime, h0, cell.w, cell.u, cell.b, lengths)
 
 
-def decode_document(encs, dp, lengths=None):
+def decode_document(encs, dp, lengths):
     """One-step decode: one document embedding per document (docs x d_g).
 
-    `lengths` counts each document's encoder states, in order (default:
-    one document of all rows).  dec_0 = tanh-FNN(enc_n) of a document's
-    last state is both its attention query and the decoder's initial
-    state; the context vector is the engine's attention of dec_0 over
-    that document's encoder states with Luong et al.'s unscaled dot
-    score (arXiv:1508.04025), and the decoder input is the start-symbol
-    embedding concatenated with it.
+    `lengths` counts each document's encoder states, in order.  A
+    document's dec_0 = tanh(enc_n W + b), from its last state, is both its
+    attention query and the decoder's initial state; the context vector
+    is the engine's attention of dec_0 over that document's encoder
+    states with Luong et al.'s unscaled dot score (arXiv:1508.04025), and
+    the decoder input is the start-symbol embedding concatenated with it.
     """
-    lengths = [encs.shape[0]] if lengths is None else lengths
     stops = list(itertools.accumulate(lengths))
     blocks = list(zip([0, *stops[:-1]], stops))
     enc_n = ad.gather_rows(encs, [stop - 1 for stop in stops])
     dec0 = ad.tanh(ad.linear(enc_n, dp.bridge_w, dp.bridge_b))
     one_each = [(i, i + 1) for i in range(len(lengths))]
     cnt = ad.attention(dec0, encs, encs, 1, blocks, q_blocks=one_each, scale=1.0)
-    x = ad.concat((ad.gather_rows(dp.start_emb, [0] * len(lengths)), cnt), axis=1)
+    x = ad.concat((ad.gather_rows(dp.start_emb, [0] * len(lengths)), cnt))
     return ad.gru(x, dec0, dp.dec_cell.w, dp.dec_cell.u, dp.dec_cell.b, [1] * len(lengths))

@@ -153,7 +153,7 @@ def classify_head(e_d, mp):
     """Per-class sigmoid scores from the document embedding (1 x n_classes)."""
     if mp.use_document_class_sim:
         c_d = encmod.class_similarity(e_d, mp.doc_sim)
-        head_in = ad.concat((e_d, c_d), axis=1)
+        head_in = ad.concat((e_d, c_d))
     else:
         head_in = e_d
     h = ad.relu(ad.linear(head_in, mp.out_w1, mp.out_b1))
@@ -204,7 +204,7 @@ def forward_pack(docs, mp):
     )
     if mp.use_sentence_class_sim:
         c = encmod.class_similarity(e, mp.sent_sim)
-        e_prime = ad.concat((e, c), axis=1)
+        e_prime = ad.concat((e, c))
     else:
         e_prime = e
     if mp.use_gate:

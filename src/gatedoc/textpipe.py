@@ -56,8 +56,8 @@ class RawDocument:
 
 @dataclass(frozen=True)
 class Limits:
-    max_sentences: int = 50
-    max_stream_len: int = 512
+    max_sentences: int
+    max_stream_len: int
 
 
 @dataclass
@@ -172,7 +172,7 @@ def tokenize(text, vocab):
     return [get(tok, UNK_ID) for tok in tokenize_words(text)]
 
 
-def build_vocab(corpus, min_freq=2, max_size=20000):
+def build_vocab(corpus, min_freq, max_size):
     """Frequency-capped word vocabulary over raw documents.
 
     Ties at the size cap break lexicographically; identical corpora

@@ -94,7 +94,8 @@ def _batch_step(batch, params, named, optimizer, batch_index):
                     f"a smaller learning_rate than {optimizer.learning_rate} may keep it finite"
                 )
         losses.extend(float(value) for value in values)
-        ad.backward(ad.scale(ad.bce_loss(probs, target), len(pack) / len(batch)))
+        weight = ad.Tensor(np.full((1, 1), len(pack) / len(batch), params.dtype()))
+        ad.backward(ad.mul(ad.bce_loss(probs, target), weight))
     ad.adam_step(named, optimizer)
     return losses
 

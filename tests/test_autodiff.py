@@ -91,22 +91,9 @@ class TestColumnMajorProduct:
 
 
 class TestElementwise:
-    def test_scalar_identity(self):
-        x = t([[2.0, 4.0, 6.0]])
-        out = ad.scale(x, 1.0)
-        np.testing.assert_array_equal(out.data, x.data)
-
     def test_add_vectors(self):
         out = ad.add(t([1.0, 2.0]), t([3.0, 4.0]))
         assert out.data.tolist() == [4.0, 6.0]
-
-    def test_scalar_gate_halves(self):
-        out = ad.scale(t([2.0, 4.0, 6.0]), 0.5)
-        assert out.data.tolist() == [1.0, 2.0, 3.0]
-
-    def test_scale_keeps_float32(self):
-        x = Tensor(np.array([[1.0, 3.0]], dtype=np.float32))
-        assert ad.scale(x, 0.1).data.dtype == np.float32
 
     def test_row_broadcast(self, rng):
         # a bias row enters through `linear`; add and mul refuse to broadcast it
@@ -158,25 +145,22 @@ class TestActivations:
 
 
 class TestConcatSplit:
-    def test_concat_1d(self):
-        out = ad.concat((t([1.0, 2.0]), t([3.0])), axis=0)
-        assert out.data.tolist() == [1.0, 2.0, 3.0]
-
     def test_widths_add_up(self, rng):
         e = t(rng.standard_normal((2, 5)))
         c = t(rng.standard_normal((2, 3)))
-        assert ad.concat((e, c), axis=1).shape == (2, 8)
+        assert ad.concat((e, c)).shape == (2, 8)
 
     def test_slice_round_trip_exact(self, rng):
         parts = [rng.standard_normal((3, w)) for w in (2, 4, 1)]
-        merged = ad.concat([t(p) for p in parts], axis=1).data
+        merged = ad.concat([t(p) for p in parts]).data
         np.testing.assert_array_equal(merged[:, 0:2], parts[0])
         np.testing.assert_array_equal(merged[:, 2:6], parts[1])
         np.testing.assert_array_equal(merged[:, 6:7], parts[2])
 
-    def test_axis_out_of_range(self):
-        with pytest.raises(DimensionError):
-            ad.concat((t(np.ones((2, 2))), t(np.ones((2, 2)))), axis=2)
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 1)])
+    def test_joins_only_2d_tensors(self, shape):
+        with pytest.raises(DimensionError, match="incompatible shapes"):
+            ad.concat((t(np.ones((2, 2))), t(np.ones(shape))))
 
 
 def _softmax(x):
@@ -391,18 +375,24 @@ def _gru_inputs(rng, n, d_in, d, h0_grad=True, dtype=np.float64):
     return x, h0, w, u, b
 
 
-def _composed_gru(x, h0, w, u, b):
-    """The same recurrence built step by step from elementary ops."""
-    ones = Tensor(np.ones(h0.shape))
+def _stack_rows(tensors):
+    """The rows of `tensors` one under another, by engine ops (exact)."""
+    return ad.transpose(ad.concat([ad.transpose(x) for x in tensors]))
+
+
+def _composed_gru(x, h0, w, u, b, lengths):
+    """The same recurrence, one sequence of all rows (`lengths` is [n]),
+    built step by step from elementary ops."""
+    ones, minus_one = Tensor(np.ones(h0.shape)), Tensor(np.full(h0.shape, -1.0))
     h, states = h0, []
     for i in range(x.shape[0]):
         xi = ad.gather_rows(x, [i])
         z = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[0]), ad.matmul(h, u[0])), b[0]))
         r = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[1]), ad.matmul(h, u[1])), b[1]))
         c = ad.tanh(ad.add(ad.add(ad.matmul(xi, w[2]), ad.matmul(ad.mul(r, h), u[2])), b[2]))
-        h = ad.add(ad.mul(ad.add(ones, ad.scale(z, -1.0)), h), ad.mul(z, c))
+        h = ad.add(ad.mul(ad.add(ones, ad.mul(z, minus_one)), h), ad.mul(z, c))
         states.append(h)
-    return ad.concat(states, axis=0)
+    return _stack_rows(states)
 
 
 # (rows, d_in, d): one step; several steps; a long run; a narrow state
@@ -418,7 +408,7 @@ class TestGru:
         results = []
         for run in (ad.gru, _composed_gru):
             ad.zero_grad(inputs)
-            out = run(x, h0, w, u, b)
+            out = run(x, h0, w, u, b, [n])
             ad.backward(total(ad.mul(out, weight)))
             results.append((out.data, [p.grad for p in inputs]))
         (fused, fused_grads), (composed, composed_grads) = results
@@ -430,7 +420,7 @@ class TestGru:
 
     def test_float32_in_float32_out(self, rng):
         x, h0, w, u, b = _gru_inputs(rng, 4, 3, 5, dtype=np.float32)
-        out = ad.gru(x, h0, w, u, b)
+        out = ad.gru(x, h0, w, u, b, [4])
         assert out.data.dtype == np.float32
         ad.backward(total(out))
         assert all(p.grad.dtype == np.float32 for p in [x, h0, *w, *u, *b])
@@ -449,7 +439,7 @@ class TestGru:
     )
     def test_shape_mismatch(self, rng, field, index, shape):
         x, h0, w, u, b = _gru_inputs(rng, 2, 3, 4)
-        args = {"x": x, "h0": h0, "w": list(w), "u": list(u), "b": list(b)}
+        args = {"x": x, "h0": h0, "w": list(w), "u": list(u), "b": list(b), "lengths": [2]}
         bad = t(np.zeros(shape))
         if index is None:
             args[field] = bad
@@ -461,7 +451,7 @@ class TestGru:
     def test_triples_must_have_three_entries(self, rng):
         x, h0, w, u, b = _gru_inputs(rng, 2, 3, 4)
         with pytest.raises(DimensionError):
-            ad.gru(x, h0, w[:2], u, b)
+            ad.gru(x, h0, w[:2], u, b, [2])
 
 
 def _single_sequence_gru(x, h0, w, u, b, g):
@@ -507,13 +497,11 @@ class TestGruLengths:
         inputs = [x, h0, *w, *u, *b]
         weight = Tensor(rng.uniform(-1, 1, (n, d)))
         want_out, want_grads = _single_sequence_gru(x, h0, w, u, b, weight.data)
-        for lengths in (None, [n]):
-            ad.zero_grad(inputs)
-            out = ad.gru(x, h0, w, u, b, lengths)
-            ad.backward(total(ad.mul(out, weight)))
-            np.testing.assert_array_equal(out.data, want_out)
-            for p, want in zip(inputs, want_grads):
-                np.testing.assert_array_equal(p.grad, want)
+        out = ad.gru(x, h0, w, u, b, [n])
+        ad.backward(total(ad.mul(out, weight)))
+        np.testing.assert_array_equal(out.data, want_out)
+        for p, want in zip(inputs, want_grads):
+            np.testing.assert_array_equal(p.grad, want)
 
     @pytest.mark.parametrize("lengths", [[3, 1, 2], [1, 1, 1, 1], [2, 5], [4]])
     def test_packed_sequences_equal_separate_runs(self, rng, lengths):
@@ -529,10 +517,10 @@ class TestGruLengths:
         ad.zero_grad(params)
         stops = np.cumsum(lengths)
         runs = [
-            ad.gru(ad.gather_rows(x, range(stop - k, stop)), ad.gather_rows(h0, [i]), w, u, b)
+            ad.gru(ad.gather_rows(x, range(stop - k, stop)), ad.gather_rows(h0, [i]), w, u, b, [k])
             for i, (stop, k) in enumerate(zip(stops, lengths))
         ]
-        separate = ad.concat(runs, axis=0)
+        separate = _stack_rows(runs)
         ad.backward(total(ad.mul(separate, weight)))
         np.testing.assert_allclose(packed.data, separate.data, rtol=0, atol=1e-12)
         for p, g in zip(params, got):
@@ -677,15 +665,14 @@ def _every_op(rng, dtype):
         "linear": ad.linear(x, leaf(6, 3), leaf(1, 3)),
         "add": ad.add(x, y),
         "mul": ad.mul(x, leaf(4, 1)),
-        "scale": ad.scale(x, 0.5),
         "sigmoid": ad.sigmoid(x),
         "tanh": ad.tanh(x),
         "relu": ad.relu(x),
-        "concat": ad.concat((x, y), axis=1),
+        "concat": ad.concat((x, y)),
         "gather_rows": ad.gather_rows(x, [3, 0, 3]),
         "transpose": ad.transpose(x),
         "attention": ad.attention(x, y, y, 2, [(0, 1), (1, 4)]),
-        "gru": ad.gru(x, leaf(1, 5), *gru_triples),
+        "gru": ad.gru(x, leaf(1, 5), *gru_triples, [4]),
         "layer_norm": ad.layer_norm(x, leaf(1, 6), leaf(1, 6)),
         "bce_loss": ad.bce_loss(ad.sigmoid(x), Tensor(np.eye(4, 6, dtype=dtype))),
     }
@@ -741,9 +728,9 @@ class TestBackward:
     def test_a_walked_graph_is_not_walked_again(self):
         x = t([[3.0]])
         y = ad.tanh(ad.mul(x, x))
-        ad.backward(ad.scale(y, 2.0))
+        ad.backward(ad.mul(y, t([[2.0]], grad=False)))
         with pytest.raises(UsageError, match="earlier backward"):
-            ad.backward(ad.scale(y, 0.5))  # a new loss over the walked y
+            ad.backward(ad.mul(y, t([[0.5]], grad=False)))  # a new loss over the walked y
         with pytest.raises(UsageError, match="earlier backward"):
             ad.backward(y)
 
@@ -837,10 +824,6 @@ class TestGradCheckPerOp:
         b = t(rng.uniform(-1, 1, (3, 4)))
         _check(lambda: total(ad.tanh(op(a, b))), [a, b])
 
-    def test_scale(self, rng):
-        x = t(rng.uniform(-1, 1, (3, 4)))
-        _check(lambda: total(ad.tanh(ad.scale(x, -1.5))), [x])
-
     @pytest.mark.parametrize("kind", ["sigmoid", "tanh"])
     def test_smooth_activations(self, rng, kind):
         x = t(rng.uniform(-1, 1, (3, 4)))
@@ -857,7 +840,7 @@ class TestGradCheckPerOp:
         b = t(rng.uniform(-1, 1, (2, 2)))
         # a distinct weight per column, so a misplaced split boundary shows
         w = t(rng.uniform(-1, 1, (2, 8)), grad=False)
-        _check(lambda: total(ad.mul(ad.tanh(ad.concat((a, b, a), axis=1)), w)), [a, b])
+        _check(lambda: total(ad.mul(ad.tanh(ad.concat((a, b, a))), w)), [a, b])
 
     def test_gather_rows_with_repeats(self, rng):
         table = t(rng.uniform(-1, 1, (5, 3)))
@@ -894,7 +877,7 @@ class TestGradCheckPerOp:
         x, h0, w, u, b = _gru_inputs(rng, n, d_in, d, h0_grad=h0_grad)
         weight = t(rng.uniform(-1, 1, (n, d)), grad=False)
         params = [x, *([h0] if h0_grad else []), *w, *u, *b]
-        _check(lambda: total(ad.mul(ad.gru(x, h0, w, u, b), weight)), params)
+        _check(lambda: total(ad.mul(ad.gru(x, h0, w, u, b, [n]), weight)), params)
 
     def test_gru_packed_by_length(self, rng):
         # three sequences whose steps run 3, 2 and 1 of them, each from

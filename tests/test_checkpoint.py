@@ -27,7 +27,7 @@ HEADER_START = 12  # magic, version and header length precede the JSON header
 
 def _vocab():
     corpus = [tp.RawDocument(id="0", text="a movie. the movie was great! the end.", score=5)]
-    return tp.build_vocab(corpus, min_freq=1)
+    return tp.build_vocab(corpus, min_freq=1, max_size=100)
 
 
 def _saved(tmp_path, dtype="float64", learning_rate=1e-3):

@@ -31,7 +31,8 @@ def _config(tmp_path, data, **values):
     )
     base.update(values)
     path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()), encoding="utf-8")
+    lines = (f"{k} = {v}\n" for k, v in base.items() if v is not None)  # None: key left out
+    path.write_text("".join(lines), encoding="utf-8")
     return path
 
 
@@ -98,6 +99,31 @@ def test_empty_path_is_data_error_where_it_is_opened(trained, command, empty):
 def test_train_with_missing_data_file_is_data_error(tmp_path):
     config = _config(tmp_path, tmp_path / "missing.jsonl")
     assert main(["train", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("keys", [
+    ("data", "dev_data"),
+    ("data", "train_data", "dev_data", "test_data"),
+    ("dev_data",),
+    ("test_data",),
+    ("dev_data", "test_data"),
+    (),
+], ids=lambda keys: "+".join(keys) or "none")
+def test_data_keys_the_run_would_ignore_are_refused_before_any_read(tmp_path, capsys, keys):
+    # every named file is missing, so reading any of them would exit 2
+    values = {key: tmp_path / f"missing_{key}.jsonl" for key in keys}
+    path = _config(tmp_path, **{"data": None, **values})
+    assert main(["train", "--config", str(path)]) == 1
+    assert f"test_data, not {list(values)}" in capsys.readouterr().err
+
+
+def test_train_reads_three_split_files(tmp_path):
+    splits = {}
+    for seed, key in enumerate(("train_data", "dev_data", "test_data")):
+        splits[key] = tmp_path / f"{key}.jsonl"
+        corpus = synthetic.generate_key_sentence_corpus(16, seed=seed)
+        synthetic.write_corpus(corpus, splits[key])
+    assert main(["train", "--config", str(_config(tmp_path, None, **splits))]) == 0
 
 
 def test_train_writes_one_json_line_per_epoch(tmp_path, monkeypatch):

@@ -26,6 +26,14 @@ def test_line_without_equals_is_rejected():
         _from_text("# comment\nbatch_size 8\n")
 
 
+def test_a_key_given_twice_is_rejected(tmp_path):
+    with pytest.raises(UsageError, match=r"line 3: 'd_h' given twice, first on line 1"):
+        parse_config_text("d_h = 64\n# wider\nd_h = 128\n")
+    path = tmp_path / "run.cfg"
+    path.write_text("data = corpus.jsonl\nd_h = 64\nd_h = 128\n", encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 1
+
+
 def test_asdict_from_dict_round_trip():
     config = TrainConfig(
         scheme="ten_scale", data="corpus.jsonl", learning_rate=2e-5, batch_size=64,
@@ -169,3 +177,6 @@ def test_any_config_text_is_a_valid_config_or_a_usage_error(text):
             assert type(value).__name__ == kind, name
         if kind == "float":
             assert math.isfinite(value), name
+    if parse_config_text(text):  # the text twice sets each of its keys twice
+        with pytest.raises(UsageError, match="given twice"):
+            parse_config_text(f"{text}\n{text}")

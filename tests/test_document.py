@@ -30,7 +30,7 @@ def _by_gate(cell):
 
 
 def _gru(x, h0, cell):
-    return ad.gru(x, h0, cell.w, cell.u, cell.b)
+    return ad.gru(x, h0, cell.w, cell.u, cell.b, [x.shape[0]])
 
 
 def _doc_encoder(rng, d_in, d_g):
@@ -144,7 +144,7 @@ class TestEncodeSequence:
     def test_chained_single_steps_equal_one_run(self, rng):
         cell = _cell(rng, 3, 4)
         e = rng.standard_normal((5, 3))
-        encs = doc.encode_sequence(Tensor(e), cell)
+        encs = doc.encode_sequence(Tensor(e), cell, [5])
         h = Tensor(np.zeros((1, 4)))
         for i in range(5):
             h = _gru(Tensor(e[i : i + 1]), h, cell)
@@ -153,14 +153,14 @@ class TestEncodeSequence:
     def test_prefix_property(self, rng):
         cell = _cell(rng, 3, 4)
         e = rng.standard_normal((5, 3))
-        full = doc.encode_sequence(Tensor(e), cell)
-        prefix = doc.encode_sequence(Tensor(e[:3]), cell)
+        full = doc.encode_sequence(Tensor(e), cell, [5])
+        prefix = doc.encode_sequence(Tensor(e[:3]), cell, [3])
         np.testing.assert_allclose(prefix.data, full.data[:3], atol=1e-15)
 
     def test_against_step_oracle(self, rng):
         cell = _cell(rng, 3, 4)
         e = rng.standard_normal((3, 3))
-        encs = doc.encode_sequence(Tensor(e), cell)
+        encs = doc.encode_sequence(Tensor(e), cell, [3])
 
         def sig(v):
             return 1 / (1 + np.exp(-v))
@@ -257,8 +257,8 @@ class TestDecodeDocument:
     def test_single_sentence_attention_is_one(self, rng):
         # one state takes all the weight: the context vector is enc_0
         dp, _ = _doc_encoder(rng, 3, 4)
-        encs = doc.encode_sequence(Tensor(rng.standard_normal((1, 3))), dp.enc_cell)
-        e_d = doc.decode_document(encs, dp)
+        encs = doc.encode_sequence(Tensor(rng.standard_normal((1, 3))), dp.enc_cell, [1])
+        e_d = doc.decode_document(encs, dp, [1])
         assert e_d.shape == (1, 4)
         np.testing.assert_allclose(e_d.data, _decoded(encs.data, dp, encs.data), atol=1e-12)
 
@@ -267,16 +267,16 @@ class TestDecodeDocument:
         dp, _ = _doc_encoder(rng, 3, 4)
         dp.bridge_w.data = np.zeros_like(dp.bridge_w.data)
         dp.bridge_b.data = np.zeros_like(dp.bridge_b.data)
-        encs = doc.encode_sequence(Tensor(rng.standard_normal((3, 3))), dp.enc_cell).data
-        e_d = doc.decode_document(Tensor(encs), dp)
+        encs = doc.encode_sequence(Tensor(rng.standard_normal((3, 3))), dp.enc_cell, [3]).data
+        e_d = doc.decode_document(Tensor(encs), dp, [3])
         mean = encs.mean(axis=0, keepdims=True)
         np.testing.assert_allclose(e_d.data, _decoded(encs, dp, mean), atol=1e-12)
 
     def test_against_equation_transcription_oracle(self, rng):
         dp, _ = _doc_encoder(rng, 3, 4)
         e = rng.standard_normal((3, 3))
-        encs = doc.encode_sequence(Tensor(e), dp.enc_cell)
-        e_d = doc.decode_document(encs, dp)
+        encs = doc.encode_sequence(Tensor(e), dp.enc_cell, [3])
+        e_d = doc.decode_document(encs, dp, [3])
 
         h = np.zeros((1, 4))
         states = []
@@ -301,8 +301,8 @@ class TestGateInfluenceInvariant:
             scores, _ = doc.gate(Tensor(e_prime), gp)
             scores[1] = 0.0  # close sentence 1's gate
             gated = ad.mul(Tensor(e_prime), Tensor(scores[:, None]))
-            encs = doc.encode_sequence(gated, dp.enc_cell)
-            e_d = doc.decode_document(encs, dp)
+            encs = doc.encode_sequence(gated, dp.enc_cell, [3])
+            e_d = doc.decode_document(encs, dp, [3])
             return e_d.data
 
         e = rng.standard_normal((3, width))
@@ -328,8 +328,8 @@ class TestGateInfluenceInvariant:
             total = None
             for e in inputs:
                 _, gated = doc.gate(e, gp)
-                encs = doc.encode_sequence(gated, dp.enc_cell)
-                e_d = doc.decode_document(encs, dp)
+                encs = doc.encode_sequence(gated, dp.enc_cell, [n_sentences])
+                e_d = doc.decode_document(encs, dp, [n_sentences])
                 loss = ad.bce_loss(ad.sigmoid(ad.matmul(e_d, w_out)), target)
                 total = loss if total is None else ad.add(total, loss)
             return total

@@ -176,24 +176,25 @@ class TestClassSimilarity:
 
 
 class TestEnrich:
-    """`model.forward` appends the class similarities with `concat` on axis 1."""
+    """`model.forward_pack` appends the class similarities with `concat`,
+    which joins columns."""
 
     def test_width_is_sum(self, rng):
         e = Tensor(rng.standard_normal((2, 3)))
         c = Tensor(rng.standard_normal((2, 2)))
-        assert ad.concat((e, c), axis=1).shape == (2, 5)
+        assert ad.concat((e, c)).shape == (2, 5)
 
     def test_prefix_is_sentence_embedding(self, rng):
         e = Tensor(rng.standard_normal((3, 4)))
         c = Tensor(rng.standard_normal((3, 3)))
-        out = ad.concat((e, c), axis=1)
+        out = ad.concat((e, c))
         np.testing.assert_array_equal(out.data[:, :4], e.data)
         np.testing.assert_array_equal(out.data[:, 4:], c.data)
 
     def test_row_mismatch(self, rng):
         e, c = Tensor(rng.standard_normal((2, 3))), Tensor(rng.standard_normal((3, 3)))
         with pytest.raises(DimensionError, match="incompatible shapes"):
-            ad.concat((e, c), axis=1)
+            ad.concat((e, c))
 
 
 class TestFiniteness:

@@ -213,7 +213,7 @@ def test_pack_equals_its_documents_one_by_one(variant, sentences, seed):
     summed = {name: t.grad.copy() for name, t in params.named_parameters()}
     ad.zero_grad(leaves)
     target = one_hot([doc.label for doc in pack], config.n_classes, np.float64)
-    loss = ad.scale(ad.bce_loss(packed.probs, target), float(len(pack)))
+    loss = ad.mul(ad.bce_loss(packed.probs, target), ad.Tensor(np.full((1, 1), len(pack), float)))
     assert abs(float(loss.data.reshape(())) - singles) <= 1e-12
     ad.backward(loss)
     for name, t in params.named_parameters():
@@ -394,7 +394,8 @@ def test_every_engine_op_has_a_caller():
         config, params, rng = _model(variant)
         doc = make_doc(rng, 3, VOCAB_SIZE)
         target = one_hot(doc.label, config.n_classes, np.float64)
-        loss = ad.scale(ad.bce_loss(forward(doc, params).probs, target), 0.5)
+        half = ad.Tensor(np.full((1, 1), 0.5))
+        loss = ad.mul(ad.bce_loss(forward(doc, params).probs, target), half)
         seen |= {t.node.op for t in ad.Graph.trace(loss).nodes}
     assert seen == _recorded_op_kinds()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gatedoc import textpipe as tp
 from gatedoc.checkpoint import load_checkpoint, save_checkpoint
+from gatedoc.config import TrainConfig
 from gatedoc.errors import DataError, UsageError
 from gatedoc.model import build_model
 
@@ -16,6 +17,8 @@ from conftest import JSONL_LINES, tiny_config
 # the tokenizer's specification: runs of word characters, and every other
 # non-space character on its own
 WORD_RE = re.compile(r"\w+|[^\w\s]")
+
+LIMITS = TrainConfig().limits()  # the pipeline limits a default run uses
 
 
 def rd(i, text, score=1):
@@ -111,12 +114,12 @@ class TestSegmentation:
 
 class TestVocab:
     def test_min_freq_filters(self):
-        vocab = tp.build_vocab([rd(0, "a a b")], min_freq=2)
+        vocab = tp.build_vocab([rd(0, "a a b")], min_freq=2, max_size=100)
         assert "a" in vocab.token_to_id
         assert "b" not in vocab.token_to_id
 
     def test_reserved_ids_fixed(self):
-        vocab = tp.build_vocab([rd(0, "a a")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "a a")], min_freq=1, max_size=100)
         assert vocab.id_to_token[:5] == list(tp.RESERVED_TOKENS)
         assert tp.PAD_ID == 0 and tp.UNK_ID == 1 and tp.CLS_ID == 2
         assert tp.SEP_ID == 3 and tp.START_ID == 4
@@ -125,7 +128,7 @@ class TestVocab:
         corpus = [rd(i, "the cat sat on the mat. again!") for i in range(3)]
         blobs = []
         for run in range(2):
-            vocab = tp.build_vocab(corpus, min_freq=1)
+            vocab = tp.build_vocab(corpus, min_freq=1, max_size=100)
             blobs.append(_checkpoint_with(vocab, tmp_path / f"run{run}.gdoc").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -136,10 +139,10 @@ class TestVocab:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(UsageError):
-            tp.build_vocab([])
+            tp.build_vocab([], min_freq=1, max_size=100)
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = tp.build_vocab([rd(0, "alpha beta alpha gamma.")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "alpha beta alpha gamma.")], min_freq=1, max_size=100)
         _, _, loaded = load_checkpoint(_checkpoint_with(vocab, tmp_path / "model.gdoc"))
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.token_to_id == vocab.token_to_id
@@ -147,7 +150,7 @@ class TestVocab:
 
 class TestTokenize:
     def test_words_and_punctuation(self):
-        vocab = tp.build_vocab([rd(0, "good movie. good movie.")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "good movie. good movie.")], min_freq=1, max_size=100)
         ids = tp.tokenize("Good movie.", vocab)
         assert ids == [
             vocab.token_to_id["good"],
@@ -156,11 +159,11 @@ class TestTokenize:
         ]
 
     def test_unknown_word_maps_to_unk(self):
-        vocab = tp.build_vocab([rd(0, "known known")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "known known")], min_freq=1, max_size=100)
         assert tp.tokenize("unknown", vocab) == [tp.UNK_ID]
 
     def test_empty_string(self):
-        vocab = tp.build_vocab([rd(0, "x x")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "x x")], min_freq=1, max_size=100)
         assert tp.tokenize("", vocab) == []
 
     @pytest.mark.parametrize(
@@ -182,7 +185,7 @@ class TestTokenize:
 
 
 def _assemble(sentence_ids, limits=None, label=0):
-    limits = limits or tp.Limits()
+    limits = limits or LIMITS
     spans = [(i, i + 1) for i in range(len(sentence_ids))]
     return tp.assemble_document(
         sentence_ids, spans, limits, doc_id="t", label=label, n_classes=3
@@ -290,8 +293,8 @@ class TestLoadDataset:
                 for i in range(3)
             ],
         )
-        vocab = tp.build_vocab([rd(0, "sentence number 0 1 2 . " * 3)], min_freq=1)
-        loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+        vocab = tp.build_vocab([rd(0, "sentence number 0 1 2 . " * 3)], min_freq=1, max_size=100)
+        loaded = tp.load_dataset(path, "three_way", vocab, LIMITS)
         assert [d.id for d in loaded.documents] == ["d0", "d1", "d2"]
         assert loaded.skipped == 0
 
@@ -304,8 +307,8 @@ class TestLoadDataset:
                 {"id": "bad", "text": "Broken.", "score": 11},
             ],
         )
-        vocab = tp.build_vocab([rd(0, "fine movie broken . " * 2)], min_freq=1)
-        loaded = tp.load_dataset(path, "ten_scale", vocab, tp.Limits())
+        vocab = tp.build_vocab([rd(0, "fine movie broken . " * 2)], min_freq=1, max_size=100)
+        loaded = tp.load_dataset(path, "ten_scale", vocab, LIMITS)
         assert [d.id for d in loaded.documents] == ["ok"]
         assert loaded.skipped == 1
 
@@ -334,8 +337,8 @@ class TestLoadDataset:
             ("null", None), ("missing", None), ("labelled", 4)
         ]
         assert raw.skipped == 0
-        vocab = tp.build_vocab([rd(0, "fine movie . " * 2)], min_freq=1)
-        loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+        vocab = tp.build_vocab([rd(0, "fine movie . " * 2)], min_freq=1, max_size=100)
+        loaded = tp.load_dataset(path, "three_way", vocab, LIMITS)
         assert [d.label for d in loaded.documents] == [None, None, 2]
 
     def test_line_that_is_not_utf8_skipped_with_count(self, tmp_path):
@@ -360,8 +363,8 @@ class TestLoadDataset:
     def test_malformed_json_skipped(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "text": "Good.", "score": 2}\nnot json\n')
-        vocab = tp.build_vocab([rd(0, "good . " * 2)], min_freq=1)
-        loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+        vocab = tp.build_vocab([rd(0, "good . " * 2)], min_freq=1, max_size=100)
+        loaded = tp.load_dataset(path, "three_way", vocab, LIMITS)
         assert loaded.skipped == 1
 
     def test_line_nested_too_deep_skipped_with_count(self, tmp_path):
@@ -383,23 +386,23 @@ class TestLoadDataset:
         )
         raw = tp.read_raw_dataset(path, "three_way")
         assert [d.id for d in raw.documents] == ["ok", "blank"] and raw.skipped == 0
-        vocab = tp.build_vocab([rd(0, "good film . " * 2)], min_freq=1)
-        prepared = tp.prepare_documents(raw.documents, "three_way", vocab, tp.Limits(), path)
+        vocab = tp.build_vocab([rd(0, "good film . " * 2)], min_freq=1, max_size=100)
+        prepared = tp.prepare_documents(raw.documents, "three_way", vocab, LIMITS, path)
         assert [d.id for d in prepared.documents] == ["ok"] and prepared.skipped == 1
-        loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+        loaded = tp.load_dataset(path, "three_way", vocab, LIMITS)
         assert [d.id for d in loaded.documents] == ["ok"] and loaded.skipped == 1
 
     def test_empty_file_is_data_error(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        vocab = tp.build_vocab([rd(0, "x x")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "x x")], min_freq=1, max_size=100)
         with pytest.raises(DataError):
-            tp.load_dataset(path, "three_way", vocab, tp.Limits())
+            tp.load_dataset(path, "three_way", vocab, LIMITS)
 
     def test_unreadable_file_is_io_error(self, tmp_path):
-        vocab = tp.build_vocab([rd(0, "x x")], min_freq=1)
+        vocab = tp.build_vocab([rd(0, "x x")], min_freq=1, max_size=100)
         with pytest.raises(OSError):
-            tp.load_dataset(tmp_path / "missing.jsonl", "three_way", vocab, tp.Limits())
+            tp.load_dataset(tmp_path / "missing.jsonl", "three_way", vocab, LIMITS)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,7 @@ class TestPipelineDeterminism:
         corpus = [rd(0, "nice film great acting terrible boring plot . ! " * 2)]
         results = []
         for _ in range(2):
-            vocab = tp.build_vocab(corpus, min_freq=1)
-            loaded = tp.load_dataset(path, "three_way", vocab, tp.Limits())
+            vocab = tp.build_vocab(corpus, min_freq=1, max_size=100)
+            loaded = tp.load_dataset(path, "three_way", vocab, LIMITS)
             results.append([(d.id, d.token_stream, d.sep_positions, d.label) for d in loaded.documents])
         assert results[0] == results[1]
