@@ -31,7 +31,7 @@ from .textpipe import (
     read_raw_dataset,
     shuffle_split,
 )
-from .training import ablation_run, evaluate, require_labels, train
+from .training import MAX_SEEDS, ablation_run, evaluate, require_labels, train
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -145,8 +145,8 @@ def cmd_explain(args):
 
 
 def cmd_ablate(args):
-    if args.seeds < 1:  # refused before any data is read
-        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+    if not 1 <= args.seeds <= MAX_SEEDS:  # refused before any data is read
+        raise UsageError(f"--seeds must be 1 to {MAX_SEEDS}, got {args.seeds}")
     config = _load_config(args)
     train_docs, dev_docs, test_docs, vocab = _prepare_splits(config)
     seeds = [config.seed + i for i in range(args.seeds)]
@@ -157,10 +157,15 @@ def cmd_ablate(args):
         _write_json({"rows": [asdict(r) for r in rows]}, args.out)
     width = max(len(r.label) for r in rows)
     for row in rows:
-        extra = "" if row.p_value_vs_full is None else f"  p={row.p_value_vs_full:.5f}"
+        extra = "" if row.p_value_vs_full is None else f"  p={row.p_value_vs_full:.5g}"
         print(
             f"{row.label:<{width}}  test {row.test_accuracy:.4f} "
             f"(dev {row.dev_accuracy:.4f}){extra}"
+        )
+    if args.seeds >= 2:
+        print(
+            f"p: exact paired sign-flip test over {args.seeds} seeds; "
+            f"the smallest p it can give is 2/2^{args.seeds} = {2 / 2 ** args.seeds:g}"
         )
     return 0
 
@@ -276,7 +281,11 @@ def build_parser():
 
     p = sub.add_parser("ablate", help="train the full model and its three ablations")
     common(p, seed=True, config=True)
-    p.add_argument("--seeds", type=int, default=1, help="seeds per variant (>=2 adds t-tests)")
+    p.add_argument(
+        "--seeds", type=int, default=1,
+        help=f"seeds per variant, 1 to {MAX_SEEDS}; 2 or more add exact paired sign-flip "
+        "p-values, and p < 0.05 needs at least 6",
+    )
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("analyze", help="stddev report and error histogram on a dataset")

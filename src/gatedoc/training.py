@@ -1,4 +1,5 @@
-"""Training loop, accuracy evaluation, and the four-row ablation run.
+"""Training loop, accuracy evaluation, and the four-row ablation run with
+its paired sign-flip test.
 
 Training is fully seeded: parameter init consumes one generator in a
 fixed order and each epoch's batch order comes from (seed, epoch), so a
@@ -16,7 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from . import model as modmod
 from .errors import TrainingError, UsageError
-from .stats import welch_ttest
 from .textpipe import make_batches
 
 logger = logging.getLogger(__name__)
@@ -27,6 +27,7 @@ ABLATION_VARIANTS = (
     ("- Gated sentence embedding", {"use_gate": False}),
     ("- Class similarity embedding for a document", {"use_document_class_sim": False}),
 )
+MAX_SEEDS = 20  # the sign-flip test enumerates 2**seeds sums
 
 
 @dataclass
@@ -163,36 +164,59 @@ def train(train_docs, dev_docs, config, vocab_size):
     )
 
 
+def sign_flip_p_value(differences):
+    """Exact two-sided p-value of the paired sign-flip test.
+
+    Under the null hypothesis each per-seed difference is as likely to
+    have either sign, so all 2**n signed sums are equally likely; p is the
+    share of them at least as far from 0 as the observed sum.  Integer
+    differences compare exactly, so ties count without a tolerance.
+    """
+    differences = list(differences)
+    if not 2 <= len(differences) <= MAX_SEEDS:
+        raise UsageError(
+            f"the sign-flip test needs 2 to {MAX_SEEDS} differences, got {len(differences)}"
+        )
+    sums = np.zeros(1, dtype=np.int64)
+    for d in differences:
+        sums = np.concatenate([sums + d, sums - d])
+    return float(np.count_nonzero(np.abs(sums) >= abs(sum(differences))) / sums.size)
+
+
 def ablation_run(config, train_docs, dev_docs, test_docs, vocab_size, seeds):
     """Train the full model and the three single-removal variants.
 
     All variants share seeds and data; the rows come in `ABLATION_VARIANTS`
-    order.  With two or more seeds, each variant row carries a Welch
-    t-test p-value against the full model over the per-seed test accuracies.
+    order and give the mean accuracies over the seeds.  With two or more
+    seeds, each variant row carries the exact paired sign-flip p-value
+    against the full model over the per-seed test `correct` counts.
     """
     seeds = list(seeds)
-    if not seeds:
-        raise UsageError("ablation needs at least one seed")
+    if not 1 <= len(seeds) <= MAX_SEEDS:
+        raise UsageError(f"ablation needs 1 to {MAX_SEEDS} seeds, got {len(seeds)}")
     rows = []
-    full_accs = None
+    full_correct = None
     for label, overrides in ABLATION_VARIANTS:
         test_accs = []
         dev_accs = []
+        correct = []
         for seed in seeds:
             variant = replace(config, seed=seed, **overrides)
             result = train(train_docs, dev_docs, variant, vocab_size)
-            test_accs.append(evaluate(result.params, test_docs).accuracy)
+            test = evaluate(result.params, test_docs)
+            test_accs.append(test.accuracy)
             dev_accs.append(result.best_dev_accuracy)
+            correct.append(test.correct)
         p_value = None
-        if full_accs is None:
-            full_accs = test_accs
+        if full_correct is None:
+            full_correct = correct
         elif len(seeds) >= 2:
-            _, p_value = welch_ttest(full_accs, test_accs)
+            p_value = sign_flip_p_value(f - v for f, v in zip(full_correct, correct))
         rows.append(
             AblationRow(
                 label=label,
-                test_accuracy=test_accs[0],
-                dev_accuracy=dev_accs[0],
+                test_accuracy=sum(test_accs) / len(test_accs),
+                dev_accuracy=sum(dev_accs) / len(dev_accs),
                 test_accuracies=test_accs,
                 p_value_vs_full=p_value,
             )

@@ -380,10 +380,11 @@ def test_analyze_without_gate_refuses_before_reading_the_data(trained, tmp_path,
     assert "gate enabled" in err and "Traceback" not in err
 
 
-def test_ablate_writes_four_rows_with_p_values(tmp_path):
+def test_ablate_writes_four_rows_with_p_values(tmp_path, capsys):
     config = _config(tmp_path, _corpus(tmp_path))
     out = tmp_path / "ablate.json"
     assert main(["ablate", "--config", str(config), "--seeds", "2", "--out", str(out)]) == 0
+    assert "the smallest p it can give is 2/2^2 = 0.5\n" in capsys.readouterr().out
     rows = _json(out)["rows"]
     assert len(rows) == 4
     assert all(
@@ -392,10 +393,11 @@ def test_ablate_writes_four_rows_with_p_values(tmp_path):
         for row in rows
     )
     assert rows[0]["p_value_vs_full"] is None
-    assert all(0.0 <= row["p_value_vs_full"] <= 1.0 for row in rows[1:])
+    # two seeds give four equally likely signed sums: p is 2/4 or 4/4
+    assert all(row["p_value_vs_full"] in {0.5, 1.0} for row in rows[1:])
 
 
-@pytest.mark.parametrize("seeds", ["0", "-2"])
+@pytest.mark.parametrize("seeds", ["0", "-2", "21"])
 def test_ablate_without_seeds_is_usage_error(tmp_path, capsys, seeds):
     # refused before the data is read: the missing file would be a data error (2)
     config = _config(tmp_path, tmp_path / "missing.jsonl")

@@ -1,9 +1,11 @@
+import itertools
 import json
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 import gatedoc.cli
 from gatedoc import autodiff, model, synthetic, training
@@ -213,6 +215,103 @@ class TestAblationRun:
             assert isinstance(row.p_value_vs_full, float)
             assert 0.0 <= row.p_value_vs_full <= 1.0
         assert all(len(row.test_accuracies) == 2 for row in two)
+
+    def test_rows_give_the_mean_over_seeds_and_p_over_correct_counts(self, monkeypatch):
+        # per variant, the test `correct` out of 10 at seeds 0, 1, 2
+        correct = {
+            "The whole model": [0, 0, 2],
+            "- Class similarity embedding for a sentence": [1, 2, 0],
+            "- Gated sentence embedding": [3, 4, 5],
+            "- Class similarity embedding for a document": [0, 0, 2],
+        }
+        variants = {tuple(sorted(o.items())): label for label, o in training.ABLATION_VARIANTS}
+        switches = ("use_sentence_class_sim", "use_gate", "use_document_class_sim")
+
+        def fake_train(train_docs, dev_docs, config, vocab_size):
+            off = tuple((name, False) for name in switches if not getattr(config, name))
+            return training.TrainResult(
+                params=(variants[off], config.seed), history=[], best_epoch=0,
+                best_dev_accuracy=[0.5, 0.25, 0.875][config.seed],
+            )
+
+        def fake_evaluate(params, documents):
+            label, seed = params
+            hits = correct[label][seed]
+            return training.EvalResult(hits / 10, hits, 10, [])
+
+        monkeypatch.setattr(training, "train", fake_train)
+        monkeypatch.setattr(training, "evaluate", fake_evaluate)
+        rows = training.ablation_run(tiny_config(), [], [], [], 20, seeds=[0, 1, 2])
+        for row in rows:
+            accs = [hits / 10 for hits in correct[row.label]]
+            assert row.test_accuracies == accs
+            assert row.test_accuracy == sum(accs) / 3
+            assert row.dev_accuracy == (0.5 + 0.25 + 0.875) / 3
+        # differences -1, -2, 2: every signed sum is odd, so p is 1.0; over the
+        # accuracies, -0.1 - 0.2 + 0.2 misses the tie and p would read 0.75
+        assert [row.p_value_vs_full for row in rows] == [None, 1.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize("n_seeds", [0, training.MAX_SEEDS + 1])
+    def test_seed_count_is_refused_before_any_training(self, rng, monkeypatch, n_seeds):
+        _built_models(monkeypatch, lambda mp: pytest.fail("built a model"))
+        docs = _train_docs(rng)
+        with pytest.raises(UsageError, match=f"1 to {training.MAX_SEEDS} seeds, got {n_seeds}"):
+            training.ablation_run(
+                tiny_config(), docs[:4], docs[4:5], docs[5:], 20, seeds=range(n_seeds)
+            )
+
+
+def _brute_force_p(differences):
+    observed = abs(sum(differences))
+    sums = [
+        abs(sum(sign * d for sign, d in zip(signs, differences)))
+        for signs in itertools.product((1, -1), repeat=len(differences))
+    ]
+    return sum(s >= observed for s in sums) / len(sums)
+
+
+class TestSignFlipPValue:
+    def test_equals_brute_force_enumeration(self):
+        rng = np.random.default_rng(2018)
+        for _ in range(300):
+            n = int(rng.integers(2, 11))
+            # a narrow range makes zero differences and tied sums common
+            differences = rng.integers(-4, 5, size=n).tolist()
+            assert training.sign_flip_p_value(differences) == _brute_force_p(differences)
+
+    def test_matches_scipy_exact_paired_permutation_test(self):
+        rng = np.random.default_rng(1707)
+        for _ in range(100):
+            n = int(rng.integers(2, 11))
+            full, variant = rng.integers(0, 40, size=(2, n))
+            expected = scipy_stats.permutation_test(
+                (full, variant), lambda x, y, axis: np.sum(x - y, axis=axis),
+                permutation_type="samples", n_resamples=np.inf, vectorized=True,
+                alternative="two-sided",
+            ).pvalue
+            got = training.sign_flip_p_value((full - variant).tolist())
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_sums_tied_with_the_observed_one_count(self):
+        # signed sums of 3, -3, 1: +-1 six times and +-5, +-7 once each, all >= |1|
+        assert training.sign_flip_p_value([3, -3, 1]) == 1.0
+        # 2, 2, 1, -1 sums to 4; of the 16 signed sums, +-6 once each and +-4 twice each reach it
+        assert training.sign_flip_p_value([2, 2, 1, -1]) == 6 / 16
+
+    @pytest.mark.parametrize("n", [2, 5, training.MAX_SEEDS])
+    def test_all_zero_differences_give_one(self, n):
+        assert training.sign_flip_p_value([0] * n) == 1.0
+
+    @pytest.mark.parametrize("n", [2, 5, 6, training.MAX_SEEDS])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_sign_for_every_seed_gives_the_smallest_p(self, n, sign):
+        differences = [sign * (1 + i % 3) for i in range(n)]
+        assert training.sign_flip_p_value(differences) == 2 / 2**n
+
+    @pytest.mark.parametrize("n", [0, 1, training.MAX_SEEDS + 1])
+    def test_seed_count_outside_the_range_is_refused(self, n):
+        with pytest.raises(UsageError, match=f"2 to {training.MAX_SEEDS} differences, got {n}"):
+            training.sign_flip_p_value([1] * n)
 
 
 def test_write_metrics_one_sorted_json_line_per_epoch(tmp_path, monkeypatch):
