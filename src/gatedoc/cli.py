@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, eval, predict, explain, ablate, analyze, gradcheck.
-Every command writes its results as JSON to --out (train writes JSON
-lines of per-epoch metrics).  Exit codes: 0 success, 1 usage error,
+Each writes its results to --out: train as JSON lines of per-epoch
+metrics, explain as an HTML heatmap (its JSON profile goes to --report),
+every other command as JSON.  Exit codes: 0 success, 1 usage error,
 2 data error, 3 internal fault.
 """
 
@@ -246,10 +247,11 @@ def build_parser():
     parser = _Parser(prog="gatedoc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seed=False, config=False, checkpoint=False, data=False, text=False):
+    def common(p, *, out="write results (JSON) here", seed=False, config=False,
+               checkpoint=False, data=False, text=False):
         if seed:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="write results (JSON) here")
+        p.add_argument("--out", default=None, help=out)
         if config:
             p.add_argument("--config", required=True, help="key = value config file")
         if checkpoint:
@@ -262,7 +264,7 @@ def build_parser():
             source.add_argument("--text", required=source is p, help="raw document text")
 
     p = sub.add_parser("train", help="train a model from a config")
-    common(p, seed=True, config=True)
+    common(p, out="write per-epoch metrics (JSON lines) here", seed=True, config=True)
     p.add_argument("--checkpoint", default=None, help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
@@ -275,7 +277,7 @@ def build_parser():
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("explain", help="render a sentence-importance heatmap")
-    common(p, checkpoint=True, text=True)
+    common(p, out="write the heatmap (HTML) here", checkpoint=True, text=True)
     p.add_argument("--report", default=None, help="also write the profile as JSON here")
     p.set_defaults(func=cmd_explain)
 

@@ -41,9 +41,9 @@ _ABBREVIATION_SPAN = 1 + max(len(a) for a in ABBREVIATIONS)
 _PUNCT_RE = re.compile(r"[^\w\s]")  # a punctuation mark: neither a word character nor whitespace
 
 SCHEMES = {
-    # scheme -> (min score, max score, number of classes)
-    "ten_scale": (1, 10, 10),
-    "three_way": (1, 5, 3),
+    # scheme -> the class of each score from 1 up
+    "ten_scale": tuple(range(10)),
+    "three_way": (0, 0, 1, 2, 2),  # negative below 3, neutral at 3, positive above
 }
 
 
@@ -95,27 +95,17 @@ class LoadedDataset:
 def scheme_n_classes(scheme):
     if scheme not in SCHEMES:
         raise UsageError(f"unknown label scheme {scheme!r}")
-    return SCHEMES[scheme][2]
+    return SCHEMES[scheme][-1] + 1  # the top score is in the top class
 
 
 def bucket_label(score, scheme, doc_id=None):
-    """Map an integer review score to a class index.
-
-    ten_scale: class = score - 1.  three_way: <3 negative (0),
-    =3 neutral (1), >3 positive (2).
-    """
+    """Map an integer review score from 1 up to its class in `SCHEMES`."""
     scheme_n_classes(scheme)  # raises on unknown scheme
-    lo, hi, _ = SCHEMES[scheme]
-    if not isinstance(score, int) or isinstance(score, bool) or not lo <= score <= hi:
+    classes = SCHEMES[scheme]
+    if not isinstance(score, int) or isinstance(score, bool) or not 1 <= score <= len(classes):
         where = f" in document {doc_id!r}" if doc_id else ""
-        raise DataError(f"score {score!r} outside [{lo}, {hi}] for {scheme}{where}")
-    if scheme == "ten_scale":
-        return score - 1
-    if score < 3:
-        return 0
-    if score == 3:
-        return 1
-    return 2
+        raise DataError(f"score {score!r} outside [1, {len(classes)}] for {scheme}{where}")
+    return classes[score - 1]
 
 
 def segment_sentences(text):

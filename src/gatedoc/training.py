@@ -133,23 +133,15 @@ def train(train_docs, dev_docs, config, vocab_size):
             "epoch %d: train_loss %.6f dev_accuracy %.4f",
             epoch, entry["train_loss"], dev.accuracy,
         )
+        # patience counts only strict improvements; ties keep the most
+        # recent checkpoint (the most-trained model among equals)
+        bad_epochs = 0 if dev.accuracy > best_acc else bad_epochs + 1
         if dev.accuracy >= best_acc:
-            # ties keep the most recent checkpoint (the most-trained model
-            # among equals); patience counts only strict improvements
-            if dev.accuracy > best_acc:
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
             best_acc = dev.accuracy
             best_epoch = epoch
             if epoch + 1 < config.max_epochs and bad_epochs < config.patience:
-                if snapshot is None:
-                    snapshot = [t.data.copy() for _, t in named]
-                else:
-                    for buf, (_, t) in zip(snapshot, named):
-                        np.copyto(buf, t.data)
-        else:
-            bad_epochs += 1
+                snapshot = None  # release the old copy first: one snapshot alive at a time
+                snapshot = [t.data.copy() for _, t in named]
         if bad_epochs >= config.patience:
             break
     if best_epoch != len(history) - 1:

@@ -1,8 +1,11 @@
 """Exit-code contract: 0 ok, 1 usage, 2 data, 3 internal."""
 
+import argparse
 import contextlib
 import io
 import json
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,30 @@ def _config(tmp_path, data, **values):
     lines = (f"{k} = {v}\n" for k, v in base.items() if v is not None)  # None: key left out
     path.write_text("".join(lines), encoding="utf-8")
     return path
+
+
+def _subcommands():
+    """The subcommand parsers of `build_parser()`, by name."""
+    parser = gatedoc.cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _help(command, dest):
+    return next(a.help for a in _subcommands()[command]._actions if a.dest == dest)
+
+
+def test_explain_help_names_the_html_heatmap_and_the_json_report():
+    assert _help("explain", "out") == "write the heatmap (HTML) here"
+    assert _help("explain", "report") == "also write the profile as JSON here"
+    assert _help("train", "out") == "write per-epoch metrics (JSON lines) here"
+    description = gatedoc.cli.build_parser().description
+    assert "explain as an HTML heatmap (its JSON profile goes to --report)" in description
+
+
+def test_readme_names_every_subcommand():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    missing = [name for name in _subcommands() if not re.search(rf"`gatedoc {name}\b", readme)]
+    assert not missing, f"README.md does not describe: {missing}"
 
 
 def test_no_command_is_usage_error():

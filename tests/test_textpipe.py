@@ -271,6 +271,33 @@ class TestBucketLabel:
     def test_three_way_monotone(self, score):
         assert tp.bucket_label(score, "three_way") <= tp.bucket_label(score + 1, "three_way")
 
+    @pytest.mark.parametrize(
+        "scheme, classes",
+        [("three_way", [0, 0, 1, 2, 2]), ("ten_scale", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9])],
+    )
+    def test_every_score_and_the_class_count(self, scheme, classes):
+        scores = range(1, len(classes) + 1)
+        assert [tp.bucket_label(score, scheme) for score in scores] == classes
+        assert tp.scheme_n_classes(scheme) == {"three_way": 3, "ten_scale": 10}[scheme]
+
+    @pytest.mark.parametrize(
+        "scheme, score, message",
+        [
+            ("three_way", 0, "score 0 outside [1, 5] for three_way"),
+            ("three_way", 6, "score 6 outside [1, 5] for three_way"),
+            ("three_way", True, "score True outside [1, 5] for three_way"),
+            ("three_way", 3.0, "score 3.0 outside [1, 5] for three_way"),
+            ("ten_scale", 0, "score 0 outside [1, 10] for ten_scale"),
+            ("ten_scale", 11, "score 11 outside [1, 10] for ten_scale"),
+            ("ten_scale", True, "score True outside [1, 10] for ten_scale"),
+            ("ten_scale", 3.0, "score 3.0 outside [1, 10] for ten_scale"),
+        ],
+    )
+    def test_scores_outside_the_scheme_are_refused(self, scheme, score, message):
+        with pytest.raises(DataError) as excinfo:
+            tp.bucket_label(score, scheme)
+        assert str(excinfo.value) == message
+
 
 # ---------------------------------------------------------------------------
 # dataset loading and batching

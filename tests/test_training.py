@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -127,7 +128,90 @@ def _train_docs(rng, n=6):
     return [make_doc(rng, 2, 20, label=i % 3, doc_id=f"d{i}") for i in range(n)]
 
 
+class _TwoTensorModel:
+    """All that `train` reads of a model once its steps and dev evaluation
+    are scripted."""
+
+    def __init__(self, rows=2):
+        self.named = [
+            ("a", autodiff.Tensor(np.zeros((rows, 2)))), ("b", autodiff.Tensor(np.zeros((1, 3))))
+        ]
+
+    def named_parameters(self):
+        return list(self.named)
+
+
+def _add_one_in_place(batch, params, named, optimizer, batch_index):
+    """A training step that changes every parameter in place, as Adam does."""
+    for _, t in named:
+        t.data += 1.0
+    return [0.0] * len(batch)
+
+
+def _expected_run(accuracies, patience, max_epochs):
+    """(last epoch, best epoch, best accuracy) by the early-stopping rule:
+    patience counts the epochs since the running maximum was first reached,
+    and a tie moves the best epoch to the later one.  None when the run
+    would ask for more dev accuracies than are scripted."""
+    for epoch in range(max_epochs):
+        if epoch == len(accuracies):
+            return None
+        top = max(accuracies[: epoch + 1])
+        if epoch - accuracies.index(top) >= patience:
+            break
+    best_epoch = max(i for i, a in enumerate(accuracies[: epoch + 1]) if a == top)
+    return epoch, best_epoch, top
+
+
 class TestEarlyStopping:
+    def test_every_short_accuracy_sequence(self, rng, monkeypatch):
+        # three values, so ties are common; every sequence of 1-6 epochs
+        monkeypatch.setattr(model, "build_model", lambda config, vocab_size: _TwoTensorModel())
+        monkeypatch.setattr(training, "_batch_step", _add_one_in_place)
+        docs = _train_docs(rng, n=3)
+        cases = 0
+        for n in range(1, 7):
+            for accuracies in itertools.product((0.25, 0.5, 0.75), repeat=n):
+                for patience, max_epochs in itertools.product(range(1, 5), {n, 6}):
+                    expected = _expected_run(accuracies, patience, max_epochs)
+                    if expected is None:
+                        continue
+                    last, best_epoch, best = expected
+                    seen = []
+                    _scripted_dev(monkeypatch, accuracies, seen)
+                    cfg = tiny_config(max_epochs=max_epochs, patience=patience, batch_size=2)
+                    result = training.train(docs[:2], docs[2:], cfg, vocab_size=20)
+                    case = (accuracies, patience, max_epochs)
+                    assert len(result.history) == last + 1, case
+                    assert (result.best_epoch, result.best_dev_accuracy) == (best_epoch, best), case
+                    final = dict(result.params.named_parameters())
+                    restored = [e for e, params in enumerate(seen)
+                                if all(np.array_equal(final[k].data, v) for k, v in params.items())]
+                    assert restored == [best_epoch], case
+                    cases += 1
+        assert cases > 4 * 1092  # every (sequence, patience) at max_epochs n, some at 6
+
+    def test_the_old_snapshot_is_released_before_the_next_is_taken(self, rng, monkeypatch):
+        two = _TwoTensorModel(rows=1 << 16)  # 1 MiB of parameters
+        monkeypatch.setattr(model, "build_model", lambda config, vocab_size: two)
+        monkeypatch.setattr(training, "_batch_step", _add_one_in_place)
+        # dev accuracy rises every epoch, so every epoch but the last takes a snapshot
+        rising = iter([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        monkeypatch.setattr(
+            training, "evaluate",
+            lambda params, documents: training.EvalResult(next(rising), 0, len(documents), []),
+        )
+        docs = _train_docs(rng, n=3)
+        cfg = tiny_config(max_epochs=6, patience=6, batch_size=2)
+        size = sum(t.data.nbytes for _, t in two.named_parameters())
+        tracemalloc.start()
+        try:
+            training.train(docs[:2], docs[2:], cfg, vocab_size=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size <= peak < 1.5 * size  # one snapshot alive, never two
+
     def test_patience_counts_ties_and_drops_then_stops(self, rng, monkeypatch):
         seen = []
         _scripted_dev(monkeypatch, [0.5, 0.6, 0.6, 0.4, 0.9, 0.9], seen)
