@@ -13,6 +13,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import filterfalse, groupby
 
 import numpy as np
 
@@ -38,7 +39,9 @@ _BOUNDARY_RE = re.compile(r"[.!?](?=\s+(\S))")
 # a token longer than every abbreviation cannot be one
 _ABBREVIATION_SPAN = 1 + max(len(a) for a in ABBREVIATIONS)
 
-_PUNCT_RE = re.compile(r"[^\w\s]")  # a punctuation mark: neither a word character nor whitespace
+# a token: a run of word characters, or any other non-space character
+# alone; \S meets only non-word characters, because \w+ is tried first
+_TOKEN_RE = re.compile(r"\w+|\S")
 
 SCHEMES = {
     # scheme -> the class of each score from 1 up
@@ -138,47 +141,57 @@ def _ends_in_abbreviation(text, end):
     return text[max(0, end - _ABBREVIATION_SPAN) : end].split()[-1].lower() in ABBREVIATIONS
 
 
-def _spaced(match):
-    return f" {match[0]} "
-
-
-def tokenize_words(text):
-    r"""Lowercased word tokens; punctuation marks are their own tokens.
-
-    The tokens are those of ``re.findall(r"\w+|[^\w\s]", text.lower())``:
-    every character is a word character, a space, or a punctuation mark
-    (neither), so once each mark stands between spaces, splitting on
-    whitespace leaves the runs of word characters and the marks alone.
-    `str.split` and `re`'s ``\s`` call the same whitespace test
-    (``Py_UNICODE_ISSPACE``).  One substitution and one split take about
-    half the time of the alternation's ``findall``.
-    """
-    return _PUNCT_RE.sub(_spaced, text.lower()).split()
-
-
 def tokenize(text, vocab):
-    """Token ids for one sentence; out-of-vocabulary words map to [UNK]."""
+    r"""Token ids for one sentence; out-of-vocabulary words map to [UNK].
+
+    The tokens are those of ``_TOKEN_RE.findall(text.lower())``, taken
+    one whitespace chunk at a time: no token holds whitespace, and
+    `str.split` and ``\s`` call the same whitespace test.  A chunk that
+    is `str.isalnum` is one token, because ``\w`` is that per-character
+    test or ``_``; any other chunk goes through the regex.
+    """
     get = vocab.token_to_id.get
-    return [get(tok, UNK_ID) for tok in tokenize_words(text)]
+    ids = []
+    for chunk in text.lower().split():
+        if chunk.isalnum():
+            ids.append(get(chunk, UNK_ID))
+        else:
+            ids += [get(tok, UNK_ID) for tok in _TOKEN_RE.findall(chunk)]
+    return ids
 
 
 def build_vocab(corpus, min_freq, max_size):
     """Frequency-capped word vocabulary over raw documents.
 
-    Ties at the size cap break lexicographically; identical corpora
-    produce identical vocabularies.
+    Tokens are ranked by count; ties, also at the size cap, break
+    lexicographically, so identical corpora produce identical
+    vocabularies.  The corpus is counted by whitespace chunk, as
+    `tokenize` reads it, and each distinct chunk that is not `str.isalnum`
+    moves its count onto its tokens: the regex runs once over each run of
+    such chunks (in first-seen order) that share a count, never once per
+    occurrence.
     """
     corpus = list(corpus)
     if not corpus:
         raise UsageError("cannot build a vocabulary from an empty corpus")
     counts = Counter()
     for doc in corpus:
-        counts.update(tokenize_words(doc.text))
-    kept = sorted(
-        (tok for tok, c in counts.items() if c >= min_freq),
-        key=lambda tok: (-counts[tok], tok),
-    )[:max_size]
-    return vocab_from_tokens(kept)
+        counts.update(doc.text.lower().split())
+    # pop them all first: a chunk such as "," is also a token, whose count must not grow before it is read
+    runs = [
+        (n, " ".join(chunks))
+        for n, chunks in groupby(list(filterfalse(str.isalnum, counts)), key=counts.pop)
+    ]
+    for n, text in runs:
+        tokens = _TOKEN_RE.findall(text)
+        if n == 1:  # the chunks seen once, most of them in a Zipfian corpus
+            counts.update(tokens)
+        else:
+            for tok in tokens:
+                counts[tok] += n
+    kept = sorted([tok for tok, c in counts.items() if c >= min_freq])
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: equal counts stay lexicographic
+    return vocab_from_tokens(kept[:max_size])
 
 
 def vocab_from_tokens(tokens):
@@ -195,23 +208,20 @@ def assemble_document(
     """Build the [CLS]/[SEP] stream from per-sentence token ids.
 
     Empty sentences are dropped.  Sentences beyond the max-sentence
-    limit are cut from the end; if the stream would still exceed the
-    length limit, whole trailing sentences go first and the last kept
-    sentence is truncated to fit its closing [SEP].
+    limit are cut from the end; of the rest, the longest prefix that fits
+    the length limit is kept.  A first sentence too long on its own is
+    kept alone, truncated to fit its closing [SEP].
     """
     sents = [(list(ids), span) for ids, span in zip(tokenized_sentences, spans) if ids]
     if not sents:
         raise DataError(f"document {doc_id!r} has no tokens after tokenization")
     sents = sents[: limits.max_sentences]
-
-    def total(items):
-        return 1 + sum(len(ids) + 1 for ids, _ in items)
-
-    while len(sents) > 1 and total(sents) > limits.max_stream_len:
-        sents.pop()
-    if total(sents) > limits.max_stream_len:
-        ids, span = sents[0]
-        sents[0] = (ids[: limits.max_stream_len - 2], span)
+    size = 1  # [CLS]
+    for n, (ids, span) in enumerate(sents):
+        size += len(ids) + 1
+        if size > limits.max_stream_len:
+            sents = sents[:n] if n else [(ids[: limits.max_stream_len - 2], span)]
+            break
 
     stream = [CLS_ID]
     sep_positions = []

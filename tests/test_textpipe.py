@@ -1,8 +1,10 @@
 import json
 import re
+import time
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gatedoc import textpipe as tp
@@ -17,6 +19,12 @@ from conftest import JSONL_LINES, tiny_config
 # the tokenizer's specification: runs of word characters, and every other
 # non-space character on its own
 WORD_RE = re.compile(r"\w+|[^\w\s]")
+# characters where reading text by whitespace chunk could part from the
+# regex: "_" is a word character but not alphanumeric, "İ" lowercases to
+# "i" and a combining dot, "Σ" lowercases by its context, U+0301 is a
+# combining mark, "٣" and "²" are digits outside ASCII, and "\x1c" is
+# whitespace to both `str.split` and \s
+SPEC_ALPHABET = "ab _İΣ\u0301٣²\x1c.,'!"
 
 LIMITS = TrainConfig().limits()  # the pipeline limits a default run uses
 
@@ -147,6 +155,37 @@ class TestVocab:
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.token_to_id == vocab.token_to_id
 
+    @given(
+        st.lists(st.text(alphabet=SPEC_ALPHABET, max_size=30), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=300)
+    def test_ranking_is_that_of_the_specification_counts(self, texts, min_freq, max_size):
+        counts = Counter(tok for text in texts for tok in WORD_RE.findall(text.lower()))
+        ranked = sorted(
+            (tok for tok, c in counts.items() if c >= min_freq),
+            key=lambda tok: (-counts[tok], tok),
+        )
+        corpus = [rd(i, text) for i, text in enumerate(texts)]
+        vocab = tp.build_vocab(corpus, min_freq=min_freq, max_size=max_size)
+        assert vocab.id_to_token[5:] == ranked[:max_size]
+
+    def test_regex_runs_per_distinct_chunk_not_per_occurrence(self, monkeypatch):
+        calls = []
+
+        class CountingRegex:
+            def findall(self, text):
+                calls.append(text)
+                return WORD_RE.findall(text)
+
+        monkeypatch.setattr(tp, "_TOKEN_RE", CountingRegex())
+        corpus = [rd(i, "good. good, good") for i in range(1000)]
+        vocab = tp.build_vocab(corpus, min_freq=1, max_size=100)
+        assert vocab.id_to_token[5:] == ["good", ",", "."]
+        # "good." and "good," are the only chunks of several tokens
+        assert 1 <= len(calls) <= 2
+
 
 class TestTokenize:
     def test_words_and_punctuation(self):
@@ -171,12 +210,25 @@ class TestTokenize:
         ["", " ", "It's 3.50$!", "a_b-c\u00a0d\u2028e\x1cf", "ÉCOLE…«ça»", "İ", "٣٤ ١٢!"],
     )
     def test_words_are_the_specification_regex(self, text):
-        assert tp.tokenize_words(text) == WORD_RE.findall(text.lower())
+        assert _read_back(text) == WORD_RE.findall(text.lower())
 
     @given(st.text(max_size=80))
     @settings(max_examples=200)
     def test_any_text_tokenizes_as_the_specification_regex(self, text):
-        assert tp.tokenize_words(text) == WORD_RE.findall(text.lower())
+        assert _read_back(text) == WORD_RE.findall(text.lower())
+
+    @given(st.text(alphabet=SPEC_ALPHABET, max_size=60))
+    @settings(max_examples=300)
+    def test_tokens_of_a_vocabulary_built_from_the_text_read_back(self, text):
+        vocab = tp.build_vocab([rd(0, text)], min_freq=1, max_size=10**6)
+        tokens = [vocab.id_to_token[i] for i in tp.tokenize(text, vocab)]
+        assert tokens == WORD_RE.findall(text.lower())
+
+
+def _read_back(text):
+    """`tokenize`'s tokens through a vocabulary of every specification token."""
+    vocab = tp.vocab_from_tokens(sorted(set(WORD_RE.findall(text.lower()))))
+    return [vocab.id_to_token[i] for i in tp.tokenize(text, vocab)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +242,23 @@ def _assemble(sentence_ids, limits=None, label=0):
     return tp.assemble_document(
         sentence_ids, spans, limits, doc_id="t", label=label, n_classes=3
     )
+
+
+def _trim_one_at_a_time(sentence_ids, limits):
+    """The length rule as first written: drop the last sentence until the
+    stream fits or one is left, then cut that one to fit."""
+    sents = [(ids, (i, i + 1)) for i, ids in enumerate(sentence_ids) if ids]
+    sents = sents[: limits.max_sentences]
+
+    def total(items):
+        return 1 + sum(len(ids) + 1 for ids, _ in items)
+
+    while len(sents) > 1 and total(sents) > limits.max_stream_len:
+        sents.pop()
+    if total(sents) > limits.max_stream_len:
+        ids, span = sents[0]
+        sents[0] = (ids[: limits.max_stream_len - 2], span)
+    return sents
 
 
 class TestAssemble:
@@ -224,6 +293,35 @@ class TestAssemble:
     def test_all_empty_rejected(self):
         with pytest.raises(DataError):
             _assemble([[], []])
+
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=15),
+        st.integers(1, 16),
+        st.integers(3, 60),
+    )
+    @settings(max_examples=300)
+    def test_trim_keeps_what_dropping_one_at_a_time_keeps(
+        self, lengths, max_sentences, max_stream_len
+    ):
+        assume(any(lengths))
+        sentence_ids = [[5 + i] * n for i, n in enumerate(lengths)]
+        limits = tp.Limits(max_sentences=max_sentences, max_stream_len=max_stream_len)
+        doc = _assemble(sentence_ids, limits)
+        kept = _trim_one_at_a_time(sentence_ids, limits)
+        assert doc.sentences == [ids for ids, _ in kept]
+        assert doc.sentence_spans == [span for _, span in kept]
+        assert len(doc.token_stream) <= max_stream_len
+
+    def test_trim_is_linear_in_the_sentence_count(self):
+        # recounting the stream after each dropped sentence took about 7 s;
+        # the running total takes about 10 ms
+        limits = tp.Limits(max_sentences=10**6, max_stream_len=512)
+        sentence_ids = [[7]] * 20_000
+        t0 = time.perf_counter()
+        doc = _assemble(sentence_ids, limits)
+        elapsed = time.perf_counter() - t0
+        assert len(doc.sentences) == 255 and len(doc.token_stream) == 511
+        assert elapsed < 1.0
 
     @given(
         st.lists(
