@@ -6,6 +6,16 @@ without recording a graph and makes the `Prediction` record every report
 reads; `predict` is its call on one document.  The forward pass appends
 each sentence embedding's class similarities with `concat`.
 
+A pack is bounded by the memory its graph keeps, not by the position
+table: `pack_rows()` admits documents until their hidden states, summed
+over layers, reach `PACK_STATE_BYTES`.  Each graph costs a fixed number
+of op calls, so few packs per batch save time, and a recorded graph
+keeps about 18 times its hidden-state bytes under sentence scope
+(tracemalloc at d_h 64 and 768, two layers; about 26 times with
+500-row document-scope blocks), so a pack's graph stays near 18 MiB.  A
+document at the stream limit always fits alone: at the Table-3 widths
+that 512-row floor is the cap.
+
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
 sentence-side and document-side similarity paths.  `named_parameters()`
@@ -24,6 +34,8 @@ from . import document as docmod
 from . import encoder as encmod
 from .autodiff import Tensor
 from .errors import UsageError
+
+PACK_STATE_BYTES = 1 << 20  # hidden-state bytes of one pack, over all layers
 
 
 @dataclass
@@ -82,10 +94,13 @@ class ModelParams:
     def dtype(self):
         return self.encoder.tok_emb.data.dtype
 
-    def max_stream_len(self):
-        """Rows of the position table: the longest stream, and the most
-        rows a pack of several documents holds."""
-        return self.encoder.pos_emb.shape[0]
+    def pack_rows(self):
+        """The most stream rows a pack of several documents holds: as
+        many as keep `PACK_STATE_BYTES` of hidden state over all layers,
+        and never fewer than the position table, the longest stream."""
+        enc = self.encoder
+        row_bytes = enc.n_layers * enc.w_in.shape[1] * self.dtype().itemsize
+        return max(enc.pos_emb.shape[0], PACK_STATE_BYTES // row_bytes)
 
 
 def build_model(config, vocab_size, rng=None, dtype=None, stored=None):
@@ -162,7 +177,9 @@ def classify_head(e_d, mp):
 
 def packs(docs, max_rows):
     """Runs of consecutive documents whose token streams together hold at
-    most `max_rows` rows; a document alone always forms a pack."""
+    most `max_rows` rows; a document alone always forms a pack.  The
+    callers pass `ModelParams.pack_rows()`: 1 MiB of hidden states, which
+    a recorded graph keeps about 18 times over (the module docstring)."""
     out, rows = [], 0
     for doc in docs:
         n = len(doc.token_stream)
@@ -233,10 +250,12 @@ def predict(doc, mp):
 
 
 def predict_all(docs, mp):
-    """One Prediction per document, in order: one `forward_pack` per pack,
-    recording no graph."""
+    """One Prediction per document, in order: one `forward_pack` per pack
+    of at most `mp.pack_rows()` rows, recording no graph.  That cap keeps
+    a recorded graph near 18 MiB, so a pack that records none holds less
+    while it runs."""
     preds = []
-    for pack in packs(docs, mp.max_stream_len()):
+    for pack in packs(docs, mp.pack_rows()):
         with ad.no_grad():
             result = forward_pack(pack, mp)
         preds += [

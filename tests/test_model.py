@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import math
+import tracemalloc
 from dataclasses import is_dataclass
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from gatedoc import autodiff as ad
 from gatedoc import checkpoint, synthetic, textpipe
 from gatedoc.cli import GRADCHECK_THRESHOLD
+from gatedoc.config import TrainConfig
 from gatedoc.errors import DimensionError
 from gatedoc.model import (
     build_model, forward, forward_pack, one_hot, packs, predict, predict_all,
@@ -114,7 +116,7 @@ def test_column_major_checkpoint_matches_oracle_and_built_model(variant, tmp_pat
 def test_predict_records_no_graph_and_equals_a_recorded_forward(variant, monkeypatch):
     config, params, rng = _model(variant)
     docs = [make_doc(rng, n_sentences, VOCAB_SIZE) for n_sentences in (1, 3)]
-    assert packs(docs, params.max_stream_len()) == [docs]
+    assert packs(docs, params.pack_rows()) == [docs]
     alone = [forward(doc, params) for doc in docs]
     packed = forward_pack(docs, params)
     made = []
@@ -246,17 +248,67 @@ def test_packs_keep_order_and_the_row_cap(sizes, max_rows):
         assert rows + len(following[0].token_stream) > max_rows
 
 
-def test_long_documents_form_packs_of_one():
-    # the 30-sentence key-sentence documents of the long-predict benchmark
-    config = tiny_config(max_stream_len=512, max_sentences=50)
-    records = synthetic.generate_key_sentence_corpus(12, seed=3, n_distractors=29)
+# the paper's Table-3 widths
+TABLE3_WIDTHS = dict(d_tok=128, d_h=768, n_heads=12, d_g=768, d_class_hidden=300)
+
+
+@pytest.mark.parametrize(
+    "overrides, rows",
+    [
+        ({}, 2048),
+        (TABLE3_WIDTHS, 512),
+        (dict(dtype="float64"), 1024),
+        (dict(n_layers=12), 512),  # the position table is the floor
+    ],
+    ids=["desk", "table3", "desk-float64", "desk-12-layers"],
+)
+def test_pack_rows_hold_one_mib_of_hidden_state_or_one_stream(overrides, rows):
+    params = build_model(TrainConfig(**overrides).validate(), VOCAB_SIZE)
+    assert params.pack_rows() == rows
+
+
+def _long_documents(config, n_docs):
+    """30-sentence key-sentence documents, as long-predict's."""
+    records = synthetic.generate_key_sentence_corpus(n_docs, seed=3, n_distractors=29)
     raws = [
         textpipe.RawDocument(id=r.id, text=r.text, score=r.score) for r in records
     ]
     vocab = textpipe.build_vocab(raws, min_freq=1, max_size=1000)
     docs = [textpipe.prepare_document(r, config.scheme, vocab, config.limits()) for r in raws]
+    return docs, len(vocab)
+
+
+@pytest.mark.parametrize(
+    "overrides, per_pack", [({}, 4), (TABLE3_WIDTHS, 1)], ids=["desk", "table3"]
+)
+def test_long_documents_pack_by_the_models_cap(overrides, per_pack):
+    config = TrainConfig(**overrides).validate()
+    docs, vocab_size = _long_documents(config, 12)
     assert all(len(doc.token_stream) > config.max_stream_len // 2 for doc in docs)
-    assert packs(docs, config.max_stream_len) == [[doc] for doc in docs]
+    params = build_model(config, vocab_size)
+    assert [len(pack) for pack in packs(docs, params.pack_rows())] == [per_pack] * (
+        12 // per_pack
+    )
+
+
+def test_a_recorded_pack_keeps_under_twenty_times_its_hidden_states():
+    # the premise of PACK_STATE_BYTES: a recorded graph keeps about 18
+    # times the bytes of its hidden states, summed over layers
+    config = TrainConfig().validate()
+    docs, vocab_size = _long_documents(config, 4)
+    params = build_model(config, vocab_size)
+    rows = sum(len(doc.token_stream) for doc in docs)
+    assert rows >= 1500
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = forward_pack(docs, params)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.probs.requires_grad
+    state_bytes = config.n_layers * config.d_h * np.dtype(config.dtype).itemsize
+    assert kept / rows <= 20 * state_bytes
 
 
 def test_engine_gradients_on_a_skewed_document():

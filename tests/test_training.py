@@ -70,12 +70,32 @@ def test_non_finite_gradient_names_the_parameter(rng, monkeypatch):
         training.train(docs[:4], docs[4:], cfg, vocab_size=20)
 
 
-def test_evaluate_runs_packs_that_match_predict(rng):
+def _recorded_packs(monkeypatch, cfg, budget_rows):
+    """Shrink the pack budget to `budget_rows` rows of `cfg`'s hidden
+    state; returns the list that each `forward_pack` call appends its
+    document ids to."""
+    row_bytes = cfg.n_layers * cfg.d_h * np.dtype(cfg.dtype).itemsize
+    monkeypatch.setattr(model, "PACK_STATE_BYTES", budget_rows * row_bytes)
+    ran = []
+    original = model.forward_pack
+
+    def recording(docs, mp):
+        ran.append([doc.id for doc in docs])
+        return original(docs, mp)
+
+    monkeypatch.setattr(model, "forward_pack", recording)
+    return ran
+
+
+def test_evaluate_runs_packs_that_match_predict(rng, monkeypatch):
     cfg = tiny_config(max_stream_len=40)
     docs = [make_doc(rng, 3, 20, label=i % 3, doc_id=f"d{i}") for i in range(7)]
     params = model.build_model(cfg, 20, rng=rng)
-    assert 1 < len(model.packs(docs, cfg.max_stream_len)) < len(docs)
+    ran = _recorded_packs(monkeypatch, cfg, budget_rows=48)
+    assert params.pack_rows() == 48
     result = training.evaluate(params, docs)
+    assert 1 < len(ran) < len(docs)
+    assert [i for pack in ran for i in pack] == [doc.id for doc in docs]
     assert [p.id for p in result.predictions] == [doc.id for doc in docs]
     for pred, doc in zip(result.predictions, docs):
         alone = model.predict(doc, params)
@@ -88,7 +108,6 @@ def test_evaluate_runs_packs_that_match_predict(rng):
 def test_batch_step_gradient_is_the_mean_over_its_documents(rng, monkeypatch):
     cfg = tiny_config(max_stream_len=40)
     batch = [make_doc(rng, 3, 20, label=i % 3, doc_id=f"d{i}") for i in range(5)]
-    assert 1 < len(model.packs(batch, cfg.max_stream_len)) < len(batch)
     params = model.build_model(cfg, 20, rng=rng)
     named = params.named_parameters()
     leaves = [t for _, t in named]
@@ -104,7 +123,9 @@ def test_batch_step_gradient_is_the_mean_over_its_documents(rng, monkeypatch):
     monkeypatch.setattr(
         autodiff, "adam_step", lambda named, state: seen.update((n, t.grad) for n, t in named)
     )
+    ran = _recorded_packs(monkeypatch, cfg, budget_rows=48)
     got = training._batch_step(batch, params, named, None, 0)
+    assert 1 < len(ran) < len(batch)
     np.testing.assert_allclose(got, losses, rtol=0, atol=1e-12)
     for name in want:
         np.testing.assert_allclose(seen[name], want[name], rtol=0, atol=1e-12, err_msg=name)
