@@ -1,21 +1,21 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
-Covers exactly what the gated document classifier needs: 2-D matrix
-products, the affine map x W + b as one node, pointwise add and mul of
-equal shapes, sigmoid/tanh/relu, row gather, an n-ary concat that joins
-columns, transpose, block-scoped multi-head attention (one node with a
-hand-written backward; query blocks of their own and a score scale
-serve the decoder), GRU runs over sequences packed by length (one node,
-input projections hoisted out of the step loop, and a hand-written
-backward through time), row-wise layer normalisation, binary
-cross-entropy, the one initializer that makes every parameter (drawn,
-filled with a constant, or taken from a checkpoint's arrays) and lists
-each one it makes, a fourth-order central-difference gradient checker
-and an Adam optimizer.  No op broadcasts but `mul`, whose second operand
-may be a column as tall as the first, scaling its rows (the gate
-application); a bias row enters only through `linear`.  Each op checks
-the shapes it is given and raises DimensionError, so the model code
-above it does not check them again.
+Covers exactly what the gated document classifier needs: `linear`, the
+one weight product x W, with an optional bias row b, as one node;
+pointwise add and mul of equal shapes, sigmoid/tanh/relu, row gather, an
+n-ary concat that joins columns, transpose, block-scoped multi-head
+attention (one node with a hand-written backward; query blocks of their
+own and a score scale serve the decoder), GRU runs over sequences packed
+by length (one node, input projections hoisted out of the step loop, and
+a hand-written backward through time), row-wise layer normalisation,
+binary cross-entropy, the one initializer that makes every parameter
+(drawn, filled with a constant, or taken from a checkpoint's arrays) and
+lists each one it makes, a fourth-order central-difference gradient
+checker and an Adam optimizer.  No op broadcasts but `mul`, whose second
+operand may be a column as tall as the first, scaling its rows (the gate
+application); a bias row enters only as the bias operand of `linear`,
+`gru` or `layer_norm`.  Each op checks the shapes it is given and raises
+DimensionError, so the model code above it does not check them again.
 
 Outside the GEMMs, most of an op's time goes to numpy passes over small
 arrays, so the kernels make few of them: results are formed in place
@@ -25,17 +25,13 @@ a constant vector, and attention gathers and scatters each operand once,
 head-major.  `Tensor` holds its data as given: every caller passes a
 float32 or float64 array, and each op returns one in its inputs' dtype.
 
-Weights may be row-major or column-major.  `checkpoint.load_checkpoint`
-holds every large matrix column-major (see there), and the forward
-products of `linear`, `matmul` and `gru` go through `_mm`.  Against
-such a weight w, up to `_FEW_ROWS` rows are multiplied as (w^T x^T)^T,
-which makes w OpenBLAS's left operand: at d_h = 768 that takes 0.5-0.9x
-the time of the row-major product, and a one-document predict at full
-scale about 0.8x (2 cores).  From about 200 rows on it is slower than
-numpy's own x @ w on the column-major w, which `_mm` then runs, as it
-does for one 1-D row.  A row-major weight, which is all `build_model`
-makes, is multiplied as x @ w, so a built model's arithmetic does not
-depend on any of this.
+Weights may be row-major or column-major: `checkpoint.load_checkpoint`
+holds every large matrix column-major, and says why.  The forward
+products of `linear` and `gru` go through `_mm`, which multiplies such a
+weight w by up to `_FEW_ROWS` rows as (w^T x^T)^T, making w OpenBLAS's
+left operand, and runs numpy's own x @ w on more rows or one 1-D row.
+A row-major weight, which is all `build_model` makes, is multiplied as
+x @ w, so a built model's arithmetic does not depend on any of this.
 
 Graphs are built eagerly: every operation whose inputs require
 gradients records a `Node` holding the op kind, its input tensors and a
@@ -258,45 +254,32 @@ def _t_dot(a, g):
 
 def _mm(x, w):
     """x @ w.  A column-major w times at most `_FEW_ROWS` rows is computed
-    as (w^T x^T)^T, where w^T is row-major; see the module docstring."""
+    as (w^T x^T)^T, where w^T is row-major; the `checkpoint` module
+    docstring gives the timings behind the layout and the row limit."""
     if w.flags.c_contiguous or x.ndim == 1 or x.shape[0] > _FEW_ROWS:
         return x @ w
     return np.ascontiguousarray((w.T @ x.T).T)
 
 
-def matmul(a, b):
-    """Standard 2-D matrix product."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = _mm(a.data, b.data)
-
-    def bw(g):
-        return (
-            g @ b.data.T if a.requires_grad else None,
-            _t_dot(a.data, g) if b.requires_grad else None,
-        )
-
-    return _make("matmul", out, (a, b), bw)
-
-
-def linear(x, w, b):
-    """The affine map x W + b, with b a (1 x d_out) row, as one node."""
+def linear(x, w, b=None):
+    """x W, plus b, a (1 x d_out) row, when one is given, as one node.
+    Without b the node's inputs are (x, w) and no row is added."""
     fits = x.data.ndim == w.data.ndim == 2 and x.shape[1] == w.shape[0]
-    if not fits or b.shape != (1, w.shape[1]):
-        raise DimensionError(
-            f"linear: input {x.shape}, weight {w.shape} and bias {b.shape} do not fit"
-        )
+    if not fits or (b is not None and b.shape != (1, w.shape[1])):
+        bias = "" if b is None else f" and bias {b.shape}"
+        raise DimensionError(f"linear: input {x.shape}, weight {w.shape}{bias} do not fit")
     out = _mm(x.data, w.data)
-    out += b.data
+    if b is not None:
+        out += b.data
 
     def bw(g):
-        return (
-            g @ w.data.T if x.requires_grad else None,
-            _t_dot(x.data, g) if w.requires_grad else None,
-            g.sum(axis=0, keepdims=True) if b.requires_grad else None,
-        )
+        gx = g @ w.data.T if x.requires_grad else None
+        gw = _t_dot(x.data, g) if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=0, keepdims=True) if b.requires_grad else None
 
-    return _make("linear", out, (x, w, b), bw)
+    return _make("linear", out, (x, w) if b is None else (x, w, b), bw)
 
 
 def _same_shape(kind, a, b):
@@ -729,15 +712,14 @@ def bce_rows(probs, target):
 def bce_loss(probs, target):
     """Mean over rows of `bce_rows`, one document per row.
 
-    Gradients vanish on the clamped region.  The target is a constant.
+    Gradients vanish on the clamped region.  The target is an array, a
+    constant of the graph, as `gather_rows` takes its indices.
     """
-    if probs.data.ndim != 2 or probs.data.shape != target.data.shape:
-        raise DimensionError(
-            f"bce_loss: probs shape {probs.shape} != target shape {target.shape}"
-        )
+    t = np.asarray(target)
+    if probs.data.ndim != 2 or probs.data.shape != t.shape:
+        raise DimensionError(f"bce_loss: probs shape {probs.shape} != target shape {t.shape}")
     lo, hi = _PROB_CLAMP, 1.0 - _PROB_CLAMP
     p = np.clip(probs.data, lo, hi)
-    t = target.data
     c = probs.data.size
     out = np.full((1, 1), bce_rows(probs.data, t).mean(), dtype=probs.data.dtype)
     inside = (probs.data > lo) & (probs.data < hi)

@@ -95,7 +95,7 @@ def gate(e_prime, gp):
     reported score is the mean gate of the row, which in scalar mode is
     g_i itself.  Returns (scores as float64 per sentence, E'').
     """
-    z = ad.matmul(e_prime, ad.transpose(gp.w_g))  # (n, 1) or (n, width)
+    z = ad.linear(e_prime, ad.transpose(gp.w_g))  # (n, 1) or (n, width)
     gated = ad.mul(e_prime, ad.sigmoid(z))
     # report in float64 from the pre-activations so scores stay inside (0, 1)
     scores = ad.sigmoid(Tensor(z.data.astype(np.float64))).data

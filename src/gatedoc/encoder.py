@@ -108,7 +108,7 @@ def init_class_similarity(init, w_c, d_in, d_hidden, d_class, prefix):
 def _shared_layer(x, p, blocks, rows=None):
     """One layer; given `rows`, queried and returned only at those rows."""
     a = ad.layer_norm(x, p.ln1_g, p.ln1_b)
-    k = ad.matmul(a, p.wk)  # a key bias would add a per-row constant: softmax ignores it
+    k = ad.linear(a, p.wk)  # a key bias would add a per-row constant: softmax ignores it
     v = ad.linear(a, p.wv, p.bv)
     q_blocks = None
     if rows is not None:  # each block queries the requested rows inside it
@@ -151,5 +151,5 @@ def class_similarity(e_in, cs):
     """Inner products with each class embedding: rows W_c . FNN(e) (k x n_classes)."""
     h = ad.relu(ad.linear(e_in, cs.w1, cs.b1))
     f = ad.relu(ad.linear(h, cs.w2, cs.b2))
-    return ad.matmul(f, ad.transpose(cs.w_c))
+    return ad.linear(f, ad.transpose(cs.w_c))
 

@@ -9,12 +9,14 @@ each sentence embedding's class similarities with `concat`.
 A pack is bounded by the memory its graph keeps, not by the position
 table: `pack_rows()` admits documents until their hidden states, summed
 over layers, reach `PACK_STATE_BYTES`.  Each graph costs a fixed number
-of op calls, so few packs per batch save time, and a recorded graph
-keeps about 18 times its hidden-state bytes under sentence scope
-(tracemalloc at d_h 64 and 768, two layers; about 26 times with
-500-row document-scope blocks), so a pack's graph stays near 18 MiB.  A
-document at the stream limit always fits alone: at the Table-3 widths
-that 512-row floor is the cap.
+of op calls, so few packs per batch save time.  What a recorded graph
+keeps depends on the attention scope (tracemalloc, two layers): about
+18 times its hidden-state bytes under sentence scope, at d_h 64 and 768,
+so a pack's graph stays near 18 MiB; and 25.8 times for a desk-width
+pack of 500-row documents under document scope, where attention keeps
+each block's n_heads * L^2 weights, so near 26 MiB.  A document at the
+stream limit always fits alone: at the Table-3 widths that 512-row
+floor is the cap.
 
 Disabling a variant flag removes its parameters entirely rather than
 zeroing them; the class matrix is stored once and shared by the
@@ -179,7 +181,8 @@ def packs(docs, max_rows):
     """Runs of consecutive documents whose token streams together hold at
     most `max_rows` rows; a document alone always forms a pack.  The
     callers pass `ModelParams.pack_rows()`: 1 MiB of hidden states, which
-    a recorded graph keeps about 18 times over (the module docstring)."""
+    a recorded graph keeps many times over, by attention scope (the
+    module docstring)."""
     out, rows = [], 0
     for doc in docs:
         n = len(doc.token_stream)
@@ -251,9 +254,9 @@ def predict(doc, mp):
 
 def predict_all(docs, mp):
     """One Prediction per document, in order: one `forward_pack` per pack
-    of at most `mp.pack_rows()` rows, recording no graph.  That cap keeps
-    a recorded graph near 18 MiB, so a pack that records none holds less
-    while it runs."""
+    of at most `mp.pack_rows()` rows, recording no graph.  That cap bounds
+    a recorded graph (the module docstring gives its size by attention
+    scope), so a pack that records none holds less while it runs."""
     preds = []
     for pack in packs(docs, mp.pack_rows()):
         with ad.no_grad():
@@ -273,11 +276,12 @@ def predict_all(docs, mp):
 
 
 def one_hot(label, n_classes, dtype):
-    """One-hot rows, one per label of `label` (a label or a sequence)."""
+    """One-hot rows, one per label of `label` (a label or a sequence): the
+    array `autodiff.bce_loss` takes as its target."""
     labels = np.atleast_1d(label)
     bad = labels[(labels < 0) | (labels >= n_classes)]
     if bad.size:
         raise UsageError(f"label {bad[0]} outside [0, {n_classes})")
     t = np.zeros((len(labels), n_classes), dtype=dtype)
     t[np.arange(len(labels)), labels] = 1.0
-    return Tensor(t)
+    return t

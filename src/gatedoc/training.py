@@ -81,16 +81,17 @@ def evaluate(params, documents):
 def _batch_step(batch, params, named, optimizer, batch_index):
     """One Adam step over a batch, run as one graph per pack; returns each
     document's loss.  A pack holds at most `params.pack_rows()` rows: 1 MiB
-    of hidden states over all layers, which its graph keeps about 18
-    times over, or the position table's rows when those are more.  A
-    pack's mean loss is weighted by its share of the batch, so the
-    gradients are the batch mean of the per-document ones."""
+    of hidden states over all layers, or the position table's rows when
+    those are more; `model`'s docstring gives what its graph keeps under
+    each attention scope.  A pack's mean loss is weighted by its share of
+    the batch, so the gradients are the batch mean of the per-document
+    ones."""
     ad.zero_grad([t for _, t in named])
     losses = []
     for pack in modmod.packs(batch, params.pack_rows()):
         probs = modmod.forward_pack(pack, params).probs
         target = modmod.one_hot([doc.label for doc in pack], params.n_classes, params.dtype())
-        values = ad.bce_rows(probs.data, target.data)
+        values = ad.bce_rows(probs.data, target)
         for doc, value in zip(pack, values):
             if not np.isfinite(value):
                 raise TrainingError(

@@ -79,8 +79,8 @@ def total(x):
     """Sum of all entries of a 2-D tensor, as the (1, 1) product 1^T X 1."""
     rows, cols = x.shape
     dtype = x.data.dtype
-    left = ad.matmul(Tensor(np.ones((1, rows), dtype=dtype)), x)
-    return ad.matmul(left, Tensor(np.ones((cols, 1), dtype=dtype)))
+    left = ad.linear(Tensor(np.ones((1, rows), dtype=dtype)), x)
+    return ad.linear(left, Tensor(np.ones((cols, 1), dtype=dtype)))
 
 
 def randomize_params(params, rng, scale=0.5):

@@ -24,13 +24,13 @@ def t(data, grad=True, name=None):
 # ---------------------------------------------------------------------------
 
 
-class TestMatmul:
+class TestLinear:
     def test_identity(self):
-        out = ad.matmul(t(np.eye(2)), t([[3.0, 4.0], [5.0, 6.0]]))
+        out = ad.linear(t(np.eye(2)), t([[3.0, 4.0], [5.0, 6.0]]))
         np.testing.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0]])
 
     def test_hand_dot_product(self):
-        out = ad.matmul(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
+        out = ad.linear(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
     def test_against_triple_loop_oracle(self, rng):
@@ -41,23 +41,31 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = ad.matmul(t(a), t(b))
+        out = ad.linear(t(a), t(b))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+            ad.linear(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
-
-class TestLinear:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [1, 4])
-    def test_bit_equal_to_numpy(self, rng, dtype, rows):
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_bit_equal_to_numpy(self, rng, dtype, rows, bias):
         shapes = ((rows, 5), (5, 3), (1, 3))
         x, w, b = (rng.standard_normal(shape).astype(dtype) for shape in shapes)
-        out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+        out = ad.linear(Tensor(x), Tensor(w), Tensor(b) if bias else None)
         assert out.data.dtype == dtype
-        np.testing.assert_array_equal(out.data, x @ w + b)
+        assert np.array_equal(out.data, x @ w + b if bias else x @ w)
+
+    def test_without_bias_the_node_reads_x_and_w(self, rng):
+        # `backward` zips a node's inputs with its gradients: no None input
+        x, w = t(rng.standard_normal((4, 5))), t(rng.standard_normal((5, 3)))
+        out = ad.linear(x, w)
+        assert out.node.inputs == (x, w)
+        ad.backward(total(out))
+        np.testing.assert_array_equal(x.grad, np.ones((4, 3)) @ w.data.T)
+        np.testing.assert_array_equal(w.grad, x.data.T @ np.ones((4, 3)))
 
     @pytest.mark.parametrize(
         "x_shape, w_shape, b_shape",
@@ -387,9 +395,9 @@ def _composed_gru(x, h0, w, u, b, lengths):
     h, states = h0, []
     for i in range(x.shape[0]):
         xi = ad.gather_rows(x, [i])
-        z = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[0]), ad.matmul(h, u[0])), b[0]))
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(xi, w[1]), ad.matmul(h, u[1])), b[1]))
-        c = ad.tanh(ad.add(ad.add(ad.matmul(xi, w[2]), ad.matmul(ad.mul(r, h), u[2])), b[2]))
+        z = ad.sigmoid(ad.add(ad.add(ad.linear(xi, w[0]), ad.linear(h, u[0])), b[0]))
+        r = ad.sigmoid(ad.add(ad.add(ad.linear(xi, w[1]), ad.linear(h, u[1])), b[1]))
+        c = ad.tanh(ad.add(ad.add(ad.linear(xi, w[2]), ad.linear(ad.mul(r, h), u[2])), b[2]))
         h = ad.add(ad.mul(ad.add(ones, ad.mul(z, minus_one)), h), ad.mul(z, c))
         states.append(h)
     return _stack_rows(states)
@@ -574,12 +582,12 @@ class TestBlockGrouping:
 class TestBceLoss:
     def test_perfect_prediction_is_tiny(self):
         probs = t([[1.0, 0.0, 0.0]])
-        target = t([[1.0, 0.0, 0.0]], grad=False)
+        target = np.array([[1.0, 0.0, 0.0]])
         assert float(ad.bce_loss(probs, target).data.reshape(())) < 1e-6
 
     def test_maximum_entropy_is_ln2(self):
         probs = t([[0.5, 0.5]])
-        target = t([[1.0, 0.0]], grad=False)
+        target = np.array([[1.0, 0.0]])
         loss = float(ad.bce_loss(probs, target).data.reshape(()))
         assert abs(loss - math.log(2.0)) < 1e-12
 
@@ -587,12 +595,12 @@ class TestBceLoss:
         p = rng.uniform(0.05, 0.95, (1, 7))
         labels = rng.integers(0, 2, (1, 7)).astype(np.float64)
         expected = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))
-        out = ad.bce_loss(t(p), t(labels, grad=False))
+        out = ad.bce_loss(t(p), labels)
         assert abs(float(out.data.reshape(())) - expected) < 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.bce_loss(t([[0.5, 0.5]]), t([[1.0]], grad=False))
+            ad.bce_loss(t([[0.5, 0.5]]), np.array([[1.0]]))
 
 
 class TestMulByColumnAndGatherAndNorm:
@@ -661,7 +669,6 @@ def _every_op(rng, dtype):
     x, y = leaf(4, 6), leaf(4, 6)
     gru_triples = [tuple(leaf(*shape) for _ in range(3)) for shape in ((6, 5), (5, 5), (1, 5))]
     outputs = {
-        "matmul": ad.matmul(x, leaf(6, 3)),
         "linear": ad.linear(x, leaf(6, 3), leaf(1, 3)),
         "add": ad.add(x, y),
         "mul": ad.mul(x, leaf(4, 1)),
@@ -674,7 +681,7 @@ def _every_op(rng, dtype):
         "attention": ad.attention(x, y, y, 2, [(0, 1), (1, 4)]),
         "gru": ad.gru(x, leaf(1, 5), *gru_triples, [4]),
         "layer_norm": ad.layer_norm(x, leaf(1, 6), leaf(1, 6)),
-        "bce_loss": ad.bce_loss(ad.sigmoid(x), Tensor(np.eye(4, 6, dtype=dtype))),
+        "bce_loss": ad.bce_loss(ad.sigmoid(x), np.eye(4, 6, dtype=dtype)),
     }
     return outputs, leaves
 
@@ -695,7 +702,7 @@ class TestBackward:
     def test_sigmoid_dot_at_zero_weight(self, rng):
         x_val = rng.standard_normal((3, 1))
         w = t(np.zeros((1, 3)), name="w")
-        loss = ad.sigmoid(ad.matmul(w, t(x_val, grad=False)))
+        loss = ad.sigmoid(ad.linear(w, t(x_val, grad=False)))
         ad.backward(loss)
         np.testing.assert_allclose(w.grad, 0.25 * x_val.T, atol=1e-14)
 
@@ -738,7 +745,7 @@ class TestBackward:
         a = t(rng.standard_normal((2, 2)), name="a")
         b = t(rng.standard_normal((2, 2)), name="b")
         c = t(rng.standard_normal((2, 2)), grad=False)
-        ad.backward(total(ad.matmul(ad.matmul(a, b), c)))
+        ad.backward(total(ad.linear(ad.linear(a, b), c)))
         assert a.grad is not None and b.grad is not None
         assert c.grad is None
 
@@ -805,18 +812,17 @@ class TestGradCheckPerOp:
         assert (name, index, analytic) == ("theta", 0, 6.0)
         assert abs(numeric - 6.0) < 1e-9
 
-    def test_matmul(self, rng):
-        a = t(rng.uniform(-1, 1, (3, 4)))
-        b = t(rng.uniform(-1, 1, (4, 2)))
-        _check(lambda: total(ad.tanh(ad.matmul(a, b))), [a, b])
-
-    # one row (the bridge and the head) and many rows (the encoder)
+    # one row (the bridge, the head and the gate of a one-sentence
+    # document) and many rows (the encoder); without a bias, the key
+    # projection, the class similarity and the gate
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_linear(self, rng, rows):
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+    def test_linear(self, rng, rows, bias):
         x = t(rng.uniform(-1, 1, (rows, 4)))
         w = t(rng.uniform(-1, 1, (4, 2)))
-        b = t(rng.uniform(-1, 1, (1, 2)))
-        _check(lambda: total(ad.tanh(ad.linear(x, w, b))), [x, w, b])
+        b = t(rng.uniform(-1, 1, (1, 2))) if bias else None
+        params = [x, w, b] if bias else [x, w]
+        _check(lambda: total(ad.tanh(ad.linear(x, w, b))), params)
 
     @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
     def test_elementwise_same_shape(self, rng, op):
@@ -904,7 +910,7 @@ class TestGradCheckPerOp:
 
     def test_bce_loss(self, rng):
         x = t(rng.uniform(-1, 1, (1, 5)))
-        target = t(np.eye(5)[:1], grad=False)
+        target = np.eye(5)[:1]
         _check(lambda: ad.bce_loss(ad.sigmoid(x), target), [x])
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
@@ -914,7 +920,7 @@ class TestGradCheckPerOp:
         a = t(r.uniform(-1, 1, (n, d)))
         b = t(r.uniform(-1, 1, (d, n)))
         worst, _ = ad.grad_check(
-            lambda: total(ad.sigmoid(ad.matmul(ad.tanh(a), b))), [a, b]
+            lambda: total(ad.sigmoid(ad.linear(ad.tanh(a), b))), [a, b]
         )
         assert worst < 1e-5
 

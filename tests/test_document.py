@@ -321,7 +321,7 @@ class TestGateInfluenceInvariant:
         # parameter's gradient well above finite-difference noise
         inputs = [Tensor(rng.uniform(-1, 1, (n_sentences, width))) for _ in range(3)]
         w_out = Tensor(rng.uniform(-1, 1, (d_g, 2)), requires_grad=False)
-        target = Tensor(np.array([[1.0, 0.0]]), requires_grad=False)
+        target = np.array([[1.0, 0.0]])
         params = [gp.w_g] + made
 
         def f():
@@ -330,7 +330,7 @@ class TestGateInfluenceInvariant:
                 _, gated = doc.gate(e, gp)
                 encs = doc.encode_sequence(gated, dp.enc_cell, [n_sentences])
                 e_d = doc.decode_document(encs, dp, [n_sentences])
-                loss = ad.bce_loss(ad.sigmoid(ad.matmul(e_d, w_out)), target)
+                loss = ad.bce_loss(ad.sigmoid(ad.linear(e_d, w_out)), target)
                 total = loss if total is None else ad.add(total, loss)
             return total
 
