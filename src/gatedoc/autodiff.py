@@ -435,11 +435,11 @@ def _pad_ranges(ranges):
     return rows, None if min(sizes) == len(offsets) else valid
 
 
-def _check_tiling(kind, ranges, n, allow_empty=False):
+def _check_tiling(kind, ranges, n):
     pos = 0
     for start, stop in ranges:
-        if start != pos or stop < start + (not allow_empty):
-            raise DimensionError(f"attention: {kind} ({start}, {stop}) does not follow row {pos}")
+        if start != pos or stop <= start:
+            raise DimensionError(f"attention: {kind} ({start}, {stop}) empty or not at row {pos}")
         pos = stop
     if pos != n or not n:
         raise DimensionError(f"attention: {kind} cover {pos} of {n} rows")
@@ -452,9 +452,8 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     [h*d_k, (h+1)*d_k) with d_k = d / n_heads.  `blocks` lists
     (start, stop) key ranges tiling [0, n) in order, and `q_blocks` one
     query range per block, tiling [0, m) in order (default: `blocks`).
-    Key blocks are non-empty; a query range may be empty, and its block
-    is dropped before grouping: no output reads its keys, so their dK
-    and dV rows are exactly 0.
+    Every key block and every query range is non-empty, else
+    DimensionError: a block without queries would be work no output reads.
     The queries of range i attend only to the keys of block i: per block
     and head, softmax(scale Q K^T) V, where `scale` defaults to
     1/sqrt(d_k).  Blocks are batched by key length group (`_group_blocks`),
@@ -480,7 +479,7 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     if q_blocks is not None:
         if len(q_blocks) != len(blocks):
             raise DimensionError(f"attention: {len(q_blocks)} query ranges, {len(blocks)} blocks")
-        _check_tiling("q_blocks", q_blocks, q.shape[0], allow_empty=True)
+        _check_tiling("q_blocks", q_blocks, q.shape[0])
     d_k = d // n_heads
     if scale is None:
         scale = 1.0 / math.sqrt(d_k)
@@ -498,9 +497,6 @@ def attention(q, k, v, n_heads, blocks, q_blocks=None, scale=None):
     def row_sums(a):  # over the last axis, as one GEMV
         return (a.reshape(-1, a.shape[-1]) @ np.ones(a.shape[-1], a.dtype)).reshape(a.shape[:-1])
 
-    if q_blocks is not None:  # a block without queries adds nothing
-        kept = [i for i, (start, stop) in enumerate(q_blocks) if stop > start]
-        blocks, q_blocks = [blocks[i] for i in kept], [q_blocks[i] for i in kept]
     out = np.empty_like(q.data)
     saved = []
     for members in _group_blocks(blocks):

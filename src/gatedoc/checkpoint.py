@@ -18,19 +18,21 @@ The saver gives order ``"F"`` to a matrix whose narrower dimension,
 squared, reaches `_COLUMN_MAJOR_MIN` (2^19).  `autodiff` multiplies
 such a weight as OpenBLAS's left operand, which for the few rows of one
 document (the last layer's [SEP] rows, the document GRU) takes 0.5-0.9x
-the time at d_h = 768 (2 cores, 1 or 2 BLAS threads), and a one-document
-predict at full scale about 0.8x.  From about 200 rows on that product
-is slower than numpy's own x @ w on the column-major weight, so
+the time at d_h = 768 (2 cores, 1 or 2 BLAS threads); a whole
+one-document predict at full scale reads 0.74-1.25x, median 1.01x, over
+24 alternating process pairs.  From about 200 rows on that product is
+slower than numpy's own x @ w on the column-major weight, so
 `autodiff._mm` makes the weight the left operand only up to 128 rows
 (`_FEW_ROWS`).  For a matrix of 512 x 512 or fewer elements the layout
 gains nothing reliable (0.6x to 2.3x the time, by shape and rows), so
-only Table-3-scale weights, 768 wide or more both ways, reach the rule.  The token table (vocabulary x
-d_tok, 128 wide at full scale) does not: only row gathers read it, and a
-110-row gather from it column-major takes about 5x the time.  A built
-model stays row-major: training's products of hundreds of rows gain
-nothing from the layout, and the copies would slow `build_model`.  So
-saving a built model pays one transposing copy per order-"F" matrix,
-and resaving a loaded one pays none.
+only Table-3-scale weights, 768 wide or more both ways, reach the rule.
+The token table (vocabulary x d_tok, 128 wide at full scale) does not:
+only row gathers read it, and a 110-row gather from it column-major
+takes about 5x the time.  A built model stays row-major: training's
+products of hundreds of rows gain nothing from the layout, and the
+copies would slow `build_model`.  So saving a built model pays one
+transposing copy per order-"F" matrix, and resaving a loaded one pays
+none.
 """
 
 from __future__ import annotations

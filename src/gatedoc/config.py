@@ -52,7 +52,7 @@ class TrainConfig:
     use_document_class_sim: bool = True
     gate_mode: str = "scalar"
     # "sentence": self-attention stays within each sentence, so separator
-    # outputs are functions of their own sentence from the first step.
+    # outputs depend on their own sentence alone, and [CLS] is not encoded.
     # "document": full-stream attention (the ALBERT-style arrangement).
     attention_scope: str = "sentence"
     dtype: str = "float32"

@@ -8,8 +8,9 @@ parameter count is independent of the layer count.  Layers are
 pre-norm residual: x + Attn(LN(x)), then x + FFN(LN(x)).
 
 Self-attention is block scoped: `model.forward_pack` cuts the stream
-into row blocks ([CLS] and each sentence with its [SEP], or each
-document), and `autodiff.attention` refuses blocks that do not tile it.
+into row blocks (each sentence with its [SEP], or each document with its
+[CLS]); `autodiff.attention` refuses blocks that do not tile it, and
+`transformer_encode` a block that holds none of the requested rows.
 Every layer runs one `attention` node that scores each block only
 against itself, so a stream costs at most 4 * sum(L_i^2) scores per
 head (padding included) rather than n^2.  The last layer forms its
@@ -105,16 +106,13 @@ def init_class_similarity(init, w_c, d_in, d_hidden, d_class, prefix):
     )
 
 
-def _shared_layer(x, p, blocks, rows=None):
-    """One layer; given `rows`, queried and returned only at those rows."""
+def _shared_layer(x, p, blocks, rows=None, q_blocks=None):
+    """One layer; given `rows`, queried (`q_blocks` per block) and returned only there."""
     a = ad.layer_norm(x, p.ln1_g, p.ln1_b)
     k = ad.linear(a, p.wk)  # a key bias would add a per-row constant: softmax ignores it
     v = ad.linear(a, p.wv, p.bv)
-    q_blocks = None
-    if rows is not None:  # each block queries the requested rows inside it
+    if rows is not None:
         x, a = ad.gather_rows(x, rows), ad.gather_rows(a, rows)
-        stops = np.searchsorted(rows, [stop for _, stop in blocks]).tolist()
-        q_blocks = list(zip([0, *stops[:-1]], stops))
     merged = ad.attention(ad.linear(a, p.wq, p.bq), k, v, p.n_heads, blocks, q_blocks)
     x = ad.add(x, ad.linear(merged, p.wo, p.bo))
     f = ad.layer_norm(x, p.ln2_g, p.ln2_b)
@@ -126,25 +124,30 @@ def transformer_encode(stream, params, *, blocks, rows, positions):
     """Contextual embeddings at the stream positions `rows` (len(rows) x d_h).
 
     Self-attention is restricted to `blocks`, the (start, stop) row
-    ranges that `model.forward_pack` makes: [CLS] and each sentence with
-    its [SEP] under sentence scope, or each document under document
+    ranges that `model.forward_pack` makes: each sentence with its [SEP]
+    under sentence scope, or each document, [CLS] first, under document
     scope.  `attention` refuses blocks that do not tile the stream.
     `positions`, required, holds each row's position id; a pack restarts
-    them at each document.  `rows` must be non-empty and strictly
-    increasing, else DimensionError.  The shared layer runs
-    `params.n_layers` (>= 1) times; the last run forms queries, and
-    everything after attention, only at `rows`.  The ops refuse a
-    position beyond the position table, and `positions` of another length.
+    them at each document.  `rows` must be strictly increasing, and each
+    block must hold one or more of them (no output reads a block without
+    one), else DimensionError.  The shared layer runs `params.n_layers`
+    (>= 1) times; the last run forms queries, and everything after
+    attention, only at `rows`.  The ops refuse a position beyond the
+    position table, and `positions` of another length.
     """
     rows = np.asarray(rows, dtype=np.intp)
     if rows.ndim != 1 or not rows.size or (np.diff(rows) <= 0).any():
         raise DimensionError(f"transformer_encode: rows {rows} empty or not strictly increasing")
+    stops = np.searchsorted(rows, [stop for _, stop in blocks]).tolist()
+    q_blocks = list(zip([0, *stops[:-1]], stops))  # each block's requested rows
+    if any(stop <= start for start, stop in q_blocks):
+        raise DimensionError(f"transformer_encode: a block holds none of the rows {rows}")
     tok = ad.gather_rows(params.tok_emb, stream)
     pos = ad.gather_rows(params.pos_emb, positions)
     x = ad.linear(ad.add(tok, pos), params.w_in, params.b_in)
     for _ in range(params.n_layers - 1):
         x = _shared_layer(x, params, blocks)
-    return _shared_layer(x, params, blocks, rows)
+    return _shared_layer(x, params, blocks, rows, q_blocks)
 
 
 def class_similarity(e_in, cs):

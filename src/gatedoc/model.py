@@ -73,10 +73,6 @@ class ForwardResult:
 
 @dataclass
 class ModelParams:
-    n_classes: int
-    use_sentence_class_sim: bool
-    use_gate: bool
-    use_document_class_sim: bool
     attention_scope: str
     encoder: encmod.EncoderParams
     sent_sim: encmod.ClassSimilarity | None
@@ -88,6 +84,12 @@ class ModelParams:
     out_w2: Tensor
     out_b2: Tensor
     named: list  # (name, leaf) of every parameter, in draw order
+
+    # read from the parameters they describe, so they cannot disagree with them
+    n_classes = property(lambda self: self.out_b2.shape[1])
+    use_sentence_class_sim = property(lambda self: self.sent_sim is not None)
+    use_gate = property(lambda self: self.gate is not None)
+    use_document_class_sim = property(lambda self: self.doc_sim is not None)
 
     def named_parameters(self):
         """Every trainable tensor once, keyed by name, in draw order."""
@@ -148,10 +150,6 @@ def build_model(config, vocab_size, rng=None, dtype=None, stored=None):
     head_in = config.d_g + (n_classes if config.use_document_class_sim else 0)
     d_hidden = config.resolved_d_out_hidden()
     return ModelParams(
-        n_classes=n_classes,
-        use_sentence_class_sim=config.use_sentence_class_sim,
-        use_gate=config.use_gate,
-        use_document_class_sim=config.use_document_class_sim,
         attention_scope=config.attention_scope,
         encoder=enc,
         sent_sim=sent_sim,
@@ -200,25 +198,24 @@ def forward_pack(docs, mp):
     a pack of documents as one graph.
 
     The documents' streams are laid end to end, each with its own
-    position ids, and cut into attention blocks: [CLS] and each sentence
-    with its [SEP] under sentence scope, or each document.  No block
-    spans two documents (`attention` refuses blocks that do not tile the
-    stream), and every later stage works row-wise or per document, so
-    each document's output is what it would be alone, up to the rounding
-    of other GEMM shapes.
+    position ids, and cut into attention blocks: each document, or
+    under sentence scope each sentence with its [SEP]; no [SEP] then
+    attends to [CLS], so its row is left out and the positions start
+    at 1.  No block spans two documents (`attention` refuses blocks
+    that do not tile the stream), and every later stage works row-wise
+    or per document, so each document's output is what it would be
+    alone, up to the rounding of other GEMM shapes.
     """
+    skip = 1 if mp.attention_scope == "sentence" else 0  # leave out the [CLS] row
     stream, positions, blocks, rows = [], [], [], []
     for doc in docs:
-        n, base = len(doc.token_stream), len(stream)
-        stream += doc.token_stream
-        positions += range(n)
-        seps = [base + sep for sep in doc.sep_positions]
+        base = len(stream)
+        stream += doc.token_stream[skip:]
+        positions += range(skip, len(doc.token_stream))
+        seps = [base + sep - skip for sep in doc.sep_positions]
         rows += seps
-        if mp.attention_scope == "sentence":
-            edges = [base, base + 1] + [sep + 1 for sep in seps]
-            blocks += zip(edges, edges[1:])
-        else:
-            blocks.append((base, base + n))
+        stops = [sep + 1 for sep in seps] if skip else [len(stream)]
+        blocks += zip([base, *stops[:-1]], stops)
     e = encmod.transformer_encode(
         stream, mp.encoder, blocks=blocks, rows=rows, positions=positions
     )

@@ -76,8 +76,9 @@ class Vocab:
 class TokenizedDocument:
     """A document ready for the encoder.
 
-    `token_stream` starts with [CLS] and closes every sentence with a
-    [SEP] whose position is recorded in `sep_positions`.
+    `token_stream` starts with [CLS], which is encoded only under
+    document scope, and closes every sentence with a [SEP] whose
+    position is recorded in `sep_positions`.
     """
 
     id: str

@@ -59,12 +59,12 @@ class TestTransformerEncode:
 
     def test_sentence_scope_isolates_sentences(self, rng):
         p = _params(rng, n_layers=2, n_heads=2, d_h=4)
-        # [CLS] a a [SEP] b b [SEP]
-        kw = dict(blocks=[(0, 1), (1, 4), (4, 7)], rows=range(7), positions=range(7))
-        base = enc.transformer_encode([2, 5, 6, 3, 7, 8, 3], p, **kw).data
-        changed = enc.transformer_encode([2, 5, 6, 3, 9, 10, 3], p, **kw).data
-        np.testing.assert_array_equal(base[:4], changed[:4])  # sentence 1 untouched
-        assert np.abs(base[4:] - changed[4:]).max() > 1e-10
+        # a a [SEP] b b [SEP], as sentence scope lays it: [CLS] is not encoded
+        kw = dict(blocks=[(0, 3), (3, 6)], rows=range(6), positions=range(1, 7))
+        base = enc.transformer_encode([5, 6, 3, 7, 8, 3], p, **kw).data
+        changed = enc.transformer_encode([5, 6, 3, 9, 10, 3], p, **kw).data
+        np.testing.assert_array_equal(base[:3], changed[:3])  # sentence 1 untouched
+        assert np.abs(base[3:] - changed[3:]).max() > 1e-10
 
     def test_stream_too_long_rejected(self, rng):
         p = _params(rng, max_len=8)
@@ -72,10 +72,10 @@ class TestTransformerEncode:
         with pytest.raises(DimensionError):
             enc.transformer_encode(list(range(9)), p, **kw)
 
-    # the [SEP] rows, one per block under sentence scope; then [CLS], two
-    # rows of one sentence and a row that is not a [SEP]
-    @pytest.mark.parametrize("rows", [[3, 5, 9], [0, 1, 3, 8]])
-    @pytest.mark.parametrize("blocks", [[(0, 10)], [(0, 1), (1, 4), (4, 6), (6, 10)]])
+    # the [SEP] rows, one per block under sentence scope; then a block's
+    # first row, three rows of one sentence and rows that are not a [SEP]
+    @pytest.mark.parametrize("rows", [[3, 5, 9], [0, 2, 3, 4, 8]])
+    @pytest.mark.parametrize("blocks", [[(0, 10)], [(0, 4), (4, 6), (6, 10)]])
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     def test_requested_rows_equal_those_of_a_full_encode(self, rng, n_layers, blocks, rows):
         p = _params(rng, d_h=4, n_heads=2, n_layers=n_layers)
@@ -84,6 +84,22 @@ class TestTransformerEncode:
         full = enc.transformer_encode(stream, p, rows=range(len(stream)), **kw).data
         pruned = enc.transformer_encode(stream, p, rows=rows, **kw).data
         np.testing.assert_allclose(pruned, full[rows], rtol=0, atol=1e-12)
+
+    # a one-row first block, a middle block and the last block that hold
+    # none of the rows
+    @pytest.mark.parametrize(
+        "blocks, rows",
+        [
+            ([(0, 1), (1, 4), (4, 6), (6, 10)], [3, 5, 9]),
+            ([(0, 4), (4, 6), (6, 10)], [0, 3, 8]),
+            ([(0, 4), (4, 6), (6, 10)], [3, 5]),
+        ],
+    )
+    def test_a_block_without_a_requested_row_is_refused(self, rng, blocks, rows):
+        p = _params(rng, d_h=4, n_heads=2, n_layers=2)
+        kw = dict(blocks=blocks, rows=rows, positions=range(10))
+        with pytest.raises(DimensionError, match="holds none of the rows"):
+            enc.transformer_encode([2, 5, 6, 3, 7, 3, 8, 9, 10, 3], p, **kw)
 
     @pytest.mark.parametrize("rows", [[3, 1], [1, 1, 3], []])
     def test_rows_must_be_strictly_increasing(self, rng, rows):
